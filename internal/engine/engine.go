@@ -295,12 +295,6 @@ type Result struct {
 	Trace *obs.SpanExport
 }
 
-// candidate is one possible answer tuple with its lineage condition.
-type candidate struct {
-	tuple   value.Tuple
-	lineage condition.Condition
-}
-
 // plan is a compiled query: the closed-algebra answer and the candidate
 // answers, plus memoized exact marginals. Immutable after construction
 // except for the once-guarded marginal fields.
@@ -318,21 +312,20 @@ type plan struct {
 	tableVers map[string]uint64
 
 	answer     *pctable.PCTable
-	rendered   string
 	physical   string // rendered physical operator tree (exec.Explain)
 	ops        exec.OpStats
-	candidates []candidate
+	candidates []pctable.Candidate
 	sel        Selection // lineage-set statistics + auto-selector decision
 
-	// Maintenance caches, built lazily on the first patch and carried from
-	// plan to maintained plan so per-patch work stays O(delta) instead of
-	// O(answer): the rendered answer row lines (aligned with answer rows),
-	// per-variable row refcounts (so the rendered trailer needs no Vars
-	// scan), and the top projection's group index keyed by canonical term
-	// identity. Successor plans copy-then-extend these — a plan's own maps
-	// and slices are never mutated, so concurrent maintainers that read the
-	// same predecessor stay safe.
-	rowLines   []string
+	// Render state, built when the answer is rendered (renderAnswer): the
+	// text, the byte offset at which each row's line starts (plus the end of
+	// the last), and per-variable row refcounts, so a maintained plan splices
+	// its answer in O(delta). groupIndex is the top projection's group index
+	// keyed by canonical term identity, built on the first patch. Successors
+	// copy-then-extend these; a plan's own maps and slices are never mutated,
+	// so concurrent maintainers reading the same predecessor stay safe.
+	rendered   string
+	rowOff     []int32 // an answer's text stays far below 2 GiB
 	varRefs    map[condition.Variable]int
 	groupIndex map[string]int
 
@@ -1062,17 +1055,12 @@ func compile(q ra.Query, queryText string, kind Kind, names []string, snap *cata
 	if err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrBadQuery, err)
 	}
-	possible, err := answer.PossibleTuples()
+	candidates, err := answer.Candidates()
 	if err != nil {
 		return nil, err
 	}
-	candidates := make([]candidate, 0, len(possible))
-	for _, tp := range possible {
-		lineage := answer.Lineage(tp)
-		if _, isFalse := lineage.(condition.FalseCond); !isFalse {
-			candidates = append(candidates, candidate{tuple: tp, lineage: lineage})
-		}
-	}
+	refs := make(map[condition.Variable]int)
+	rendered, rowOff := renderAnswer(answer, refs, nil, nil)
 	return &plan{
 		key:        key,
 		queryText:  queryText,
@@ -1081,11 +1069,13 @@ func compile(q ra.Query, queryText string, kind Kind, names []string, snap *cata
 		query:      q,
 		tableVers:  snapVersions(names, snap),
 		answer:     answer,
-		rendered:   answer.String(),
 		physical:   physical,
 		ops:        ops,
 		candidates: candidates,
 		sel:        selectEngine(candidates),
+		rendered:   rendered,
+		rowOff:     rowOff,
+		varRefs:    refs,
 	}, nil
 }
 
@@ -1105,18 +1095,18 @@ const (
 // the engine=auto decision they imply. It runs once per plan compilation;
 // the per-lineage variable sets are cached by hash-consed condition ID, so
 // answers whose tuples share structure pay each subcondition's walk once.
-func selectEngine(candidates []candidate) Selection {
+func selectEngine(candidates []pctable.Candidate) Selection {
 	in := condition.NewInterner()
 	allVars := make(map[condition.Variable]bool)
 	varTotal := 0
 	maxComp := 0
 	for _, c := range candidates {
-		vars := in.Vars(c.lineage)
+		vars := in.Vars(c.Lineage)
 		varTotal += len(vars)
 		for _, x := range vars {
 			allVars[x] = true
 		}
-		if n := maxLineageComponent(in, c.lineage, len(vars)); n > maxComp {
+		if n := maxLineageComponent(in, c.Lineage, len(vars)); n > maxComp {
 			maxComp = n
 		}
 	}
@@ -1201,7 +1191,7 @@ func (e *Engine) planCircuit(p *plan) (*probcalc.Circuit, error) {
 	p.circuitOnce.Do(func() {
 		conds := make([]condition.Condition, len(p.candidates))
 		for i, c := range p.candidates {
-			conds[i] = c.lineage
+			conds[i] = c.Lineage
 		}
 		p.circuit, p.circuitErr = probcalc.CompileAnswer(conds, p.answer)
 		if p.circuitErr == nil {
@@ -1236,7 +1226,7 @@ func (e *Engine) circuitMarginals(p *plan, dists probcalc.DistProvider) ([]Tuple
 		if pr == 0 {
 			continue
 		}
-		out = append(out, TupleAnswer{Tuple: c.tuple, P: pr, Certain: pr >= 1-CertainEps})
+		out = append(out, TupleAnswer{Tuple: c.Tuple, P: pr, Certain: pr >= 1-CertainEps})
 	}
 	return out, nil
 }
@@ -1297,9 +1287,9 @@ func (e *Engine) whatIfMarginals(p *plan, chosen Kind, over *pctable.PCTable, re
 			err error
 		)
 		if ev != nil {
-			pr, err = ev.Probability(c.lineage)
+			pr, err = ev.Probability(c.Lineage)
 		} else {
-			pr, err = probcalc.EnumProbability(c.lineage, over)
+			pr, err = probcalc.EnumProbability(c.Lineage, over)
 		}
 		if err != nil {
 			return nil, err
@@ -1307,7 +1297,7 @@ func (e *Engine) whatIfMarginals(p *plan, chosen Kind, over *pctable.PCTable, re
 		if pr == 0 {
 			continue
 		}
-		out = append(out, TupleAnswer{Tuple: c.tuple, P: pr, Certain: pr >= 1-CertainEps})
+		out = append(out, TupleAnswer{Tuple: c.Tuple, P: pr, Certain: pr >= 1-CertainEps})
 	}
 	if ev != nil {
 		st := ev.Stats()
@@ -1333,9 +1323,9 @@ func exactMarginals(p *plan, kind Kind) ([]TupleAnswer, probcalc.Stats, error) {
 			err  error
 		)
 		if kind == KindDTree {
-			prob, err = ev.Probability(c.lineage)
+			prob, err = ev.Probability(c.Lineage)
 		} else {
-			prob, err = p.answer.ConditionProbabilityEnum(c.lineage)
+			prob, err = p.answer.ConditionProbabilityEnum(c.Lineage)
 		}
 		if err != nil {
 			return nil, probcalc.Stats{}, err
@@ -1344,7 +1334,7 @@ func exactMarginals(p *plan, kind Kind) ([]TupleAnswer, probcalc.Stats, error) {
 			// Row-pattern candidate with unsatisfiable lineage.
 			continue
 		}
-		out = append(out, TupleAnswer{Tuple: c.tuple, P: prob, Certain: prob >= 1-CertainEps})
+		out = append(out, TupleAnswer{Tuple: c.Tuple, P: prob, Certain: prob >= 1-CertainEps})
 	}
 	var st probcalc.Stats
 	if ev != nil {
@@ -1376,15 +1366,15 @@ func sampledMarginals(p *plan, t *pctable.PCTable, req Request) ([]TupleAnswer, 
 	}
 	out := make([]TupleAnswer, 0, len(p.candidates))
 	for _, c := range p.candidates {
-		est, se, err := sampler.EstimateConditionProbabilityParallel(c.lineage, samples, workers)
+		est, se, err := sampler.EstimateConditionProbabilityParallel(c.Lineage, samples, workers)
 		if err != nil {
 			return nil, err
 		}
 		// Certainty is a logical property; a sampled estimate of 1 is not
 		// proof. Only a lineage that simplified to the constant true makes
 		// a Monte-Carlo answer certain.
-		_, isTrue := c.lineage.(condition.TrueCond)
-		out = append(out, TupleAnswer{Tuple: c.tuple, P: est, StdErr: se, Certain: isTrue})
+		_, isTrue := c.Lineage.(condition.TrueCond)
+		out = append(out, TupleAnswer{Tuple: c.Tuple, P: est, StdErr: se, Certain: isTrue})
 	}
 	return out, nil
 }

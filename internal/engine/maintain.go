@@ -31,6 +31,8 @@ package engine
 
 import (
 	"fmt"
+	"maps"
+	"slices"
 	"sort"
 	"strings"
 	"sync/atomic"
@@ -44,7 +46,6 @@ import (
 	"uncertaindb/internal/probcalc"
 	"uncertaindb/internal/ra"
 	"uncertaindb/internal/relation"
-	"uncertaindb/internal/value"
 	"uncertaindb/internal/wal"
 )
 
@@ -134,18 +135,17 @@ const deltaRelName = "\x00delta"
 
 // maintDiff describes how the maintained answer's rows relate to the old
 // answer's, so rebuildPlan can splice the plan's cached render state instead
-// of re-rendering the whole answer. Append mode: rows[0:oldLen] carry over
-// except the indices in changed (rewritten projection groups), and rows past
-// oldLen are new (changed also contains them when a top projection folded).
-// Reeval mode: the first pre and last suf rows carry over, the middle is
-// new. groupIndex, when non-nil, is the successor plan's top-projection
+// of re-rendering the whole answer: the first pre rows carry over except the
+// indices in changed (rewritten projection groups), and so do the last suf;
+// the rows between are new. An append keeps every old row in place (pre is
+// the old row count, suf 0); a re-evaluation keeps a shared prefix and
+// suffix. groupIndex, when non-nil, is the successor plan's top-projection
 // group index (canonical terms key -> row index), already extended with the
 // delta's groups; it is a fresh map, never the predecessor's.
 type maintDiff struct {
 	mode       string // "append" or "reeval"
-	oldLen     int    // append: row count of the old answer
+	pre, suf   int
 	changed    map[int]bool
-	pre, suf   int // reeval: shared prefix/suffix lengths
 	groupIndex map[string]int
 }
 
@@ -547,7 +547,7 @@ func (e *Engine) deltaAppend(p *plan, name string, ap *wal.AppliedPatch, env pct
 		merged := make([]exec.Row, 0, len(oldRows)+len(res.Rows))
 		merged = append(merged, oldRows...)
 		merged = append(merged, res.Rows...)
-		diff := &maintDiff{mode: "append", oldLen: len(oldRows)}
+		diff := &maintDiff{mode: "append", pre: len(oldRows)}
 		return p.answer.CloneWithRows(merged), res.Rows, nil, diff, nil
 	}
 
@@ -593,16 +593,13 @@ func (e *Engine) deltaAppend(p *plan, name string, ap *wal.AppliedPatch, env pct
 		changed[g] = true
 		out = append(out, exec.Row{Terms: terms, Cond: condition.Simplify(r.Cond)})
 	}
-	idxs := make([]int, 0, len(changed))
+	// Suspect rows serve only as a set: rebuildPlan collects the sorted set
+	// of tuples they produce, so their order does not matter.
+	newChanged := make([]exec.Row, 0, len(changed))
 	for g := range changed {
-		idxs = append(idxs, g)
-	}
-	sort.Ints(idxs)
-	newChanged := make([]exec.Row, 0, len(idxs))
-	for _, g := range idxs {
 		newChanged = append(newChanged, out[g])
 	}
-	diff := &maintDiff{mode: "append", oldLen: len(oldRows), changed: changed, groupIndex: index}
+	diff := &maintDiff{mode: "append", pre: len(oldRows), changed: changed, groupIndex: index}
 	return p.answer.CloneWithRows(out), newChanged, oldChanged, diff, nil
 }
 
@@ -629,7 +626,7 @@ func (e *Engine) reevaluate(p *plan, env pctable.Env) (*pctable.PCTable, []exec.
 		sameAnswerRow(oldRows[len(oldRows)-1-suf], newRows[len(newRows)-1-suf]) {
 		suf++
 	}
-	diff := &maintDiff{mode: "reeval", oldLen: len(oldRows), pre: pre, suf: suf}
+	diff := &maintDiff{mode: "reeval", pre: pre, suf: suf}
 	return newAnswer, oldRows[pre : len(oldRows)-suf], newRows[pre : len(newRows)-suf], diff, nil
 }
 
@@ -643,69 +640,40 @@ func sameAnswerRow(a, b exec.Row) bool {
 // by the suspect rows get their lineage (and, when memoized, marginal)
 // recomputed against the new answer; everything else is carried forward.
 func (e *Engine) rebuildPlan(p *plan, name string, version uint64, newAnswer *pctable.PCTable, oldSuspect, newSuspect []exec.Row, diff *maintDiff) (*maintained, string) {
-	// Affected candidate keys: every tuple the suspect rows can produce,
-	// under the old answer's distributions for removed/changed rows and the
-	// new answer's for added/changed rows.
-	affected := make(map[string]value.Tuple)
-	collect := func(ctx *pctable.PCTable, rows []exec.Row) error {
-		if len(rows) == 0 {
-			return nil
-		}
-		tuples, err := ctx.CloneWithRows(rows).PossibleTuples()
-		if err != nil {
-			return err
-		}
-		for _, tp := range tuples {
-			affected[tp.Key()] = tp
-		}
-		return nil
-	}
-	if err := collect(p.answer, oldSuspect); err != nil {
+	// Affected tuples: every tuple the suspect rows (removed or changed old
+	// rows, added or changed new ones) can produce, sorted by key. A patch
+	// that reaches maintenance adds no distribution, so the old and new
+	// answers share distributions and domains and one context serves both.
+	affected, err := newAnswer.CloneWithRows(slices.Concat(oldSuspect, newSuspect)).PossibleTuples()
+	if err != nil {
 		return nil, reasonError
 	}
-	if err := collect(newAnswer, newSuspect); err != nil {
-		return nil, reasonError
+	isAffected := make(map[string]bool, len(affected))
+	for _, tp := range affected {
+		isAffected[tp.Key()] = true
 	}
-	affKeys := make([]string, 0, len(affected))
-	for k := range affected {
-		affKeys = append(affKeys, k)
-	}
-	sort.Strings(affKeys)
 
-	// Merge old candidates (sorted by tuple key) with the affected keys:
-	// unaffected candidates carry over verbatim — their matching rows are
-	// all outside the suspect middle, so their lineage is unchanged —
-	// while affected keys are recomputed from the new answer (a lineage
-	// that simplifies to false drops the candidate, covering deletions).
-	isAffected := make(map[string]bool, len(affKeys))
-	cands := make([]candidate, 0, len(p.candidates)+len(affKeys))
-	i, j := 0, 0
-	for i < len(p.candidates) || j < len(affKeys) {
-		var ck string
-		if i < len(p.candidates) {
-			ck = p.candidates[i].tuple.Key()
+	// Affected tuples get their lineage rebuilt from the new answer (a false
+	// lineage drops the candidate, covering deletions); the others carry over
+	// verbatim, their matching rows all outside the suspect middle. Both
+	// lists are sorted by tuple key; merge them.
+	fresh := newAnswer.CandidatesOf(affected)
+	freshKeys := make([]string, len(fresh))
+	for i, c := range fresh {
+		freshKeys[i] = c.Tuple.Key()
+	}
+	cands := make([]pctable.Candidate, 0, len(p.candidates)+len(fresh))
+	j := 0
+	for _, c := range p.candidates {
+		k := c.Tuple.Key()
+		for ; j < len(fresh) && freshKeys[j] < k; j++ {
+			cands = append(cands, fresh[j])
 		}
-		var tp value.Tuple
-		switch {
-		case j >= len(affKeys) || (i < len(p.candidates) && ck < affKeys[j]):
-			cands = append(cands, p.candidates[i])
-			i++
-			continue
-		case i >= len(p.candidates) || ck > affKeys[j]:
-			tp = affected[affKeys[j]]
-			isAffected[affKeys[j]] = true
-			j++
-		default: // ck == affKeys[j]
-			tp = p.candidates[i].tuple
-			isAffected[ck] = true
-			i++
-			j++
-		}
-		lineage := newAnswer.Lineage(tp)
-		if _, isFalse := lineage.(condition.FalseCond); !isFalse {
-			cands = append(cands, candidate{tuple: tp, lineage: lineage})
+		if !isAffected[k] {
+			cands = append(cands, c)
 		}
 	}
+	cands = append(cands, fresh[j:]...)
 
 	sel := selectEngine(cands)
 	if p.kind == KindAuto && sel.Chosen != p.sel.Chosen {
@@ -715,12 +683,26 @@ func (e *Engine) rebuildPlan(p *plan, name string, version uint64, newAnswer *pc
 		return nil, reasonSelectionChanged
 	}
 
-	vers := make(map[string]uint64, len(p.tableVers))
-	for t, v := range p.tableVers {
-		vers[t] = v
-	}
+	vers := maps.Clone(p.tableVers)
 	vers[name] = version
-	lines, refs := spliceRenderState(p, newAnswer, diff)
+	// Splice the render state: carried rows copy their line out of the
+	// predecessor's rendered text and keep their refcounts, the old suspect
+	// rows give theirs up, and only changed and added rows are rendered. The
+	// predecessor's state is never mutated.
+	refs := maps.Clone(p.varRefs)
+	for _, r := range oldSuspect {
+		addRowVars(refs, r, -1)
+	}
+	oldLen, shift := p.answer.NumRows(), newAnswer.NumRows()-p.answer.NumRows()
+	rendered, rowOff := renderAnswer(newAnswer, refs, p, func(i int) int {
+		switch {
+		case i < diff.pre && !diff.changed[i]:
+			return i
+		case i-shift >= oldLen-diff.suf:
+			return i - shift
+		}
+		return -1
+	})
 	newp := &plan{
 		key:        planKey(p.queryText, p.kind, p.tables, vers),
 		queryText:  p.queryText,
@@ -729,12 +711,12 @@ func (e *Engine) rebuildPlan(p *plan, name string, version uint64, newAnswer *pc
 		query:      p.query,
 		tableVers:  vers,
 		answer:     newAnswer,
-		rendered:   renderAnswer(newAnswer, lines, refs),
 		physical:   p.physical, // shape- and arity-dependent only
 		ops:        p.ops,
 		candidates: cands,
 		sel:        sel,
-		rowLines:   lines,
+		rendered:   rendered,
+		rowOff:     rowOff,
 		varRefs:    refs,
 		groupIndex: diff.groupIndex,
 	}
@@ -774,9 +756,9 @@ func (e *Engine) refreshMarginals(old, newp *plan, isAffected map[string]bool, k
 	for _, ta := range old.marginals {
 		oldByKey[ta.Tuple.Key()] = ta
 	}
-	var affCands []candidate
+	var affCands []pctable.Candidate
 	for _, c := range newp.candidates {
-		if isAffected[c.tuple.Key()] {
+		if isAffected[c.Tuple.Key()] {
 			affCands = append(affCands, c)
 		}
 	}
@@ -790,28 +772,28 @@ func (e *Engine) refreshMarginals(old, newp *plan, isAffected map[string]bool, k
 	case KindDTree:
 		ev := probcalc.New(newp.answer)
 		for _, c := range affCands {
-			pr, err := ev.Probability(c.lineage)
+			pr, err := ev.Probability(c.Lineage)
 			if err != nil {
 				return nil, 0, 0, err
 			}
-			fresh[c.tuple.Key()] = pr
+			fresh[c.Tuple.Key()] = pr
 		}
 		st := ev.Stats()
 		e.memoHits.Add(uint64(st.MemoHits))
 		e.memoMisses.Add(uint64(st.MemoMisses))
 	case KindEnum:
 		for _, c := range affCands {
-			pr, err := newp.answer.ConditionProbabilityEnum(c.lineage)
+			pr, err := newp.answer.ConditionProbabilityEnum(c.Lineage)
 			if err != nil {
 				return nil, 0, 0, err
 			}
-			fresh[c.tuple.Key()] = pr
+			fresh[c.Tuple.Key()] = pr
 		}
 	case KindCircuit:
 		if len(affCands) > 0 {
 			conds := make([]condition.Condition, len(affCands))
 			for i, c := range affCands {
-				conds[i] = c.lineage
+				conds[i] = c.Lineage
 			}
 			circ, err := probcalc.CompileAnswer(conds, newp.answer)
 			if err != nil {
@@ -826,7 +808,7 @@ func (e *Engine) refreshMarginals(old, newp *plan, isAffected map[string]bool, k
 				return nil, 0, 0, err
 			}
 			for i, c := range affCands {
-				fresh[c.tuple.Key()] = probs[i]
+				fresh[c.Tuple.Key()] = probs[i]
 			}
 		}
 	}
@@ -834,7 +816,7 @@ func (e *Engine) refreshMarginals(old, newp *plan, isAffected map[string]bool, k
 	out := make([]TupleAnswer, 0, len(newp.candidates))
 	reused, refreshed := 0, 0
 	for _, c := range newp.candidates {
-		k := c.tuple.Key()
+		k := c.Tuple.Key()
 		if !isAffected[k] {
 			if ta, ok := oldByKey[k]; ok {
 				out = append(out, ta)
@@ -847,123 +829,46 @@ func (e *Engine) refreshMarginals(old, newp *plan, isAffected map[string]bool, k
 		if pr == 0 {
 			continue
 		}
-		out = append(out, TupleAnswer{Tuple: c.tuple, P: pr, Certain: pr >= 1-CertainEps})
+		out = append(out, TupleAnswer{Tuple: c.Tuple, P: pr, Certain: pr >= 1-CertainEps})
 	}
 	return out, reused, refreshed, nil
 }
 
-// spliceRenderState derives the maintained plan's cached render state from
-// its predecessor's: the rendered row lines (aligned with the new answer's
-// rows) and the per-variable row refcounts. Rows outside the diff carry
-// their lines and refcounts over; only changed and added rows are
-// re-rendered. A predecessor without cached state (fresh compile) pays one
-// O(answer) build here, amortized across every later patch. The
-// predecessor's slice and map are never mutated.
-func spliceRenderState(p *plan, newAnswer *pctable.PCTable, diff *maintDiff) ([]string, map[condition.Variable]int) {
-	oldRows := p.answer.Table().Rows()
-	oldLines := p.rowLines
-	if oldLines == nil {
-		oldLines = make([]string, len(oldRows))
-		for i, r := range oldRows {
-			oldLines[i] = rowLine(r)
-		}
+// renderAnswer renders t into one buffer, byte-identical to t.String(), and
+// returns it with the offset at which each row's line starts (plus the end of
+// the last). Row i's line is copied from prev's text when carry(i) names a
+// row of prev; otherwise (always with a nil carry) it is rendered and its
+// variables counted into refs, which must already count the carried rows.
+// The trailer lists the variables with a positive refcount, sorted — read
+// from refs instead of the two O(answer) Vars scans t.String() makes.
+func renderAnswer(t *pctable.PCTable, refs map[condition.Variable]int, prev *plan, carry func(int) int) (string, []int32) {
+	rows := t.Table().Rows()
+	var b strings.Builder
+	if prev != nil {
+		b.Grow(len(prev.rendered) + len(prev.rendered)/8)
 	}
-	refs := make(map[condition.Variable]int, len(p.varRefs)+4)
-	if p.varRefs != nil {
-		for x, n := range p.varRefs {
-			refs[x] = n
-		}
-	} else {
-		for _, r := range oldRows {
-			addRowVars(refs, r, 1)
-		}
-	}
-
-	newRows := newAnswer.Table().Rows()
-	lines := make([]string, len(newRows))
-	switch diff.mode {
-	case "append":
-		copy(lines, oldLines)
-		for g := range diff.changed {
-			if g >= diff.oldLen {
-				continue // new tail group, rendered below
-			}
-			addRowVars(refs, oldRows[g], -1)
-			lines[g] = rowLine(newRows[g])
-			addRowVars(refs, newRows[g], 1)
-		}
-		for i := diff.oldLen; i < len(newRows); i++ {
-			lines[i] = rowLine(newRows[i])
-			addRowVars(refs, newRows[i], 1)
-		}
-	default: // reeval
-		pre, suf := diff.pre, diff.suf
-		copy(lines[:pre], oldLines[:pre])
-		copy(lines[len(lines)-suf:], oldLines[len(oldLines)-suf:])
-		for i := pre; i < len(oldRows)-suf; i++ {
-			addRowVars(refs, oldRows[i], -1)
-		}
-		for i := pre; i < len(newRows)-suf; i++ {
-			lines[i] = rowLine(newRows[i])
-			addRowVars(refs, newRows[i], 1)
-		}
-	}
-	return lines, refs
-}
-
-// rowLine renders one answer row exactly as CTable.String does.
-func rowLine(r exec.Row) string { return "  " + r.String() + "\n" }
-
-// addRowVars adjusts the per-variable row refcounts for one row: each
-// distinct variable of the row (term positions and condition alike) counts
-// once, mirroring the per-row set semantics of CTable.Vars.
-func addRowVars(refs map[condition.Variable]int, r exec.Row, delta int) {
-	var buf [8]condition.Variable
-	seen := buf[:0]
-	add := func(x condition.Variable) {
-		for _, y := range seen {
-			if y == x {
-				return
+	fmt.Fprintf(&b, "c-table(arity=%d)\n", t.Arity())
+	rowOff := make([]int32, len(rows)+1)
+	for i, r := range rows {
+		rowOff[i] = int32(b.Len())
+		if carry != nil {
+			if j := carry(i); j >= 0 {
+				b.WriteString(prev.rendered[prev.rowOff[j]:prev.rowOff[j+1]])
+				continue
 			}
 		}
-		seen = append(seen, x)
-		refs[x] += delta
+		writeRowLine(&b, r)
+		addRowVars(refs, r, 1)
 	}
-	for _, t := range r.Terms {
-		if t.IsVar {
-			add(t.Var)
-		}
-	}
-	for _, x := range condition.Vars(r.Cond) {
-		add(x)
-	}
-}
+	rowOff[len(rows)] = int32(b.Len())
 
-// renderAnswer assembles the rendered answer from the cached row lines and
-// variable refcounts, byte-identical to newAnswer.String(): the c-table
-// header and rows, the domain section (gated, like CTable.String, on any
-// declared domain), and the distribution lines — both sections over the
-// table's occurring variables in sorted order, read from the refcounts
-// instead of an O(answer) Vars scan.
-func renderAnswer(t *pctable.PCTable, rowLines []string, refs map[condition.Variable]int) string {
 	vars := make([]condition.Variable, 0, len(refs))
 	for x, n := range refs {
 		if n > 0 {
 			vars = append(vars, x)
 		}
 	}
-	sort.Slice(vars, func(i, j int) bool { return vars[i] < vars[j] })
-
-	var b strings.Builder
-	size := 32
-	for _, l := range rowLines {
-		size += len(l)
-	}
-	b.Grow(size + 48*len(vars))
-	fmt.Fprintf(&b, "c-table(arity=%d)\n", t.Arity())
-	for _, l := range rowLines {
-		b.WriteString(l)
-	}
+	slices.Sort(vars)
 	tab := t.Table()
 	if tab.HasDomains() {
 		for _, x := range vars {
@@ -977,5 +882,42 @@ func renderAnswer(t *pctable.PCTable, rowLines []string, refs map[condition.Vari
 			fmt.Fprintf(&b, "  %s ~ %s\n", x, d)
 		}
 	}
-	return b.String()
+	return b.String(), rowOff
+}
+
+// writeRowLine renders one answer row exactly as CTable.String does.
+func writeRowLine(b *strings.Builder, r exec.Row) {
+	b.WriteString("  (")
+	for i, t := range r.Terms {
+		if i > 0 {
+			b.WriteString(", ")
+		}
+		b.WriteString(t.String())
+	}
+	b.WriteString(") : ")
+	b.WriteString(r.Cond.String())
+	b.WriteByte('\n')
+}
+
+// addRowVars adjusts the per-variable row refcounts for one row: each
+// distinct variable of the row (term positions and condition alike) counts
+// once, mirroring the per-row set semantics of CTable.Vars.
+func addRowVars(refs map[condition.Variable]int, r exec.Row, delta int) {
+	var buf [8]condition.Variable
+	termVars := buf[:0]
+	for _, t := range r.Terms {
+		if t.IsVar && !slices.Contains(termVars, t.Var) {
+			termVars = append(termVars, t.Var)
+			refs[t.Var] += delta
+		}
+	}
+	switch r.Cond.(type) {
+	case condition.TrueCond, condition.FalseCond:
+		return // no variables to walk for
+	}
+	for _, x := range condition.Vars(r.Cond) {
+		if !slices.Contains(termVars, x) {
+			refs[x] += delta
+		}
+	}
 }

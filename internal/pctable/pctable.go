@@ -107,10 +107,6 @@ func (t *PCTable) EachDist(f func(condition.Variable, *prob.Space)) {
 	}
 }
 
-// HasDists reports whether any distribution is attached (regardless of
-// whether its variable occurs in the rows).
-func (t *PCTable) HasDists() bool { return len(t.dists) > 0 }
-
 // Vars returns the variables of the underlying c-table.
 func (t *PCTable) Vars() []condition.Variable { return t.table.Vars() }
 
@@ -318,6 +314,12 @@ func (t *PCTable) TupleProbabilityEnum(tuple value.Tuple) (float64, error) {
 // is true exactly when the given tuple belongs to the represented instance
 // — the "lineage"/why-provenance reading of c-table conditions discussed in
 // Section 9 of the paper.
+//
+// Lineage rescans every row for its one tuple, so calling it per candidate
+// costs O(candidates × rows); CandidatesOf builds the same conditions for
+// all candidates in one row pass. Lineage is the per-tuple reference that
+// CandidatesOf is tested against, kept for the oracles and the benchmark's
+// per-layer probe.
 func (t *PCTable) Lineage(tuple value.Tuple) condition.Condition {
 	var disj []condition.Condition
 	for _, row := range t.table.Rows() {
@@ -400,34 +402,29 @@ func (t *PCTable) PossibleTuples() ([]value.Tuple, error) {
 }
 
 // TupleProbabilities returns the marginal probability of every possible
-// tuple of the table: candidates are discovered from the rows
-// (PossibleTuples) — not by enumerating possible worlds — and probabilities
-// are computed from lineage conditions by one shared decomposition
+// tuple of the table: candidates and their lineage come from the rows
+// (Candidates) — not from enumerating possible worlds — and probabilities
+// are computed from the lineage conditions by one shared decomposition
 // evaluator, whose memo cache is reused across tuples. Candidates whose
-// lineage is false or whose marginal is zero are dropped (candidate
-// discovery over-approximates: a tuple matching a row pattern may have
-// unsatisfiable lineage). The whole pipeline avoids anything exponential in
-// the total variable count.
+// marginal is zero are dropped (candidate discovery over-approximates: a
+// tuple matching a row pattern may have unsatisfiable lineage). The whole
+// pipeline avoids anything exponential in the total variable count.
 func (t *PCTable) TupleProbabilities() ([]TupleProb, error) {
-	candidates, err := t.PossibleTuples()
+	candidates, err := t.Candidates()
 	if err != nil {
 		return nil, err
 	}
 	ev := probcalc.New(t)
 	out := make([]TupleProb, 0, len(candidates))
-	for _, tp := range candidates {
-		lineage := t.Lineage(tp)
-		if _, isFalse := lineage.(condition.FalseCond); isFalse {
-			continue
-		}
-		p, err := ev.Probability(lineage)
+	for _, c := range candidates {
+		p, err := ev.Probability(c.Lineage)
 		if err != nil {
 			return nil, err
 		}
 		if p == 0 {
 			continue
 		}
-		out = append(out, TupleProb{Tuple: tp, P: p})
+		out = append(out, TupleProb{Tuple: c.Tuple, P: p})
 	}
 	return out, nil
 }

@@ -9,7 +9,10 @@ package replica_test
 // topology.
 
 import (
+	"fmt"
 	"net/http"
+	"net/http/httptest"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -91,6 +94,51 @@ func TestPatchReplication(t *testing.T) {
 	}
 	if loc := resp.Header.Get("Location"); loc != leaderSrv.URL+"/v1/tables/Takes" {
 		t.Fatalf("PATCH on follower: Location %q, want %q", loc, leaderSrv.URL+"/v1/tables/Takes")
+	}
+}
+
+// TestUnusedDistSurvivesSnapshot: a distribution declared for a variable no
+// row mentions yet must survive compaction and snapshot bootstrap, because a
+// later patch row may use it. A follower bootstrapped from the compacted
+// state and the leader restarted from its snapshot plus log tail must both
+// answer the patched row's query with the right marginals and hold the same
+// canonical bytes.
+func TestUnusedDistSurvivesSnapshot(t *testing.T) {
+	leaderCfg := uncertain.Config{DataDir: t.TempDir(), SnapshotEvery: 2}
+	leaderDB, leaderSrv := startNode(t, leaderCfg)
+	putScript(t, leaderDB, takesV1+"dist u = {'art':0.25, 'law':0.75}\n")
+	v := putScript(t, leaderDB, gradesV1) // the second mutation compacts
+	fDB, fSrv := startNode(t, uncertain.Config{Follow: leaderSrv.URL})
+	waitVersion(t, fDB, v)
+
+	v = patchScript(t, leaderDB, "Takes", "upsert 'Eve', u\n")
+	waitVersion(t, fDB, v)
+	const query = "project[2](select[$1 = 'Eve'](Takes))"
+	want := map[string]float64{"[art]": 0.25, "[law]": 0.75}
+	assertMarginals(t, fSrv, query, want)
+	assertEqualState(t, leaderDB, fDB, "follower")
+
+	// Stop the follower's long poll, then restart the leader over its data
+	// directory: it recovers from the compacted snapshot plus the logged patch.
+	fDB.Close()
+	leaderSrv.Close()
+	leaderDB.Close()
+	restartedDB, restartedSrv := startNode(t, leaderCfg)
+	assertMarginals(t, restartedSrv, query, want)
+	assertEqualState(t, restartedDB, fDB, "restarted leader")
+}
+
+// assertMarginals posts query and compares its tuple marginals, keyed by the
+// tuple rendered with fmt, against want.
+func assertMarginals(t *testing.T, srv *httptest.Server, query string, want map[string]float64) {
+	t.Helper()
+	got := make(map[string]float64)
+	for _, tp := range queryBody(t, srv, query)["tuples"].([]any) {
+		m := tp.(map[string]any)
+		got[fmt.Sprint(m["tuple"])] = m["p"].(float64)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("%s: marginals %v, want %v", query, got, want)
 	}
 }
 

@@ -463,14 +463,12 @@ func AppendTable(b []byte, t *pctable.PCTable) []byte {
 		}
 	}
 
+	// Every declared distribution, including those of variables no row
+	// mentions yet: a later patch row may use one.
 	var distVars []string
-	seen := map[string]bool{}
-	for _, x := range t.Vars() {
-		if t.Dist(x) != nil && !seen[string(x)] {
-			seen[string(x)] = true
-			distVars = append(distVars, string(x))
-		}
-	}
+	t.EachDist(func(x condition.Variable, _ *prob.Space) {
+		distVars = append(distVars, string(x))
+	})
 	sort.Strings(distVars)
 	b = appendUvarint(b, uint64(len(distVars)))
 	for _, name := range distVars {

@@ -5,7 +5,6 @@ import (
 	"io"
 	"os"
 
-	"uncertaindb/internal/condition"
 	"uncertaindb/internal/ctable"
 	"uncertaindb/internal/incomplete"
 	"uncertaindb/internal/parser"
@@ -197,13 +196,13 @@ func (a *Answer) Marginals(eng string) ([]Marginal, error) {
 		}
 		return out, nil
 	case "enum":
-		candidates, err := a.candidates()
+		candidates, err := a.pc.Candidates()
 		if err != nil {
 			return nil, err
 		}
 		out := make([]Marginal, 0, len(candidates))
 		for _, c := range candidates {
-			p, err := a.pc.ConditionProbabilityEnum(c.lineage)
+			p, err := a.pc.ConditionProbabilityEnum(c.Lineage)
 			if err != nil {
 				return nil, err
 			}
@@ -212,7 +211,7 @@ func (a *Answer) Marginals(eng string) ([]Marginal, error) {
 				// possible answer.
 				continue
 			}
-			out = append(out, Marginal{Tuple: c.tuple, P: p})
+			out = append(out, Marginal{Tuple: c.Tuple, P: p})
 		}
 		return out, nil
 	default:
@@ -237,41 +236,17 @@ func (a *Answer) Estimate(samples int, seed int64, workers int) ([]Marginal, err
 	if err != nil {
 		return nil, err
 	}
-	candidates, err := a.candidates()
+	candidates, err := a.pc.Candidates()
 	if err != nil {
 		return nil, err
 	}
 	out := make([]Marginal, 0, len(candidates))
 	for _, c := range candidates {
-		est, se, err := sampler.EstimateConditionProbabilityParallel(c.lineage, samples, workers)
+		est, se, err := sampler.EstimateConditionProbabilityParallel(c.Lineage, samples, workers)
 		if err != nil {
 			return nil, err
 		}
-		out = append(out, Marginal{Tuple: c.tuple, P: est, StdErr: se})
-	}
-	return out, nil
-}
-
-// candidate is one possible answer tuple with its lineage condition.
-type candidate struct {
-	tuple   Tuple
-	lineage condition.Condition
-}
-
-// candidates discovers the possible answer tuples from the answer table's
-// rows over the variable supports — never by enumerating possible worlds —
-// and computes each tuple's lineage once.
-func (a *Answer) candidates() ([]candidate, error) {
-	possible, err := a.pc.PossibleTuples()
-	if err != nil {
-		return nil, err
-	}
-	out := make([]candidate, 0, len(possible))
-	for _, tp := range possible {
-		lineage := a.pc.Lineage(tp)
-		if _, isFalse := lineage.(condition.FalseCond); !isFalse {
-			out = append(out, candidate{tuple: tp, lineage: lineage})
-		}
+		out = append(out, Marginal{Tuple: c.Tuple, P: est, StdErr: se})
 	}
 	return out, nil
 }
