@@ -485,53 +485,6 @@ func BenchmarkSymbolicHashJoin(b *testing.B) {
 	}
 }
 
-// E16 — batch vs tuple-at-a-time execution, the tentpole measurement of the
-// vectorized batch engine: the E15 equi-join workload (maximally selective
-// ground keys plus a band of variable-keyed residual rows) executed by
-// (a) the frozen tuple-at-a-time iterator path (NoBatch) and (b) the batch
-// engine over interned term-ID columns, at worker counts 1→8. The batch
-// path is byte-identical to the tuple path (TestBatchMatchesTupleByteIdentical);
-// the speedup comes from dictionary-encoded columns — ground key probes and
-// matches fold to uint32 compares without rendering values or allocating
-// conditions — and, on multi-core hosts, from morsel-parallel probing.
-// Acceptance: ≥3× single-thread (batch-w1 vs tuple) at 1k rows per side.
-func BenchmarkBatchExecution(b *testing.B) {
-	for _, rows := range []int{1000, 10000} {
-		env, query := workload.EquiJoin(rows, 8)
-		modes := []struct {
-			name string
-			opts ctable.Options
-		}{
-			{"tuple", ctable.Options{Simplify: true, Rewrite: true, NoBatch: true}},
-			{"batch-w1", ctable.Options{Simplify: true, Rewrite: true, Workers: 1}},
-			{"batch-w2", ctable.Options{Simplify: true, Rewrite: true, Workers: 2}},
-			{"batch-w4", ctable.Options{Simplify: true, Rewrite: true, Workers: 4}},
-			{"batch-w8", ctable.Options{Simplify: true, Rewrite: true, Workers: 8}},
-		}
-		for _, m := range modes {
-			b.Run(fmt.Sprintf("%s/rows=%d", m.name, rows), func(b *testing.B) {
-				var outRows int
-				for i := 0; i < b.N; i++ {
-					res, err := ctable.EvalQueryEnvWithOptions(query, env, m.opts)
-					if err != nil {
-						b.Fatal(err)
-					}
-					outRows = res.NumRows()
-				}
-				b.ReportMetric(float64(outRows), "out-rows")
-			})
-		}
-		// Batch-driver work units of one run, reported once per size.
-		var stats exec.OpStats
-		if _, err := ctable.EvalQueryEnvWithOptions(query, env,
-			ctable.Options{Simplify: true, Rewrite: true, Workers: 4, Stats: &stats}); err != nil {
-			b.Fatal(err)
-		}
-		b.Logf("rows=%d batch counters: morsels=%d batches=%d probes=%d residual=%d",
-			rows, stats.Morsels, stats.Batches, stats.HashProbes, stats.ResidualHits)
-	}
-}
-
 // Ablation — condition simplification in the c-table algebra on/off: the
 // Mod is identical, but the size of the produced conditions (and the cost
 // of later probability computations) differs.
@@ -608,8 +561,8 @@ func BenchmarkAblationConditionProbability(b *testing.B) {
 // E14 — eager recursive evaluation vs the unified operator core, with and
 // without plan rewriting, on an E12-style selective self-join over the
 // courses workload. The eager path is the frozen pre-refactor evaluator
-// (ctable.EvalQueryEnvEager); "core" is the Volcano-style operator layer
-// with rewrites off (same plan, iterator execution); "core+rewrite" adds
+// (ctable.EvalQueryEnvEager); "core" is the operator core with rewrites
+// off (same plan, batch execution); "core+rewrite" adds
 // predicate pushdown and projection splitting, which filters and merges
 // each side of the cross product before the s² concatenated rows are built.
 func BenchmarkOperatorCoreVsEager(b *testing.B) {

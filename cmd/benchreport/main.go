@@ -18,7 +18,6 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"os"
-	"runtime"
 	"sort"
 	"strconv"
 	"strings"
@@ -55,7 +54,6 @@ var sections = []struct {
 	{key: "e12", print: queryAnswering},
 	{key: "e14", print: operatorCore},
 	{key: "e15", print: hashJoin},
-	{key: "e16", print: batchExecution},
 	{key: "e17", print: walOverhead},
 	{key: "e18", print: obsOverhead},
 	{key: "e19", print: replication},
@@ -75,7 +73,7 @@ func main() {
 func run(args []string, out io.Writer) error {
 	fs := flag.NewFlagSet("benchreport", flag.ContinueOnError)
 	fs.SetOutput(io.Discard)
-	only := fs.String("only", "", "comma-separated sections to print (e6, e12, e14, e15, e16, e17, e18, e19, e20, e21, constructions/e4/e5/e9/e11); empty means all")
+	only := fs.String("only", "", "comma-separated sections to print (e6, e12, e14, e15, e17, e18, e19, e20, e21, constructions/e4/e5/e9/e11); empty means all")
 	if err := fs.Parse(args); err != nil {
 		if errors.Is(err, flag.ErrHelp) {
 			fs.SetOutput(out)
@@ -295,51 +293,6 @@ func hashJoin(out io.Writer) {
 		})
 		fmt.Fprintf(out, "| %d | %s | %s | %s | %.1f× | %d | %d |\n",
 			rows, eager, loop, hash, float64(loop)/float64(hash), stats.HashProbes, stats.ResidualHits)
-	}
-	fmt.Fprintln(out)
-}
-
-// batchExecution prints the E16 comparison: the tuple-at-a-time iterator
-// path vs the vectorized batch engine (interned term-ID columns,
-// morsel-driven parallel pipelines) on the E15 equi-join workload, at worker
-// counts 1→8. Each cell is the best of three runs to damp scheduling noise;
-// worker scaling only manifests on multi-core hosts (morsel boundaries and
-// answers are identical regardless).
-func batchExecution(out io.Writer) {
-	fmt.Fprintln(out, "## E16 — vectorized batch execution vs tuple-at-a-time (equi-join workload)")
-	fmt.Fprintln(out)
-	fmt.Fprintf(out, "GOMAXPROCS=%d\n", runtime.GOMAXPROCS(0))
-	fmt.Fprintln(out)
-	fmt.Fprintln(out, "| rows/side | tuple | batch w=1 | batch w=2 | batch w=4 | batch w=8 | batch-w1 vs tuple | morsels | batches |")
-	fmt.Fprintln(out, "|---|---|---|---|---|---|---|---|---|")
-	for _, rows := range []int{1000, 10000} {
-		env, query := workload.EquiJoin(rows, 8)
-		measure := func(opts ctable.Options) time.Duration {
-			best := time.Duration(0)
-			for i := 0; i < 3; i++ {
-				start := time.Now()
-				if _, err := ctable.EvalQueryEnvWithOptions(query, env, opts); err != nil {
-					panic(err)
-				}
-				if d := time.Since(start); best == 0 || d < best {
-					best = d
-				}
-			}
-			return best
-		}
-		tuple := measure(ctable.Options{Simplify: true, Rewrite: true, NoBatch: true})
-		batch := make(map[int]time.Duration)
-		for _, w := range []int{1, 2, 4, 8} {
-			batch[w] = measure(ctable.Options{Simplify: true, Rewrite: true, Workers: w})
-		}
-		var stats exec.OpStats
-		if _, err := ctable.EvalQueryEnvWithOptions(query, env,
-			ctable.Options{Simplify: true, Rewrite: true, Workers: 4, Stats: &stats}); err != nil {
-			panic(err)
-		}
-		fmt.Fprintf(out, "| %d | %s | %s | %s | %s | %s | %.1f× | %d | %d |\n",
-			rows, tuple, batch[1], batch[2], batch[4], batch[8],
-			float64(tuple)/float64(batch[1]), stats.Morsels, stats.Batches)
 	}
 	fmt.Fprintln(out)
 }

@@ -132,8 +132,6 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 	addr := fs.String("addr", "127.0.0.1:8080", "listen address (host:port; port 0 picks a free port)")
 	cacheSize := fs.Int("cache", 128, "maximum number of cached prepared plans")
 	workers := fs.Int("workers", 0, "maximum concurrently executing queries and per-query morsel parallelism (0 = GOMAXPROCS)")
-	noRewrites := fs.Bool("no-rewrites", false, "disable the logical-plan rewriter (debugging aid)")
-	noBatch := fs.Bool("no-batch", false, "disable the vectorized batch engine, restoring tuple-at-a-time iterators (debugging aid)")
 	dataDir := fs.String("data-dir", "", "directory for the durable catalog (WAL + snapshots); empty = in-memory, lost on restart")
 	snapshotEvery := fs.Int("snapshot-every", 64, "mutations between compacted catalog snapshots (-data-dir only; <0 disables compaction)")
 	fsync := fs.Bool("fsync", false, "fsync the WAL after every mutation (-data-dir only; graceful shutdown always syncs)")
@@ -159,8 +157,6 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 	db, err := uncertain.Open(uncertain.Config{
 		CacheSize:            *cacheSize,
 		Workers:              *workers,
-		DisableRewrites:      *noRewrites,
-		DisableBatch:         *noBatch,
 		DataDir:              *dataDir,
 		SnapshotEvery:        *snapshotEvery,
 		Fsync:                *fsync,

@@ -235,14 +235,14 @@ func randomEqQuery(rng *rand.Rand, arity, depth int) ra.Query {
 
 // Property (acceptance criterion of the physical-plan and batch-execution
 // redesigns): on randomized multi-table environments and queries, the
-// answers produced by the unified operator core across the full 2×2×2 grid
-// of plan options — rewrites off/on × hash path off/on × batch engine
-// off/on — have bit-identical rational tuple marginals to the frozen eager
-// evaluator's, for every tuple possible under any answer, and identical
-// certain-answer (marginal exactly 1) and possible-answer (marginal > 0)
-// sets. Marginals are computed by the exact big.Rat engine, so "equal"
-// means equal as rationals, not within a float tolerance. The CI race job
-// runs this under -race (the batch cells execute morsel-parallel).
+// answers produced by the unified operator core across the full 2×2 grid
+// of plan options — rewrites off/on × hash path off/on — have
+// bit-identical rational tuple marginals to the frozen eager evaluator's,
+// for every tuple possible under any answer, and identical certain-answer
+// (marginal exactly 1) and possible-answer (marginal > 0) sets. Marginals
+// are computed by the exact big.Rat engine, so "equal" means equal as
+// rationals, not within a float tolerance. The CI race job runs this under
+// -race (every cell executes morsel-parallel).
 func TestOperatorCoreBitIdenticalToEager(t *testing.T) {
 	one := big.NewRat(1, 1)
 	rng := rand.New(rand.NewSource(41))
@@ -264,53 +264,51 @@ func TestOperatorCoreBitIdenticalToEager(t *testing.T) {
 
 		for _, rewrite := range []bool{false, true} {
 			for _, hash := range []bool{false, true} {
-				for _, batch := range []bool{false, true} {
-					grid := fmt.Sprintf("rewrite=%v hash=%v batch=%v", rewrite, hash, batch)
-					coreCT, err := ctable.EvalQueryEnvWithOptions(q, env,
-						ctable.Options{Simplify: true, Rewrite: rewrite, NoHash: !hash, NoBatch: !batch})
-					if err != nil {
-						t.Fatalf("trial %d (%s): core: %v", trial, grid, err)
-					}
-					corePC, err := pctable.UniformPCTable(coreCT)
+				grid := fmt.Sprintf("rewrite=%v hash=%v", rewrite, hash)
+				coreCT, err := ctable.EvalQueryEnvWithOptions(q, env,
+					ctable.Options{Simplify: true, Rewrite: rewrite, NoHash: !hash})
+				if err != nil {
+					t.Fatalf("trial %d (%s): core: %v", trial, grid, err)
+				}
+				corePC, err := pctable.UniformPCTable(coreCT)
+				if err != nil {
+					t.Fatalf("trial %d (%s): %v", trial, grid, err)
+				}
+				coreExact := probcalc.NewExact(corePC)
+
+				// Every tuple possible under either answer must have the same
+				// exact rational marginal in both, hence the same certain and
+				// possible answer sets.
+				tuples := make(map[string]value.Tuple)
+				for _, pc := range []*pctable.PCTable{eagerPC, corePC} {
+					possible, err := pc.PossibleTuples()
 					if err != nil {
 						t.Fatalf("trial %d (%s): %v", trial, grid, err)
 					}
-					coreExact := probcalc.NewExact(corePC)
-
-					// Every tuple possible under either answer must have the same
-					// exact rational marginal in both, hence the same certain and
-					// possible answer sets.
-					tuples := make(map[string]value.Tuple)
-					for _, pc := range []*pctable.PCTable{eagerPC, corePC} {
-						possible, err := pc.PossibleTuples()
-						if err != nil {
-							t.Fatalf("trial %d (%s): %v", trial, grid, err)
-						}
-						for _, tp := range possible {
-							tuples[tp.Key()] = tp
-						}
+					for _, tp := range possible {
+						tuples[tp.Key()] = tp
 					}
-					for _, tp := range tuples {
-						want, err := eagerExact.ProbabilityRat(eagerPC.Lineage(tp))
-						if err != nil {
-							t.Fatalf("trial %d: eager marginal: %v", trial, err)
-						}
-						got, err := coreExact.ProbabilityRat(corePC.Lineage(tp))
-						if err != nil {
-							t.Fatalf("trial %d (%s): core marginal: %v", trial, grid, err)
-						}
-						if got.Cmp(want) != 0 {
-							t.Errorf("trial %d (%s), tuple %s: core %s vs eager %s — not bit-identical\nquery: %s",
-								trial, grid, tp, got, want, q)
-						}
-						if (got.Sign() > 0) != (want.Sign() > 0) {
-							t.Errorf("trial %d (%s), tuple %s: possible-answer sets differ (core %s, eager %s)",
-								trial, grid, tp, got, want)
-						}
-						if (got.Cmp(one) == 0) != (want.Cmp(one) == 0) {
-							t.Errorf("trial %d (%s), tuple %s: certain-answer sets differ (core %s, eager %s)",
-								trial, grid, tp, got, want)
-						}
+				}
+				for _, tp := range tuples {
+					want, err := eagerExact.ProbabilityRat(eagerPC.Lineage(tp))
+					if err != nil {
+						t.Fatalf("trial %d: eager marginal: %v", trial, err)
+					}
+					got, err := coreExact.ProbabilityRat(corePC.Lineage(tp))
+					if err != nil {
+						t.Fatalf("trial %d (%s): core marginal: %v", trial, grid, err)
+					}
+					if got.Cmp(want) != 0 {
+						t.Errorf("trial %d (%s), tuple %s: core %s vs eager %s — not bit-identical\nquery: %s",
+							trial, grid, tp, got, want, q)
+					}
+					if (got.Sign() > 0) != (want.Sign() > 0) {
+						t.Errorf("trial %d (%s), tuple %s: possible-answer sets differ (core %s, eager %s)",
+							trial, grid, tp, got, want)
+					}
+					if (got.Cmp(one) == 0) != (want.Cmp(one) == 0) {
+						t.Errorf("trial %d (%s), tuple %s: certain-answer sets differ (core %s, eager %s)",
+							trial, grid, tp, got, want)
 					}
 				}
 			}
@@ -322,7 +320,7 @@ func TestOperatorCoreBitIdenticalToEager(t *testing.T) {
 // randomized multi-table environments and queries as the grid test above,
 // one shared circuit compiled over ALL answer tuples computes, for every
 // tuple, a rational marginal bit-identical to the per-tuple exact d-tree's
-// and to the frozen eager evaluator's — across the 2×2×2 plan-option grid,
+// and to the frozen eager evaluator's — across the 2×2 plan-option grid,
 // and with the circuit evaluated by 1 and by 8 concurrent goroutines (the
 // compiled circuit is immutable; the CI race job runs this under -race).
 func TestCircuitBitIdenticalAcrossGrid(t *testing.T) {
@@ -345,65 +343,63 @@ func TestCircuitBitIdenticalAcrossGrid(t *testing.T) {
 
 		for _, rewrite := range []bool{false, true} {
 			for _, hash := range []bool{false, true} {
-				for _, batch := range []bool{false, true} {
-					grid := fmt.Sprintf("rewrite=%v hash=%v batch=%v", rewrite, hash, batch)
-					coreCT, err := ctable.EvalQueryEnvWithOptions(q, env,
-						ctable.Options{Simplify: true, Rewrite: rewrite, NoHash: !hash, NoBatch: !batch})
-					if err != nil {
-						t.Fatalf("trial %d (%s): core: %v", trial, grid, err)
-					}
-					corePC, err := pctable.UniformPCTable(coreCT)
-					if err != nil {
-						t.Fatalf("trial %d (%s): %v", trial, grid, err)
-					}
-					coreExact := probcalc.NewExact(corePC)
+				grid := fmt.Sprintf("rewrite=%v hash=%v", rewrite, hash)
+				coreCT, err := ctable.EvalQueryEnvWithOptions(q, env,
+					ctable.Options{Simplify: true, Rewrite: rewrite, NoHash: !hash})
+				if err != nil {
+					t.Fatalf("trial %d (%s): core: %v", trial, grid, err)
+				}
+				corePC, err := pctable.UniformPCTable(coreCT)
+				if err != nil {
+					t.Fatalf("trial %d (%s): %v", trial, grid, err)
+				}
+				coreExact := probcalc.NewExact(corePC)
 
-					possible, err := corePC.PossibleTuples()
-					if err != nil {
-						t.Fatalf("trial %d (%s): %v", trial, grid, err)
-					}
-					lineages := make([]condition.Condition, len(possible))
-					for i, tp := range possible {
-						lineages[i] = corePC.Lineage(tp)
-					}
-					circuit, err := probcalc.CompileAnswer(lineages, corePC)
-					if err != nil {
-						t.Fatalf("trial %d (%s): compile: %v", trial, grid, err)
-					}
-					if err := circuit.WellFormed(); err != nil {
-						t.Fatalf("trial %d (%s): %v", trial, grid, err)
-					}
+				possible, err := corePC.PossibleTuples()
+				if err != nil {
+					t.Fatalf("trial %d (%s): %v", trial, grid, err)
+				}
+				lineages := make([]condition.Condition, len(possible))
+				for i, tp := range possible {
+					lineages[i] = corePC.Lineage(tp)
+				}
+				circuit, err := probcalc.CompileAnswer(lineages, corePC)
+				if err != nil {
+					t.Fatalf("trial %d (%s): compile: %v", trial, grid, err)
+				}
+				if err := circuit.WellFormed(); err != nil {
+					t.Fatalf("trial %d (%s): %v", trial, grid, err)
+				}
 
-					for _, workers := range []int{1, 8} {
-						results := make([][]*big.Rat, workers)
-						errs := make([]error, workers)
-						var wg sync.WaitGroup
-						for w := 0; w < workers; w++ {
-							wg.Add(1)
-							go func(w int) {
-								defer wg.Done()
-								results[w], errs[w] = circuit.EvalRat(corePC)
-							}(w)
+				for _, workers := range []int{1, 8} {
+					results := make([][]*big.Rat, workers)
+					errs := make([]error, workers)
+					var wg sync.WaitGroup
+					for w := 0; w < workers; w++ {
+						wg.Add(1)
+						go func(w int) {
+							defer wg.Done()
+							results[w], errs[w] = circuit.EvalRat(corePC)
+						}(w)
+					}
+					wg.Wait()
+					for w := 0; w < workers; w++ {
+						if errs[w] != nil {
+							t.Fatalf("trial %d (%s) workers=%d: eval: %v", trial, grid, workers, errs[w])
 						}
-						wg.Wait()
-						for w := 0; w < workers; w++ {
-							if errs[w] != nil {
-								t.Fatalf("trial %d (%s) workers=%d: eval: %v", trial, grid, workers, errs[w])
+						for i, tp := range possible {
+							got := results[w][i]
+							dtree, err := coreExact.ProbabilityRat(lineages[i])
+							if err != nil {
+								t.Fatalf("trial %d (%s): dtree twin: %v", trial, grid, err)
 							}
-							for i, tp := range possible {
-								got := results[w][i]
-								dtree, err := coreExact.ProbabilityRat(lineages[i])
-								if err != nil {
-									t.Fatalf("trial %d (%s): dtree twin: %v", trial, grid, err)
-								}
-								eager, err := eagerExact.ProbabilityRat(eagerPC.Lineage(tp))
-								if err != nil {
-									t.Fatalf("trial %d: eager marginal: %v", trial, err)
-								}
-								if got.Cmp(dtree) != 0 || got.Cmp(eager) != 0 {
-									t.Errorf("trial %d (%s) workers=%d, tuple %s: circuit %s, dtree %s, eager %s — not bit-identical\nquery: %s",
-										trial, grid, workers, tp, got, dtree, eager, q)
-								}
+							eager, err := eagerExact.ProbabilityRat(eagerPC.Lineage(tp))
+							if err != nil {
+								t.Fatalf("trial %d: eager marginal: %v", trial, err)
+							}
+							if got.Cmp(dtree) != 0 || got.Cmp(eager) != 0 {
+								t.Errorf("trial %d (%s) workers=%d, tuple %s: circuit %s, dtree %s, eager %s — not bit-identical\nquery: %s",
+									trial, grid, workers, tp, got, dtree, eager, q)
 							}
 						}
 					}

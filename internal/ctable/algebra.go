@@ -36,11 +36,6 @@ type Options struct {
 	// preserves Mod and every tuple marginal but never emits rows whose
 	// condition is the constant false.
 	NoHash bool
-	// NoBatch disables the vectorized batch engine, restoring the
-	// tuple-at-a-time iterator operators. The batch path is byte-identical
-	// to the iterator path; it only executes over interned term-ID columns,
-	// morsel-parallel.
-	NoBatch bool
 	// Workers bounds the morsel-driven parallelism of the batch engine
 	// (goroutines per evaluation). Zero or negative selects GOMAXPROCS; 1
 	// forces sequential execution. The answer is byte-identical for every
@@ -71,7 +66,6 @@ func (o Options) execOptions(rewrite bool) exec.Options {
 		Simplify: o.Simplify,
 		Rewrite:  rewrite && o.Rewrite,
 		NoHash:   o.NoHash,
-		NoBatch:  o.NoBatch,
 		Workers:  o.Workers,
 		Pool:     o.Pool,
 		Stats:    o.Stats,
@@ -92,23 +86,15 @@ func (t *CTable) EachDomain(f func(condition.Variable, *value.Domain)) {
 }
 
 // FromExecResult wraps rows produced by the operator core into a CTable.
-// Rows the run owns (the batch engine decodes into a private slab, with
-// conditions already normalized) are adopted wholesale — ctable.Row aliases
-// exec.Row, so this is free; iterator-path rows are cloned, since scans
-// share term slices with the base models.
+// The run owns its rows (decoded into a private slab, with conditions
+// already normalized), so they are adopted wholesale — ctable.Row aliases
+// exec.Row, so this is free.
 func FromExecResult(res *exec.Result) *CTable {
 	out := New(res.Arity)
 	for x, d := range res.Domains {
 		out.domains[x] = d
 	}
-	if res.OwnedRows {
-		out.rows = res.Rows
-		return out
-	}
-	out.rows = make([]Row, 0, len(res.Rows))
-	for _, r := range res.Rows {
-		out.rows = append(out.rows, NewRow(r.Terms, r.Cond))
-	}
+	out.rows = res.Rows
 	return out
 }
 

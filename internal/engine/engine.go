@@ -104,15 +104,6 @@ type Options struct {
 	// pipelines on a pool of this size). Zero or negative selects
 	// GOMAXPROCS.
 	Workers int
-	// DisableRewrites turns off the logical-plan rewriter (predicate
-	// pushdown, projection pruning) in the operator core. Rewrites never
-	// change answers, only compilation cost, so they are on by default.
-	DisableRewrites bool
-	// DisableBatch turns off the vectorized batch engine, restoring the
-	// tuple-at-a-time iterator operators. The batch path is byte-identical
-	// to the iterator path (same answers, same plans modulo the "batch-"
-	// operator prefix), only faster; this is a debugging aid.
-	DisableBatch bool
 	// Obs, when non-nil, turns on observability: every Execute records a
 	// span tree (snapshot, parse, compile with per-pipeline children,
 	// marginals), query latencies land in cold/warm histograms, the
@@ -1016,15 +1007,15 @@ func snapVersions(names []string, snap *catalog.Snapshot) map[string]uint64 {
 }
 
 // algebraOptions returns the operator-core options the engine compiles with:
-// the engine's worker bound doubles as the morsel-parallelism bound of the
-// batch engine, and every execution draws its extra morsel goroutines from
-// one shared pool of that size — concurrent queries cannot multiply the
-// per-query width into Workers² busy goroutines.
+// conditions simplified, plans rewritten, and the engine's worker bound
+// doubling as the morsel-parallelism bound of the batch engine. Every
+// execution draws its extra morsel goroutines from one shared pool of that
+// size — concurrent queries cannot multiply the per-query width into
+// Workers² busy goroutines.
 func (e *Engine) algebraOptions() ctable.Options {
 	return ctable.Options{
 		Simplify: true,
-		Rewrite:  !e.opts.DisableRewrites,
-		NoBatch:  e.opts.DisableBatch,
+		Rewrite:  true,
 		Workers:  e.opts.Workers,
 		Pool:     e.execPool,
 	}

@@ -394,20 +394,3 @@ func TestPhysicalPlanCachedAndCounted(t *testing.T) {
 		t.Errorf("cache hit changed operator counters: %+v vs %+v", s2.Ops, s.Ops)
 	}
 }
-
-// With rewrites disabled the same query still compiles to a hash join (the
-// key extraction reads JoinQ directly), so DisableRewrites keeps hash
-// execution.
-func TestHashJoinWithoutRewrites(t *testing.T) {
-	e := newEngine(t, Options{DisableRewrites: true}, takesScript, labsScript)
-	res, err := e.Execute(Request{Query: "project[1,4](Takes join[$2 = $3] Labs)"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(res.Plan, "hash-join") {
-		t.Errorf("plan missing hash join with rewrites off:\n%s", res.Plan)
-	}
-	if s := e.Stats(); s.Ops.HashJoins != 1 {
-		t.Errorf("ops: %+v", s.Ops)
-	}
-}

@@ -496,13 +496,10 @@ func (e *Engine) deltaAppend(p *plan, name string, ap *wal.AppliedPatch, env pct
 	for n, t := range env {
 		arities[n] = t.Arity()
 	}
-	q := p.query
-	if !e.opts.DisableRewrites {
-		// The materialized answer's row order is that of the REWRITTEN plan;
-		// order safety and the delta tree must be judged on the same tree the
-		// operator core executed.
-		q = exec.Rewrite(q, arities)
-	}
+	// The materialized answer's row order is that of the REWRITTEN plan;
+	// order safety and the delta tree must be judged on the same tree the
+	// operator core executed.
+	q := exec.Rewrite(p.query, arities)
 	if countBaseRefs(q, name) != 1 {
 		return nil, nil, nil, nil, nil // self-joins interleave; re-evaluate
 	}

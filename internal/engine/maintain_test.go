@@ -112,67 +112,65 @@ func TestPatchMaintainsPlans(t *testing.T) {
 		{"project[1](Takes) union project[1](select[$2 = 'chem'](Takes))", false}, // two refs
 	}
 	kinds := []string{"dtree", "enum", "circuit", "auto"}
-	for _, disableRewrites := range []bool{false, true} {
-		e := newEngine(t, Options{DisableRewrites: disableRewrites}, takesScript, labsScript)
-		for _, q := range queries {
-			for _, kind := range kinds {
-				if _, err := e.Execute(Request{Query: q.query, Engine: kind}); err != nil {
-					t.Fatalf("prime %s [%s]: %v", q.query, kind, err)
-				}
+	e := newEngine(t, Options{}, takesScript, labsScript)
+	for _, q := range queries {
+		for _, kind := range kinds {
+			if _, err := e.Execute(Request{Query: q.query, Engine: kind}); err != nil {
+				t.Fatalf("prime %s [%s]: %v", q.query, kind, err)
 			}
 		}
+	}
 
-		// Patch 1: pure inserts — a constant row and a row over the existing
-		// variable x (new candidate tuples, refreshed marginals).
-		before := e.Stats().Maintenance
-		if _, err := e.PatchTable("Takes", &wal.Patch{Upserts: []wal.PatchRow{
-			newRow(nil, "Dana", "math"),
-			{Terms: []condition.Term{condition.Const(value.Str("Eve")), condition.Var("x")}, Cond: nil},
-		}}); err != nil {
-			t.Fatal(err)
+	// Patch 1: pure inserts — a constant row and a row over the existing
+	// variable x (new candidate tuples, refreshed marginals).
+	before := e.Stats().Maintenance
+	if _, err := e.PatchTable("Takes", &wal.Patch{Upserts: []wal.PatchRow{
+		newRow(nil, "Dana", "math"),
+		{Terms: []condition.Term{condition.Const(value.Str("Eve")), condition.Var("x")}, Cond: nil},
+	}}); err != nil {
+		t.Fatal(err)
+	}
+	after := e.Stats().Maintenance
+	if after.PatchesApplied != before.PatchesApplied+1 {
+		t.Fatalf("patchesApplied = %d, want %d", after.PatchesApplied, before.PatchesApplied+1)
+	}
+	wantAppends := uint64(0)
+	for _, q := range queries {
+		if q.wantAppend {
+			wantAppends += uint64(len(kinds))
 		}
-		after := e.Stats().Maintenance
-		if after.PatchesApplied != before.PatchesApplied+1 {
-			t.Fatalf("patchesApplied = %d, want %d", after.PatchesApplied, before.PatchesApplied+1)
+	}
+	if got := after.DeltaAppends - before.DeltaAppends; got != wantAppends {
+		t.Errorf("deltaAppends = %d, want %d", got, wantAppends)
+	}
+	if got := after.PlansMaintained - before.PlansMaintained; got != uint64(len(queries)*len(kinds)) {
+		t.Errorf("plansMaintained = %d, want %d", got, len(queries)*len(kinds))
+	}
+	for _, q := range queries {
+		for _, kind := range kinds {
+			assertFreshEquivalent(t, e, Request{Query: q.query, Engine: kind}, true)
 		}
-		wantAppends := uint64(0)
-		for _, q := range queries {
-			if q.wantAppend {
-				wantAppends += uint64(len(kinds))
-			}
-		}
-		if got := after.DeltaAppends - before.DeltaAppends; got != wantAppends {
-			t.Errorf("deltaAppends = %d, want %d (rewrites disabled: %v)", got, wantAppends, disableRewrites)
-		}
-		if got := after.PlansMaintained - before.PlansMaintained; got != uint64(len(queries)*len(kinds)) {
-			t.Errorf("plansMaintained = %d, want %d", got, len(queries)*len(kinds))
-		}
-		for _, q := range queries {
-			for _, kind := range kinds {
-				assertFreshEquivalent(t, e, Request{Query: q.query, Engine: kind}, true)
-			}
-		}
+	}
 
-		// Patch 2: a delete — no shape is append-safe, every plan re-evaluates;
-		// candidates produced only by the deleted row must vanish.
-		before = e.Stats().Maintenance
-		if _, err := e.PatchTable("Takes", &wal.Patch{
-			Deletes: []wal.PatchRow{tableRow(t, e, "Takes", 0)}, // 'Alice', x
-			Upserts: []wal.PatchRow{newRow(nil, "Frank", "chem")},
-		}); err != nil {
-			t.Fatal(err)
-		}
-		after = e.Stats().Maintenance
-		if got := after.Reevaluations - before.Reevaluations; got != uint64(len(queries)*len(kinds)) {
-			t.Errorf("reevaluations = %d, want %d", got, len(queries)*len(kinds))
-		}
-		for _, q := range queries {
-			for _, kind := range kinds {
-				res := assertFreshEquivalent(t, e, Request{Query: q.query, Engine: kind}, true)
-				for _, ta := range res.Tuples {
-					if strings.Contains(ta.Tuple.String(), "Alice") {
-						t.Errorf("%s [%s]: deleted row still produces %s", q.query, kind, ta.Tuple)
-					}
+	// Patch 2: a delete — no shape is append-safe, every plan re-evaluates;
+	// candidates produced only by the deleted row must vanish.
+	before = e.Stats().Maintenance
+	if _, err := e.PatchTable("Takes", &wal.Patch{
+		Deletes: []wal.PatchRow{tableRow(t, e, "Takes", 0)}, // 'Alice', x
+		Upserts: []wal.PatchRow{newRow(nil, "Frank", "chem")},
+	}); err != nil {
+		t.Fatal(err)
+	}
+	after = e.Stats().Maintenance
+	if got := after.Reevaluations - before.Reevaluations; got != uint64(len(queries)*len(kinds)) {
+		t.Errorf("reevaluations = %d, want %d", got, len(queries)*len(kinds))
+	}
+	for _, q := range queries {
+		for _, kind := range kinds {
+			res := assertFreshEquivalent(t, e, Request{Query: q.query, Engine: kind}, true)
+			for _, ta := range res.Tuples {
+				if strings.Contains(ta.Tuple.String(), "Alice") {
+					t.Errorf("%s [%s]: deleted row still produces %s", q.query, kind, ta.Tuple)
 				}
 			}
 		}

@@ -76,37 +76,35 @@ func TestRenderStateMatchesReference(t *testing.T) {
 		"Labs union Takes",
 		"project[2](Takes) minus project[1](Labs)",
 	}
-	for _, disableRewrites := range []bool{false, true} {
-		e := newEngine(t, Options{DisableRewrites: disableRewrites}, takesScript, labsScript)
-		execAll := func(label string) {
-			t.Helper()
-			for _, q := range queries {
-				if _, err := e.Execute(Request{Query: q}); err != nil {
-					t.Fatalf("%s %s: %v", label, q, err)
-				}
-			}
-			for _, p := range cachedPlans(e) {
-				assertRenderState(t, label, p)
+	e := newEngine(t, Options{}, takesScript, labsScript)
+	execAll := func(label string) {
+		t.Helper()
+		for _, q := range queries {
+			if _, err := e.Execute(Request{Query: q}); err != nil {
+				t.Fatalf("%s %s: %v", label, q, err)
 			}
 		}
-		execAll("fresh")
-		if _, err := e.PatchTable("Takes", &wal.Patch{Upserts: []wal.PatchRow{
-			newRow(nil, "Dana", "math"),
-			{Terms: []condition.Term{condition.Const(value.Str("Eve")), condition.Var("x")}, Cond: condition.EqVarConst("t", value.Int(0))},
-		}}); err != nil {
-			t.Fatal(err)
+		for _, p := range cachedPlans(e) {
+			assertRenderState(t, label, p)
 		}
-		execAll("append")
-		if _, err := e.PatchTable("Takes", &wal.Patch{
-			Deletes: []wal.PatchRow{tableRow(t, e, "Takes", 0)},
-			Upserts: []wal.PatchRow{newRow(nil, "Frank", "chem")},
-		}); err != nil {
-			t.Fatal(err)
-		}
-		execAll("reeval")
-		if st := e.Stats().Maintenance; st.DeltaAppends == 0 || st.Reevaluations == 0 {
-			t.Fatalf("patches did not exercise both maintenance paths: %+v", st)
-		}
+	}
+	execAll("fresh")
+	if _, err := e.PatchTable("Takes", &wal.Patch{Upserts: []wal.PatchRow{
+		newRow(nil, "Dana", "math"),
+		{Terms: []condition.Term{condition.Const(value.Str("Eve")), condition.Var("x")}, Cond: condition.EqVarConst("t", value.Int(0))},
+	}}); err != nil {
+		t.Fatal(err)
+	}
+	execAll("append")
+	if _, err := e.PatchTable("Takes", &wal.Patch{
+		Deletes: []wal.PatchRow{tableRow(t, e, "Takes", 0)},
+		Upserts: []wal.PatchRow{newRow(nil, "Frank", "chem")},
+	}); err != nil {
+		t.Fatal(err)
+	}
+	execAll("reeval")
+	if st := e.Stats().Maintenance; st.DeltaAppends == 0 || st.Reevaluations == 0 {
+		t.Fatalf("patches did not exercise both maintenance paths: %+v", st)
 	}
 }
 

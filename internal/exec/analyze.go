@@ -10,29 +10,26 @@ import (
 
 // This file is the EXPLAIN ANALYZE layer: Analyze executes a query with
 // per-operator instrumentation and returns the physical plan tree annotated
-// with wall time, rows in/out and probe/residual counts. The tree structure
-// is deterministic — operator labels are the exact strings Explain renders
-// (opLabel/label* in physical.go, shared so the two cannot drift), children
-// are in plan order, and every counter is worker-count independent (the
-// batch engine's morsel boundaries and merge order are fixed) — so the JSON
+// with time, rows in/out and probe/residual counts. The tree structure is
+// deterministic — operator labels are the exact strings Explain renders
+// (label* in physical.go, shared so the two cannot drift), children are in
+// plan order, and every counter is worker-count independent (the batch
+// engine's morsel boundaries and merge order are fixed) — so the JSON
 // rendering with timings zeroed (ZeroTimings) is golden-testable across the
-// whole rewrites × hash × batch grid. Only the timings vary run to run.
+// whole rewrites × hash grid. Only the timings vary run to run.
 //
-// Both engines are instrumented for real, not simulated: the iterator path
-// wraps every operator in a timing iterator and gives it a private OpStats;
-// the batch path threads plan nodes through eval, wraps every streaming
-// stage in a timing decorator (atomic accumulation — morsels of one stage
-// run concurrently) and times the pipeline breakers inline. Batch stage
-// times are summed CPU time across morsels, so on parallel plans a node's
-// time can exceed wall clock; iterator times are inclusive of children
-// (the Volcano protocol interleaves parent and child calls).
+// The instrumentation is real, not simulated: eval threads plan nodes
+// through the run, wraps every streaming stage in a timing decorator
+// (atomic accumulation — morsels of one stage run concurrently) and times
+// the pipeline breakers inline. Stage times are summed CPU time across
+// morsels, so on parallel plans a node's time can exceed wall clock.
 
 // PlanNode is one operator of an analyzed plan: the Explain label plus the
 // measured execution counters. The JSON field order is the canonical
 // rendering; Children appear in plan (left-to-right) order.
 type PlanNode struct {
-	// Op is the operator label, exactly as Explain renders it (with the
-	// "batch-" prefix when the batch engine executed the plan).
+	// Op is the operator label, exactly as Explain renders it ("batch-"
+	// prefix included).
 	Op string `json:"op"`
 	// Rows is the number of rows the operator emitted.
 	Rows uint64 `json:"rows"`
@@ -43,9 +40,8 @@ type PlanNode struct {
 	HashProbes uint64 `json:"hashProbes"`
 	// ResidualHits counts candidate pairs drawn from the residual path.
 	ResidualHits uint64 `json:"residualHits"`
-	// TimeNanos is the measured execution time of this operator: inclusive
-	// of children on the iterator engine, summed per-morsel CPU time on the
-	// batch engine.
+	// TimeNanos is the measured execution time of this operator: summed
+	// per-morsel CPU time, exclusive of children.
 	TimeNanos int64 `json:"timeNanos"`
 	// Children are the operator's inputs in plan order.
 	Children []*PlanNode `json:"children,omitempty"`
@@ -55,19 +51,9 @@ type PlanNode struct {
 	probesA   atomic.Uint64
 	residualA atomic.Uint64
 	timeA     atomic.Int64
-	iterStats *OpStats
 }
 
-func newPlanNode(label string) *PlanNode { return &PlanNode{Op: label} }
-
-// localStats returns the node's private OpStats for the (single-threaded)
-// iterator operators to count into.
-func (n *PlanNode) localStats() *OpStats {
-	if n.iterStats == nil {
-		n.iterStats = &OpStats{}
-	}
-	return n.iterStats
-}
+func newPlanNode(label string) *PlanNode { return &PlanNode{Op: planPrefix + label} }
 
 // addStats folds one morsel's stage-local counters into the node.
 func (n *PlanNode) addStats(o OpStats) {
@@ -104,11 +90,6 @@ func (n *PlanNode) finalize() {
 	n.HashProbes = n.probesA.Load()
 	n.ResidualHits = n.residualA.Load()
 	n.TimeNanos = n.timeA.Load()
-	if s := n.iterStats; s != nil {
-		n.RowsIn += s.RowsIn
-		n.HashProbes += s.HashProbes
-		n.ResidualHits += s.ResidualHits
-	}
 	for _, c := range n.Children {
 		c.finalize()
 	}
@@ -126,19 +107,11 @@ func (n *PlanNode) ZeroTimings() {
 	}
 }
 
-func addPrefix(n *PlanNode, prefix string) {
-	n.Op = prefix + n.Op
-	for _, c := range n.Children {
-		addPrefix(c, prefix)
-	}
-}
-
 // Analyze validates q, optionally rewrites it, executes it with
 // per-operator instrumentation and returns the annotated plan tree. The
 // answer rows are computed and discarded — Analyze measures a real
 // execution of the same physical plan Run would choose (same join
-// strategies, same engine), it does not re-derive the answer for the
-// caller.
+// strategies), it does not re-derive the answer for the caller.
 func Analyze(q ra.Query, env Env, opts Options) (*PlanNode, error) {
 	arities := modelArities(env)
 	if _, err := ra.Arity(q, arities); err != nil {
@@ -151,18 +124,6 @@ func Analyze(q ra.Query, env Env, opts Options) (*PlanNode, error) {
 	// to the production run, not the instrumented re-execution.
 	opts.Stats = nil
 	opts.Trace = obs.SpanRef{}
-	if opts.NoBatch {
-		it, err := build(q, env, arities, opts)
-		if err != nil {
-			return nil, err
-		}
-		wrapped, root := instrumentIter(it)
-		if _, err := Drain(wrapped); err != nil {
-			return nil, err
-		}
-		root.finalize()
-		return root, nil
-	}
 	ctx := newBctx(env, opts)
 	var root *PlanNode
 	p, err := ctx.eval(q, env, arities, &root)
@@ -172,82 +133,8 @@ func Analyze(q ra.Query, env Env, opts Options) (*PlanNode, error) {
 	if _, _, err := ctx.forceParts(p); err != nil {
 		return nil, err
 	}
-	addPrefix(root, "batch-")
 	root.finalize()
 	return root, nil
-}
-
-// instrumentIter recursively wraps a built iterator tree: every operator
-// gets a PlanNode labeled by opLabel, a timing wrapper counting emitted
-// rows, and (for the counting operators) a private OpStats so probes and
-// residual hits attribute per node. The iterator path is single-threaded,
-// so plain OpStats counting is safe.
-func instrumentIter(it Iterator) (Iterator, *PlanNode) {
-	n := newPlanNode(opLabel(it))
-	switch op := it.(type) {
-	case *selectOp:
-		in, c := instrumentIter(op.in)
-		op.in = in
-		n.Children = []*PlanNode{c}
-	case *projectOp:
-		in, c := instrumentIter(op.in)
-		op.in = in
-		op.opts.Stats = n.localStats()
-		n.Children = []*PlanNode{c}
-	case *crossOp:
-		n.Children = instrumentBinary(&op.left, &op.right)
-		op.opts.Stats = n.localStats()
-	case *hashJoinOp:
-		n.Children = instrumentBinary(&op.left, &op.right)
-		op.opts.Stats = n.localStats()
-	case *unionOp:
-		n.Children = instrumentBinary(&op.left, &op.right)
-	case *diffOp:
-		n.Children = instrumentBinary(&op.left, &op.right)
-		op.opts.Stats = n.localStats()
-	case *intersectOp:
-		n.Children = instrumentBinary(&op.left, &op.right)
-		op.opts.Stats = n.localStats()
-	}
-	return &timedIter{in: it, node: n}, n
-}
-
-func instrumentBinary(left, right *Iterator) []*PlanNode {
-	l, lc := instrumentIter(*left)
-	r, rc := instrumentIter(*right)
-	*left, *right = l, r
-	return []*PlanNode{lc, rc}
-}
-
-// timedIter accumulates the time spent inside an operator's Open/Next/Close
-// calls (children included — their own wrappers measure them too) and
-// counts the rows it emits.
-type timedIter struct {
-	in   Iterator
-	node *PlanNode
-}
-
-func (t *timedIter) Open() error {
-	t0 := time.Now()
-	err := t.in.Open()
-	t.node.timeA.Add(int64(time.Since(t0)))
-	return err
-}
-
-func (t *timedIter) Next() (Row, bool, error) {
-	t0 := time.Now()
-	r, ok, err := t.in.Next()
-	t.node.timeA.Add(int64(time.Since(t0)))
-	if ok {
-		t.node.rowsA.Add(1)
-	}
-	return r, ok, err
-}
-
-func (t *timedIter) Close() {
-	t0 := time.Now()
-	t.in.Close()
-	t.node.timeA.Add(int64(time.Since(t0)))
 }
 
 // timedBStage decorates one batch pipeline stage: per morsel it times the

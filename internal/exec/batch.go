@@ -13,9 +13,9 @@ import (
 	"uncertaindb/internal/value"
 )
 
-// This file is the vectorized batch engine: the default execution path of
-// Run. Instead of pulling one boxed []Term row at a time through iterators,
-// a run dictionary-encodes every term of its base tables once
+// This file is the vectorized batch engine, the execution path of Run.
+// Instead of passing one boxed []Term row at a time between operators, a
+// run dictionary-encodes every term of its base tables once
 // (condition.TermInterner), materializes relations as columnar []TermID
 // vectors with a per-row condition column, and executes the operators
 // batch-at-a-time over fixed-size morsels of BatchSize rows:
@@ -34,15 +34,15 @@ import (
 //     packed ID keys without rendering values, and predicate evaluation
 //     constant-folds ground comparisons without allocating conditions.
 //
-// The batch path is a drop-in twin of the tuple-at-a-time iterator path
-// (Options.NoBatch): it emits the same rows with syntactically identical
-// conditions in the same order and counts the same OpStats — every
-// per-row condition is constructed by the same formula in the same
-// association order, morsel boundaries are fixed (never a function of the
-// worker count), and partial results merge in morsel order. Determinism is
-// therefore structural: workers=1 and workers=N produce byte-identical
-// answers, and every downstream big.Rat marginal is bit-identical.
-// TestBatchMatchesTupleByteIdentical pins the twin property.
+// Every per-row condition is constructed by the same formula, in the same
+// association order, as the row-at-a-time definitions (PredicateCondition,
+// RowEquality) the eager evaluator applies, so with Options.NoHash the
+// answer is byte-identical to the eager evaluator's
+// (TestCoreMatchesEagerSyntax). Morsel boundaries are fixed (never a
+// function of the worker count) and partial results merge in morsel order,
+// so determinism is structural: workers=1 and workers=N produce
+// byte-identical answers and counters, and every downstream big.Rat
+// marginal is bit-identical.
 
 // BatchSize is the number of rows per morsel: small enough that a morsel's
 // columns and conditions stay cache-resident through a fused pipeline (and
@@ -216,10 +216,8 @@ func (o Options) workerCount() int {
 }
 
 // eval compiles-and-executes q bottom-up: breakers materialize their inputs
-// here; streaming operators extend the returned pipeline. Side-effect order
-// matches the iterator path (a binary operator's right side is fully
-// materialized before the left side runs, exactly as the iterators drain the
-// right side in Open).
+// here; streaming operators extend the returned pipeline. A binary
+// operator's right side is fully materialized before its left side runs.
 //
 // an is the EXPLAIN ANALYZE hook: nil on production runs (every check is one
 // predictable branch); when non-nil, the case fills *an with its PlanNode,
@@ -441,21 +439,14 @@ func (ctx *bctx) evalPartitioned(q ra.Query, env Env, ar ra.ArityEnv, an **PlanN
 // evalJoin compiles σ_pred(left × right) — a JoinQ or a selection directly
 // over a cross product — into the batch hash-join probe pipeline when the
 // predicate yields equi-join keys, and into the cross+select stage
-// composition otherwise, mirroring buildJoin's strategy choice and counters.
+// composition otherwise, as joinStrategy decides.
 func (ctx *bctx) evalJoin(left, right ra.Query, pred ra.Predicate, env Env, ar ra.ArityEnv, an **PlanNode) (*bpipe, error) {
 	var ln, rn *PlanNode
 	rv, err := ctx.evalMaterialized(right, env, ar, childPtr(an, &rn))
 	if err != nil {
 		return nil, err
 	}
-	var keys []JoinKey
-	la := -1
-	if a, err := ra.Arity(left, ar); err == nil {
-		la = a
-		if !ctx.opts.NoHash {
-			keys, _ = SplitJoinPredicate(pred, la)
-		}
-	}
+	keys, la := joinStrategy(left, pred, ar, ctx.opts)
 	if ctx.opts.Stats != nil {
 		if len(keys) > 0 {
 			ctx.opts.Stats.HashJoins++
@@ -488,7 +479,7 @@ func (ctx *bctx) evalJoin(left, right ra.Query, pred ra.Predicate, env Env, ar r
 	p.stages = append(p.stages, &crossBStage{right: rv}, &selectBStage{pred: pred})
 	if an != nil {
 		// The nested-loop fallback is two operators in the Explain tree:
-		// select over cross, exactly as the iterator path composes them.
+		// select over cross, as Explain renders them.
 		cross := newPlanNode(labelCross)
 		cross.addRowsIn(uint64(rv.rows()))
 		cross.Children = []*PlanNode{ln, rn}
@@ -694,8 +685,7 @@ func (ctx *bctx) encodeConst(rel *relation.Relation) (*vec, error) {
 // decodeParts resolves per-morsel result parts back into rows, in part
 // order, parallel across parts. All term slices are carved out of one
 // freshly allocated slab, so the returned rows alias nothing the caller
-// could share — Result.OwnedRows lets adapters adopt them without a
-// defensive copy.
+// could share and adapters adopt them without a defensive copy.
 func (ctx *bctx) decodeParts(arity int, parts []*vec) []Row {
 	n := 0
 	offsets := make([]int, len(parts))
@@ -727,8 +717,8 @@ func (ctx *bctx) decodeParts(arity int, parts []*vec) []Row {
 // and2 is opts.cond(And(a, b)) with an allocation-free fast path when both
 // operands are atoms (constants or comparisons): the hot case of a hash join
 // conjoining two true conditions. The fast path reproduces the simplifier's
-// output exactly (including junct deduplication), so the batch path stays
-// byte-identical to the iterator path.
+// output exactly (including junct deduplication), so the result is
+// byte-identical to the slow path's.
 func (ctx *bctx) and2(a, b condition.Condition) condition.Condition {
 	if ctx.opts.Simplify && isAtom(a) && isAtom(b) {
 		sa, sb := simplifyAtom(a), simplifyAtom(b)
@@ -870,8 +860,8 @@ func (ctx *bctx) buildJoinTable(right *vec, keys []JoinKey) *joinTable {
 
 // packKey appends the packed interned IDs of the row's key columns to dst;
 // ok is false when any key cell is a variable term. Interning is injective,
-// so equal packed keys mean componentwise equal ground terms — the same
-// partition groundJoinKey builds from rendered values, without rendering.
+// so equal packed keys mean componentwise equal ground terms — a partition
+// by ground key value, built without rendering values.
 func (ctx *bctx) packKey(dst []byte, v *vec, row int, keys []JoinKey, probe bool) ([]byte, bool) {
 	for _, k := range keys {
 		col := k.Right
@@ -1063,8 +1053,8 @@ func (s *intersectBStage) apply(ctx *bctx, st *OpStats, in *vec) (*vec, error) {
 
 // setOpCandidates returns the right rows a left row can possibly equal, in
 // ascending order; hashed is false when the pairwise scan must run (hash
-// path off, or the left row has variable cells). It mirrors the iterator
-// operators' candidateIdxs, reusing the caller's key and candidate buffers.
+// path off, or the left row has variable cells), reusing the caller's key
+// and candidate buffers.
 func setOpCandidates(ctx *bctx, st *OpStats, buckets map[string][]int32, residual []int32, right, in *vec, row int, keyBuf []byte, candBuf []int32) ([]int32, bool, []byte, []int32) {
 	if buckets == nil {
 		return nil, false, keyBuf, candBuf
@@ -1082,7 +1072,7 @@ func setOpCandidates(ctx *bctx, st *OpStats, buckets map[string][]int32, residua
 
 // project is π̄_cols: the grouping hashes are computed morsel-parallel, then
 // groups merge sequentially in global row order (first-occurrence order with
-// iteratively disjoined conditions, exactly like the iterator breaker), so
+// iteratively disjoined conditions, exactly like the eager π̄), so
 // the output is independent of the worker count.
 func (ctx *bctx) project(in *vec, cols []int) *vec {
 	n := in.rows()
@@ -1196,7 +1186,7 @@ func (t idTuple) id(c int) condition.TermID {
 // predCondIDs is PredicateCondition over an encoded row: comparisons whose
 // sides resolve to ground terms are folded by ID/value compare without
 // allocating, and symbolic atoms are built from the resolved terms — the
-// same conditions, in the same operand order, as the iterator path.
+// same conditions, in the same operand order, as PredicateCondition.
 func predCondIDs(dict *condition.TermInterner, p ra.Predicate, tup idTuple) (condition.Condition, error) {
 	switch p := p.(type) {
 	case ra.TruePred:
@@ -1276,8 +1266,8 @@ func cmpCondIDs(dict *condition.TermInterner, p ra.Cmp, tup idTuple) (condition.
 			return boolCond((p.Left.Const == p.Right.Const) != neq), nil
 		}
 	default:
-		// Ordering comparisons require ground operands, as in the iterator
-		// path.
+		// Ordering comparisons require ground operands, as in
+		// PredicateCondition.
 		lv, lVar := constOf(dict, p.Left, lid, lCol)
 		rv, rVar := constOf(dict, p.Right, rid, rCol)
 		if lVar || rVar {

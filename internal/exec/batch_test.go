@@ -1,7 +1,6 @@
 package exec_test
 
 import (
-	"math/rand"
 	"strings"
 	"testing"
 
@@ -13,49 +12,10 @@ import (
 	"uncertaindb/internal/workload"
 )
 
-// The frozen-twin property of the batch engine: on randomized multi-table
-// environments and queries, the vectorized batch path produces exactly the
-// iterator path's answer — same rows, same condition syntax, same order —
-// across the full option grid (simplify × rewrite × hash) and for both a
-// sequential and a parallel worker count. Byte-identity is what makes
-// batch-path determinism structural rather than probabilistic.
-func TestBatchMatchesTupleByteIdentical(t *testing.T) {
-	for _, workers := range []int{1, 4} {
-		rng := rand.New(rand.NewSource(131))
-		for trial := 0; trial < 30; trial++ {
-			env := ctable.Env{
-				"A": randomCTable(rng, 2, 3, []string{"x", "y"}),
-				"B": randomCTable(rng, 2, 2, []string{"y", "z"}),
-			}
-			q := randomQuery(rng, 2, 3)
-			for _, simplify := range []bool{true, false} {
-				for _, rewrite := range []bool{false, true} {
-					for _, hash := range []bool{true, false} {
-						opts := ctable.Options{Simplify: simplify, Rewrite: rewrite, NoHash: !hash, Workers: workers}
-						batch, err := ctable.EvalQueryEnvWithOptions(q, env, opts)
-						if err != nil {
-							t.Fatalf("trial %d: batch: %v", trial, err)
-						}
-						opts.NoBatch = true
-						tuple, err := ctable.EvalQueryEnvWithOptions(q, env, opts)
-						if err != nil {
-							t.Fatalf("trial %d: tuple: %v", trial, err)
-						}
-						if batch.String() != tuple.String() {
-							t.Fatalf("trial %d (simplify=%v rewrite=%v hash=%v workers=%d): batch and tuple answers differ for %s\nbatch:\n%s\ntuple:\n%s",
-								trial, simplify, rewrite, hash, workers, q, batch, tuple)
-						}
-					}
-				}
-			}
-		}
-	}
-}
-
 // Inputs larger than one morsel exercise the parallel driver proper: the
-// E15/E16 equi-join workload at 1500 rows per side splits into two morsels,
+// E15 equi-join workload at 1500 rows per side splits into several morsels,
 // and a projection on top adds a cross-morsel merge. Every worker count must
-// produce the byte-identical answer, which must also equal the tuple path's.
+// produce the byte-identical answer.
 func TestBatchMultiMorselDeterministic(t *testing.T) {
 	env, join := workload.EquiJoin(1500, 8)
 	q := ra.Project([]int{0, 3}, join)
@@ -74,14 +34,6 @@ func TestBatchMultiMorselDeterministic(t *testing.T) {
 		if got != want {
 			t.Fatalf("workers=%d produced a different answer than workers=1", workers)
 		}
-	}
-	tuple, err := ctable.EvalQueryEnvWithOptions(q, env,
-		ctable.Options{Simplify: true, Rewrite: true, NoBatch: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if tuple.String() != want {
-		t.Fatal("batch answer differs from the tuple-at-a-time answer")
 	}
 }
 
@@ -109,39 +61,27 @@ func TestBatchSharedPoolDeterministic(t *testing.T) {
 	}
 }
 
-// The batch operators count exactly what the iterator operators count (rows
-// in/out, probes, residual hits, join strategy), and additionally report the
-// work units of the vectorized driver (batches, morsels). Totals must not
-// depend on the worker count.
+// The operator counters are pinned on the hash-join unit query (see
+// TestHashJoinCounters for what each value means), together with the work
+// units of the vectorized driver: the 5-row probe side is one morsel pushed
+// through one stage. No counter depends on the worker count.
 func TestBatchCountersMatchTuple(t *testing.T) {
 	env := joinTables()
-	var tuple exec.OpStats
-	if _, err := ctable.EvalQueryEnvWithOptions(equiJoinQuery, env,
-		ctable.Options{Simplify: true, NoBatch: true, Stats: &tuple}); err != nil {
-		t.Fatal(err)
-	}
-	if tuple.Batches != 0 || tuple.Morsels != 0 {
-		t.Errorf("tuple path counted batch work: %+v", tuple)
-	}
+	want := exec.OpStats{RowsIn: 10, RowsOut: 12, HashJoins: 1, HashProbes: 4, ResidualHits: 9, Batches: 1, Morsels: 1}
 	for _, workers := range []int{1, 4} {
-		var batch exec.OpStats
+		var got exec.OpStats
 		if _, err := ctable.EvalQueryEnvWithOptions(equiJoinQuery, env,
-			ctable.Options{Simplify: true, Workers: workers, Stats: &batch}); err != nil {
+			ctable.Options{Simplify: true, Workers: workers, Stats: &got}); err != nil {
 			t.Fatal(err)
 		}
-		shared := batch
-		shared.Batches, shared.Morsels = 0, 0
-		if shared != tuple {
-			t.Errorf("workers=%d: batch counters %+v differ from tuple counters %+v", workers, shared, tuple)
-		}
-		if batch.Batches == 0 || batch.Morsels == 0 {
-			t.Errorf("workers=%d: batch/morsel counters empty: %+v", workers, batch)
+		if got != want {
+			t.Errorf("workers=%d: counters %+v, want %+v", workers, got, want)
 		}
 	}
 }
 
-// Errors surface identically on both engines: an ordering comparison applied
-// to a variable term fails with the same message.
+// Errors surface exactly as the eager evaluator reports them: an ordering
+// comparison applied to a variable term fails with the same message.
 func TestBatchErrorParity(t *testing.T) {
 	tab := ctable.New(1)
 	tab.SetDomain("x", value.IntRange(1, 3))
@@ -149,20 +89,19 @@ func TestBatchErrorParity(t *testing.T) {
 	q := ra.Select(ra.Cmp{Left: ra.Col(0), Op: ra.OpLt, Right: ra.ConstInt(2)}, ra.Rel("T"))
 	env := ctable.Env{"T": tab}
 	_, batchErr := ctable.EvalQueryEnvWithOptions(q, env, ctable.Options{Simplify: true})
-	_, tupleErr := ctable.EvalQueryEnvWithOptions(q, env, ctable.Options{Simplify: true, NoBatch: true})
-	if batchErr == nil || tupleErr == nil {
-		t.Fatalf("expected errors, got batch=%v tuple=%v", batchErr, tupleErr)
+	_, eagerErr := ctable.EvalQueryEnvEager(q, env, ctable.Options{Simplify: true})
+	if batchErr == nil || eagerErr == nil {
+		t.Fatalf("expected errors, got batch=%v eager=%v", batchErr, eagerErr)
 	}
-	if batchErr.Error() != tupleErr.Error() {
-		t.Errorf("error mismatch:\nbatch: %v\ntuple: %v", batchErr, tupleErr)
+	if batchErr.Error() != eagerErr.Error() {
+		t.Errorf("error mismatch:\nbatch: %v\neager: %v", batchErr, eagerErr)
 	}
 	if !strings.Contains(batchErr.Error(), "ordering comparison") {
 		t.Errorf("unexpected error: %v", batchErr)
 	}
 }
 
-// Explain marks the operators of the default (batch) engine and drops the
-// prefix for the frozen tuple twin.
+// Explain marks every operator as executed by the batch engine.
 func TestExplainBatchPrefix(t *testing.T) {
 	env := joinTables().ExecEnv()
 	plan, err := exec.Explain(equiJoinQuery, env, exec.Options{Simplify: true, Rewrite: true})
@@ -171,13 +110,6 @@ func TestExplainBatchPrefix(t *testing.T) {
 	}
 	if !strings.Contains(plan, "batch-hash-join[$1=$1]") || !strings.Contains(plan, "batch-scan(R)") {
 		t.Errorf("batch plan missing batch operators:\n%s", plan)
-	}
-	plan, err = exec.Explain(equiJoinQuery, env, exec.Options{Simplify: true, Rewrite: true, NoBatch: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if strings.Contains(plan, "batch-") {
-		t.Errorf("NoBatch plan still marked batch:\n%s", plan)
 	}
 }
 

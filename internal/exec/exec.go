@@ -1,34 +1,25 @@
-// Package exec is the unified query-execution core: one Volcano-style
-// iterator/operator implementation of the closed c-table algebra (Theorem 4)
-// that every table model evaluates through.
+// Package exec is the unified query-execution core: one implementation of
+// the closed c-table algebra (Theorem 4) that every table model evaluates
+// through.
 //
-// The algebra used to be implemented twice — eagerly in internal/ctable and,
-// via delegation, in internal/pctable. This package replaces both bodies
-// with a single operator layer that is generic over the Model interface:
-// anything that can present its rows as symbolic (terms, condition) pairs
-// can be queried. c-tables and pc-tables are Models; plain relations enter
-// as constant relations. The adapters in internal/ctable and
-// internal/pctable only bind names to Models and re-wrap the produced rows.
+// The operator layer is generic over the Model interface: anything that can
+// present its rows as symbolic (terms, condition) pairs can be queried.
+// c-tables and pc-tables are Models; plain relations enter as constant
+// relations. The adapters in internal/ctable and internal/pctable only bind
+// names to Models and re-wrap the produced rows.
 //
 // A logical plan is simply an ra.Query — the algebra is small enough that a
-// second plan IR would duplicate it. The physical plan is the operator tree:
-// Build compiles a (possibly rewritten, see Rewrite) query into physical
-// operators, choosing a symbolic hash join for selections over cross
-// products with extractable equi-join keys (physical.go) and hash-partitioned
-// pipeline breakers for deduplication, difference and intersection; each
-// operator implements the open/next/close iterator protocol, so non-blocking
-// operators (selection, cross product, union) stream rows while the pipeline
-// breakers materialize only the inputs they must. Options.NoHash restores
-// the textbook nested-loop/pairwise-scan operators, which reproduce the
-// frozen eager evaluator byte for byte.
-//
-// Run executes the plan on one of two engines. The default is the
-// vectorized batch engine (batch.go): base tables are dictionary-encoded
-// into columnar interned-term-ID vectors and the operators execute
-// batch-at-a-time over fixed-size morsels on a bounded worker pool
-// (Options.Workers). Options.NoBatch restores the tuple-at-a-time iterator
-// engine as a frozen twin; the two are byte-identical — same rows, same
-// condition syntax, same order, same counters — for every worker count.
+// second plan IR would duplicate it. Run validates the query, optionally
+// rewrites it (see Rewrite) and executes it on the vectorized batch engine
+// (batch.go): base tables are dictionary-encoded into columnar
+// interned-term-ID vectors and the operators execute batch-at-a-time over
+// fixed-size morsels on a bounded worker pool (Options.Workers). Selections
+// over cross products with extractable equi-join keys run as a symbolic
+// hash join, and difference and intersection partition their right side by
+// ground tuple (physical.go). Options.NoHash restores the textbook
+// nested-loop/pairwise-scan strategies, which reproduce the frozen eager
+// evaluator (internal/ctable's EvalQueryEnvEager) byte for byte. Answers
+// are byte-identical for every worker count.
 package exec
 
 import (
@@ -38,7 +29,6 @@ import (
 	"uncertaindb/internal/condition"
 	"uncertaindb/internal/obs"
 	"uncertaindb/internal/ra"
-	"uncertaindb/internal/relation"
 	"uncertaindb/internal/value"
 )
 
@@ -85,7 +75,7 @@ type Options struct {
 	// operator. It never changes Mod, only the size of conditions.
 	Simplify bool
 	// Rewrite runs the logical-plan rewriter (predicate pushdown, projection
-	// fusion and pruning) before building the operator tree. Rewrites never
+	// fusion and pruning) before execution. Rewrites never
 	// change the represented set of instances, only the syntax of the answer
 	// table and the amount of intermediate work.
 	Rewrite bool
@@ -94,15 +84,9 @@ type Options struct {
 	// selection over a nested-loop cross product and the set operators to
 	// pairwise scans. The hash path preserves Mod and every tuple marginal
 	// but not the syntactic answer table — it never emits rows whose
-	// condition is the constant false — so the byte-identical eager-twin
-	// tests pin NoHash on.
+	// condition is the constant false — so the tests comparing against the
+	// eager evaluator byte for byte pin NoHash on.
 	NoHash bool
-	// NoBatch disables the vectorized batch engine (batch.go) and restores
-	// the tuple-at-a-time iterator operators as a frozen twin. The batch
-	// path is byte-identical to the iterator path — same rows, same
-	// condition syntax, same order, same counters — it only executes over
-	// interned term-ID columns, morsel-parallel.
-	NoBatch bool
 	// Workers bounds the morsel-driven parallelism of the batch engine:
 	// the number of goroutines that execute pipeline morsels concurrently.
 	// Zero or negative selects GOMAXPROCS; 1 forces sequential execution.
@@ -138,21 +122,17 @@ func (o Options) cond(c condition.Condition) condition.Condition {
 
 // Result is a materialized query answer: rows plus the propagated variable
 // domains of every base table the plan read (in left-to-right plan order,
-// later tables overriding earlier ones, matching the eager evaluator).
+// later tables overriding earlier ones, matching the eager evaluator). Every
+// row's term slice is freshly allocated by the run (decoded into a private
+// slab), so adapters adopt the rows without a defensive copy.
 type Result struct {
 	Arity   int
 	Rows    []Row
 	Domains map[condition.Variable]*value.Domain
-	// OwnedRows reports that every row's term slice was freshly allocated by
-	// this run (the batch engine decodes into a private slab), so adapters
-	// may adopt the rows without a defensive copy. The iterator engine
-	// leaves it false: its scans hand out term slices shared with the base
-	// models.
-	OwnedRows bool
 }
 
-// Run validates q against env, optionally rewrites it, builds the operator
-// tree and drains it into a Result.
+// Run validates q against env, optionally rewrites it, executes it on the
+// batch engine and returns the materialized answer.
 func Run(q ra.Query, env Env, opts Options) (*Result, error) {
 	arities := modelArities(env)
 	arity, err := ra.Arity(q, arities)
@@ -164,33 +144,17 @@ func Run(q ra.Query, env Env, opts Options) (*Result, error) {
 		q = Rewrite(q, arities)
 		sp.End()
 	}
-	var rows []Row
-	if opts.NoBatch {
-		sp := opts.Trace.Child("build")
-		it, err := build(q, env, arities, opts)
-		sp.End()
-		if err != nil {
-			return nil, err
-		}
-		sp = opts.Trace.Child("drain")
-		rows, err = Drain(it)
-		sp.End()
-		if err != nil {
-			return nil, err
-		}
-	} else {
-		// The batch engine interleaves stage construction with execution;
-		// its pipeline spans (one per forced part, with morsel/worker/row
-		// counts) hang under this span.
-		sp := opts.Trace.Child("batch")
-		opts.Trace = sp
-		rows, err = runBatch(q, env, arities, opts)
-		sp.End()
-		if err != nil {
-			return nil, err
-		}
+	// The batch engine interleaves stage construction with execution; its
+	// pipeline spans (one per forced part, with morsel/worker/row counts)
+	// hang under this span.
+	sp := opts.Trace.Child("batch")
+	opts.Trace = sp
+	rows, err := runBatch(q, env, arities, opts)
+	sp.End()
+	if err != nil {
+		return nil, err
 	}
-	res := &Result{Arity: arity, Rows: rows, Domains: make(map[condition.Variable]*value.Domain), OwnedRows: !opts.NoBatch}
+	res := &Result{Arity: arity, Rows: rows, Domains: make(map[condition.Variable]*value.Domain)}
 	collectDomains(q, env, res.Domains)
 	return res, nil
 }
@@ -226,41 +190,8 @@ func collectDomains(q ra.Query, env Env, into map[condition.Variable]*value.Doma
 	}
 }
 
-// Iterator is the Volcano open/next/close protocol. Next returns the next
-// row and true, or a zero Row and false at end of stream.
-type Iterator interface {
-	Open() error
-	Next() (Row, bool, error)
-	Close()
-}
-
-// Drain opens it, consumes every row and closes it.
-func Drain(it Iterator) ([]Row, error) {
-	if err := it.Open(); err != nil {
-		return nil, err
-	}
-	defer it.Close()
-	var rows []Row
-	for {
-		r, ok, err := it.Next()
-		if err != nil {
-			return nil, err
-		}
-		if !ok {
-			return rows, nil
-		}
-		rows = append(rows, r)
-	}
-}
-
-// Build compiles q into an operator tree over env. It assumes q has been
-// validated (ra.Arity); Run does both.
-func Build(q ra.Query, env Env, opts Options) (Iterator, error) {
-	return build(q, env, modelArities(env), opts)
-}
-
 // modelArities collects the input arities the planner validates subqueries
-// against (computed once per Build/Run/Explain).
+// against (computed once per Run/Explain/Analyze).
 func modelArities(env Env) ra.ArityEnv {
 	arities := make(ra.ArityEnv, len(env))
 	for name, m := range env {
@@ -269,437 +200,11 @@ func modelArities(env Env) ra.ArityEnv {
 	return arities
 }
 
-func build(q ra.Query, env Env, ar ra.ArityEnv, opts Options) (Iterator, error) {
-	switch q := q.(type) {
-	case ra.BaseRel:
-		m, ok := env[q.Name]
-		if !ok {
-			return nil, fmt.Errorf("exec: unknown relation %q", q.Name)
-		}
-		return &scanOp{m: m, name: q.Name}, nil
-	case ra.ConstRel:
-		return &constOp{rel: q.Rel}, nil
-	case ra.SelectQ:
-		// A selection directly over a cross product is the physical join
-		// shape (the rewriter normalizes every θ-join to it): give the
-		// planner a chance to extract equi-join keys and hash it.
-		if cq, ok := q.Input.(ra.CrossQ); ok {
-			return buildJoin(cq.Left, cq.Right, q.Pred, env, ar, opts)
-		}
-		in, err := build(q.Input, env, ar, opts)
-		if err != nil {
-			return nil, err
-		}
-		return &selectOp{in: in, pred: q.Pred, opts: opts}, nil
-	case ra.ProjectQ:
-		in, err := build(q.Input, env, ar, opts)
-		if err != nil {
-			return nil, err
-		}
-		return &projectOp{in: in, cols: q.Cols, opts: opts}, nil
-	case ra.CrossQ:
-		l, r, err := buildBoth(q.Left, q.Right, env, ar, opts)
-		if err != nil {
-			return nil, err
-		}
-		return &crossOp{left: l, right: r, opts: opts}, nil
-	case ra.JoinQ:
-		// θ-join is the derived operator σ̄_p(T1 ×̄ T2); the planner hashes
-		// it when the predicate yields equi-join keys, and the nested-loop
-		// fallback composes the two operators exactly as the eager algebra.
-		return buildJoin(q.Left, q.Right, q.Pred, env, ar, opts)
-	case ra.UnionQ:
-		l, r, err := buildBoth(q.Left, q.Right, env, ar, opts)
-		if err != nil {
-			return nil, err
-		}
-		return &unionOp{left: l, right: r, opts: opts}, nil
-	case ra.DiffQ:
-		l, r, err := buildBoth(q.Left, q.Right, env, ar, opts)
-		if err != nil {
-			return nil, err
-		}
-		return &diffOp{left: l, right: r, opts: opts}, nil
-	case ra.IntersectQ:
-		l, r, err := buildBoth(q.Left, q.Right, env, ar, opts)
-		if err != nil {
-			return nil, err
-		}
-		return &intersectOp{left: l, right: r, opts: opts}, nil
-	default:
-		return nil, fmt.Errorf("exec: unsupported query node %T", q)
-	}
-}
-
-func buildBoth(l, r ra.Query, env Env, ar ra.ArityEnv, opts Options) (Iterator, Iterator, error) {
-	li, err := build(l, env, ar, opts)
-	if err != nil {
-		return nil, nil, err
-	}
-	ri, err := build(r, env, ar, opts)
-	if err != nil {
-		return nil, nil, err
-	}
-	return li, ri, nil
-}
-
-// scanOp yields the rows of a base model.
-type scanOp struct {
-	m    Model
-	name string
-	i    int
-}
-
-func (s *scanOp) Open() error { s.i = 0; return nil }
-func (s *scanOp) Next() (Row, bool, error) {
-	if s.i >= s.m.NumRows() {
-		return Row{}, false, nil
-	}
-	r := s.m.Row(s.i)
-	s.i++
-	return r, true, nil
-}
-func (s *scanOp) Close() {}
-
-// constOp yields the tuples of a constant relation as rows with true
-// conditions (the embedding of complete relations).
-type constOp struct {
-	rel *relation.Relation
-	i   int
-}
-
-func (c *constOp) Open() error {
-	if c.rel.Arity() == 0 {
-		return fmt.Errorf("exec: constant relation of arity 0 not supported")
-	}
-	c.i = 0
-	return nil
-}
-
-func (c *constOp) Next() (Row, bool, error) {
-	tuples := c.rel.Tuples()
-	if c.i >= len(tuples) {
-		return Row{}, false, nil
-	}
-	tp := tuples[c.i]
-	c.i++
-	terms := make([]condition.Term, len(tp))
-	for j, v := range tp {
-		terms[j] = condition.Const(v)
-	}
-	return Row{Terms: terms, Cond: condition.True()}, true, nil
-}
-func (c *constOp) Close() {}
-
-// selectOp is σ̄_p: every row keeps its terms and its condition is
-// strengthened with the symbolic evaluation of p on the row's terms.
-type selectOp struct {
-	in   Iterator
-	pred ra.Predicate
-	opts Options
-}
-
-func (s *selectOp) Open() error { return s.in.Open() }
-func (s *selectOp) Next() (Row, bool, error) {
-	r, ok, err := s.in.Next()
-	if err != nil || !ok {
-		return Row{}, false, err
-	}
-	c, err := PredicateCondition(s.pred, r.Terms)
-	if err != nil {
-		return Row{}, false, err
-	}
-	return Row{Terms: r.Terms, Cond: s.opts.cond(condition.And(r.Cond, c))}, true, nil
-}
-func (s *selectOp) Close() { s.in.Close() }
-
-// projectOp is π̄_cols: a pipeline breaker that merges rows with
-// syntactically identical projected tuples by disjoining their conditions.
-// The merge groups are keyed by interned term IDs (condition.Interner), so
-// grouping a row costs map lookups on its terms instead of rendering them.
-type projectOp struct {
-	in   Iterator
-	cols []int
-	opts Options
-
-	out []Row
-	i   int
-}
-
-func (p *projectOp) Open() error {
-	if err := p.in.Open(); err != nil {
-		return err
-	}
-	defer p.in.Close()
-	p.out, p.i = nil, 0
-	interner := condition.NewInterner()
-	index := make(map[string]int)
-	for {
-		r, ok, err := p.in.Next()
-		if err != nil {
-			return err
-		}
-		if !ok {
-			return nil
-		}
-		p.opts.Stats.in(1)
-		terms := make([]condition.Term, len(p.cols))
-		for j, c := range p.cols {
-			terms[j] = r.Terms[c]
-		}
-		key := interner.TermsKey(terms)
-		if j, ok := index[key]; ok {
-			p.out[j].Cond = p.opts.cond(condition.Or(p.out[j].Cond, r.Cond))
-			continue
-		}
-		index[key] = len(p.out)
-		p.opts.Stats.out(1)
-		p.out = append(p.out, Row{Terms: terms, Cond: p.opts.cond(r.Cond)})
-	}
-}
-
-func (p *projectOp) Next() (Row, bool, error) {
-	if p.i >= len(p.out) {
-		return Row{}, false, nil
-	}
-	r := p.out[p.i]
-	p.i++
-	return r, true, nil
-}
-func (p *projectOp) Close() { p.out = nil }
-
-// crossOp is ×̄: terms are concatenated and conditions conjoined. The right
-// side is materialized once; the left side streams.
-type crossOp struct {
-	left, right Iterator
-	opts        Options
-
-	rightRows []Row
-	cur       Row
-	haveCur   bool
-	j         int
-}
-
-func (c *crossOp) Open() error {
-	rows, err := Drain(c.right)
-	if err != nil {
-		return err
-	}
-	c.rightRows = rows
-	c.opts.Stats.in(uint64(len(rows)))
-	c.haveCur, c.j = false, 0
-	return c.left.Open()
-}
-
-func (c *crossOp) Next() (Row, bool, error) {
-	for {
-		if !c.haveCur {
-			r, ok, err := c.left.Next()
-			if err != nil || !ok {
-				return Row{}, false, err
-			}
-			c.opts.Stats.in(1)
-			c.cur, c.haveCur, c.j = r, true, 0
-		}
-		if c.j >= len(c.rightRows) {
-			c.haveCur = false
-			continue
-		}
-		r2 := c.rightRows[c.j]
-		c.j++
-		terms := make([]condition.Term, 0, len(c.cur.Terms)+len(r2.Terms))
-		terms = append(terms, c.cur.Terms...)
-		terms = append(terms, r2.Terms...)
-		c.opts.Stats.out(1)
-		return Row{Terms: terms, Cond: c.opts.cond(condition.And(c.cur.Cond, r2.Cond))}, true, nil
-	}
-}
-func (c *crossOp) Close() { c.left.Close(); c.rightRows = nil }
-
-// unionOp is ∪̄: the rows of the left side followed by the rows of the right
-// side (conditions re-simplified, matching the eager algebra).
-type unionOp struct {
-	left, right Iterator
-	opts        Options
-	onRight     bool
-}
-
-func (u *unionOp) Open() error {
-	u.onRight = false
-	if err := u.left.Open(); err != nil {
-		return err
-	}
-	return u.right.Open()
-}
-
-func (u *unionOp) Next() (Row, bool, error) {
-	if !u.onRight {
-		r, ok, err := u.left.Next()
-		if err != nil {
-			return Row{}, false, err
-		}
-		if ok {
-			return Row{Terms: r.Terms, Cond: u.opts.cond(r.Cond)}, true, nil
-		}
-		u.onRight = true
-	}
-	r, ok, err := u.right.Next()
-	if err != nil || !ok {
-		return Row{}, false, err
-	}
-	return Row{Terms: r.Terms, Cond: u.opts.cond(r.Cond)}, true, nil
-}
-func (u *unionOp) Close() { u.left.Close(); u.right.Close() }
-
-// diffOp is −̄: a left row (t1 : φ1) survives exactly when no right row is
-// simultaneously present and equal to it, so its condition becomes
-// φ1 ∧ ⋀_{(t2:φ2)} ¬(φ2 ∧ t1=t2). The right side is materialized and — on
-// the hash path — partitioned by ground tuple, so a ground left row only
-// pairs with the right rows that can possibly equal it: every skipped pair
-// has a constant-false equality, whose conjunct ¬(φ2 ∧ false) is the
-// constant true and vanishes under simplification.
-type diffOp struct {
-	left, right Iterator
-	opts        Options
-	rightRows   []Row
-	buckets     map[string][]int
-	residual    []int
-	candBuf     []int
-	keyBuf      []byte
-}
-
-func (d *diffOp) Open() error {
-	rows, err := Drain(d.right)
-	if err != nil {
-		return err
-	}
-	d.rightRows = rows
-	d.opts.Stats.in(uint64(len(rows)))
-	d.buckets, d.residual = nil, nil
-	if !d.opts.NoHash {
-		d.buckets, d.residual = groundPartition(rows)
-	}
-	return d.left.Open()
-}
-
-func (d *diffOp) Next() (Row, bool, error) {
-	r1, ok, err := d.left.Next()
-	if err != nil || !ok {
-		return Row{}, false, err
-	}
-	d.opts.Stats.in(1)
-	conds := []condition.Condition{r1.Cond}
-	if idxs, hashed := d.candidateIdxs(r1); hashed {
-		for _, i := range idxs {
-			r2 := d.rightRows[i]
-			conds = append(conds, condition.Not(condition.And(r2.Cond, RowEquality(r1.Terms, r2.Terms))))
-		}
-	} else {
-		for _, r2 := range d.rightRows {
-			conds = append(conds, condition.Not(condition.And(r2.Cond, RowEquality(r1.Terms, r2.Terms))))
-		}
-	}
-	d.opts.Stats.out(1)
-	return Row{Terms: r1.Terms, Cond: d.opts.cond(condition.And(conds...))}, true, nil
-}
-
-// candidateIdxs returns the right rows a left row can possibly equal, in
-// ascending order; hashed is false when the pairwise scan must run (hash
-// path off, or the left row has variable cells).
-func (d *diffOp) candidateIdxs(r1 Row) ([]int, bool) {
-	if d.buckets == nil {
-		return nil, false
-	}
-	key, ok := groundRowKey(d.keyBuf[:0], r1.Terms)
-	d.keyBuf = key
-	if !ok {
-		d.opts.Stats.residual(uint64(len(d.rightRows)))
-		return nil, false
-	}
-	d.opts.Stats.probe()
-	d.opts.Stats.residual(uint64(len(d.residual)))
-	d.candBuf = mergeAscending(d.candBuf, d.buckets[string(key)], d.residual)
-	return d.candBuf, true
-}
-
-func (d *diffOp) Close() {
-	d.left.Close()
-	d.rightRows, d.buckets, d.residual, d.candBuf, d.keyBuf = nil, nil, nil, nil, nil
-}
-
-// intersectOp is ∩̄: a left row (t1 : φ1) survives exactly when some right
-// row is present and equal to it. The right side is materialized and — on
-// the hash path — partitioned by ground tuple like diffOp's: skipped pairs
-// contribute the false disjunct (φ2 ∧ false), which vanishes from the
-// disjunction under simplification.
-type intersectOp struct {
-	left, right Iterator
-	opts        Options
-	rightRows   []Row
-	buckets     map[string][]int
-	residual    []int
-	candBuf     []int
-	keyBuf      []byte
-}
-
-func (n *intersectOp) Open() error {
-	rows, err := Drain(n.right)
-	if err != nil {
-		return err
-	}
-	n.rightRows = rows
-	n.opts.Stats.in(uint64(len(rows)))
-	n.buckets, n.residual = nil, nil
-	if !n.opts.NoHash {
-		n.buckets, n.residual = groundPartition(rows)
-	}
-	return n.left.Open()
-}
-
-func (n *intersectOp) Next() (Row, bool, error) {
-	r1, ok, err := n.left.Next()
-	if err != nil || !ok {
-		return Row{}, false, err
-	}
-	n.opts.Stats.in(1)
-	var disj []condition.Condition
-	if idxs, hashed := n.candidateIdxs(r1); hashed {
-		disj = make([]condition.Condition, 0, len(idxs))
-		for _, i := range idxs {
-			r2 := n.rightRows[i]
-			disj = append(disj, condition.And(r2.Cond, RowEquality(r1.Terms, r2.Terms)))
-		}
-	} else {
-		disj = make([]condition.Condition, 0, len(n.rightRows))
-		for _, r2 := range n.rightRows {
-			disj = append(disj, condition.And(r2.Cond, RowEquality(r1.Terms, r2.Terms)))
-		}
-	}
-	n.opts.Stats.out(1)
-	return Row{Terms: r1.Terms, Cond: n.opts.cond(condition.And(r1.Cond, condition.Or(disj...)))}, true, nil
-}
-
-// candidateIdxs mirrors diffOp.candidateIdxs for the intersection.
-func (n *intersectOp) candidateIdxs(r1 Row) ([]int, bool) {
-	if n.buckets == nil {
-		return nil, false
-	}
-	key, ok := groundRowKey(n.keyBuf[:0], r1.Terms)
-	n.keyBuf = key
-	if !ok {
-		n.opts.Stats.residual(uint64(len(n.rightRows)))
-		return nil, false
-	}
-	n.opts.Stats.probe()
-	n.opts.Stats.residual(uint64(len(n.residual)))
-	n.candBuf = mergeAscending(n.candBuf, n.buckets[string(key)], n.residual)
-	return n.candBuf, true
-}
-
-func (n *intersectOp) Close() {
-	n.left.Close()
-	n.rightRows, n.buckets, n.residual, n.candBuf, n.keyBuf = nil, nil, nil, nil, nil
-}
+// TermEquality, RowEquality and PredicateCondition are the row-at-a-time
+// definitions of the operators' symbolic conditions, which the eager
+// evaluator applies directly. The batch engine folds the same formulas over
+// interned IDs (termEqualityIDs, rowEqualityIDs, predCondIDs) and must
+// build syntactically identical conditions.
 
 // TermEquality returns the condition asserting that two symbolic terms are
 // equal: it folds constant/constant comparisons and emits symbolic

@@ -1,6 +1,7 @@
 package exec_test
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 
@@ -110,32 +111,49 @@ func randomQuery(rng *rand.Rand, arity, depth int) ra.Query {
 
 // Property: with plan rewriting disabled and the physical hash operators
 // off, the operator core reproduces the frozen eager evaluator byte for
-// byte — same rows, same condition syntax, same domains. (The hash path is
-// Mod- and marginal-identical but not byte-identical: it never emits rows
-// whose condition is the constant false. TestHashPathPreservesMod and the
-// top-level equivalence grid cover it.)
+// byte — same rows, same condition syntax, same domains — at every worker
+// count. (The hash path is Mod- and marginal-identical but not
+// byte-identical: it never emits rows whose condition is the constant false.
+// TestHashPathPreservesMod and the top-level equivalence grid cover it.)
 func TestCoreMatchesEagerSyntax(t *testing.T) {
-	for _, simplify := range []bool{true, false} {
-		rng := rand.New(rand.NewSource(7))
-		for trial := 0; trial < 60; trial++ {
-			env := ctable.Env{
-				"A": randomCTable(rng, 2, 3, []string{"x", "y"}),
-				"B": randomCTable(rng, 2, 2, []string{"y", "z"}),
+	check := func(label string, q ra.Query, env ctable.Env, opts ctable.Options) {
+		t.Helper()
+		got, err := ctable.EvalQueryEnvWithOptions(q, env, opts)
+		if err != nil {
+			t.Fatalf("%s: core: %v", label, err)
+		}
+		want, err := ctable.EvalQueryEnvEager(q, env, opts)
+		if err != nil {
+			t.Fatalf("%s: eager: %v", label, err)
+		}
+		if got.String() != want.String() {
+			t.Fatalf("%s (simplify=%v workers=%d): core and eager answers differ for %s\ncore:\n%s\neager:\n%s",
+				label, opts.Simplify, opts.Workers, q, got, want)
+		}
+	}
+	// An input spanning several morsels, queried through σ, π, ∪ and − but
+	// no cross product (so the eager side stays cheap): streaming stages run
+	// per morsel, and the union, the projection's group merge and the
+	// difference's left side all cross morsel boundaries.
+	bigEnv := ctable.Env{
+		"C": randomCTable(rand.New(rand.NewSource(11)), 2, 2*exec.BatchSize+44, []string{"x", "y"}),
+		"B": randomCTable(rand.New(rand.NewSource(12)), 2, 3, []string{"y", "z"}),
+	}
+	bigQuery := ra.Project([]int{1}, ra.Diff(
+		ra.Union(ra.Select(ra.Ne(ra.Col(0), ra.ConstInt(2)), ra.Rel("C")), ra.Rel("C")),
+		ra.Select(ra.Eq(ra.Col(1), ra.ConstInt(1)), ra.Rel("B"))))
+	for _, workers := range []int{1, 4} {
+		for _, simplify := range []bool{true, false} {
+			opts := ctable.Options{Simplify: simplify, Rewrite: false, NoHash: true, Workers: workers}
+			rng := rand.New(rand.NewSource(7))
+			for trial := 0; trial < 60; trial++ {
+				env := ctable.Env{
+					"A": randomCTable(rng, 2, 3, []string{"x", "y"}),
+					"B": randomCTable(rng, 2, 2, []string{"y", "z"}),
+				}
+				check(fmt.Sprintf("trial %d", trial), randomQuery(rng, 2, 3), env, opts)
 			}
-			q := randomQuery(rng, 2, 3)
-			opts := ctable.Options{Simplify: simplify, Rewrite: false, NoHash: true}
-			got, err := ctable.EvalQueryEnvWithOptions(q, env, opts)
-			if err != nil {
-				t.Fatalf("trial %d: core: %v", trial, err)
-			}
-			want, err := ctable.EvalQueryEnvEager(q, env, opts)
-			if err != nil {
-				t.Fatalf("trial %d: eager: %v", trial, err)
-			}
-			if got.String() != want.String() {
-				t.Fatalf("trial %d (simplify=%v): core and eager answers differ for %s\ncore:\n%s\neager:\n%s",
-					trial, simplify, q, got, want)
-			}
+			check("multi-morsel", bigQuery, bigEnv, opts)
 		}
 	}
 }
@@ -238,42 +256,5 @@ func TestRewriteShapes(t *testing.T) {
 		if got != tc.want {
 			t.Errorf("%s: Rewrite(%s) = %s, want %s", tc.name, tc.in, got, tc.want)
 		}
-	}
-}
-
-// The iterator protocol streams non-blocking operators: a selection over a
-// base scan yields rows one at a time without materializing.
-func TestIteratorStreams(t *testing.T) {
-	tab := ctable.New(1)
-	tab.AddRow([]condition.Term{condition.ConstInt(1)}, nil)
-	tab.AddRow([]condition.Term{condition.ConstInt(2)}, nil)
-	it, err := exec.Build(ra.Select(ra.Eq(ra.Col(0), ra.ConstInt(2)), ra.Rel("T")),
-		exec.Env{"T": tab}, exec.Options{Simplify: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := it.Open(); err != nil {
-		t.Fatal(err)
-	}
-	defer it.Close()
-	var rows []exec.Row
-	for {
-		r, ok, err := it.Next()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !ok {
-			break
-		}
-		rows = append(rows, r)
-	}
-	if len(rows) != 2 {
-		t.Fatalf("selection keeps every row symbolically, got %d", len(rows))
-	}
-	if _, isFalse := rows[0].Cond.(condition.FalseCond); !isFalse {
-		t.Errorf("row 1 condition = %s, want false", rows[0].Cond)
-	}
-	if _, isTrue := rows[1].Cond.(condition.TrueCond); !isTrue {
-		t.Errorf("row 2 condition = %s, want true", rows[1].Cond)
 	}
 }

@@ -5,36 +5,34 @@ import (
 	"strconv"
 	"strings"
 
-	"uncertaindb/internal/condition"
 	"uncertaindb/internal/ra"
-	"uncertaindb/internal/value"
 )
 
-// This file is the physical side of the planning split: Build (exec.go)
-// compiles the rewritten logical plan into physical operators, and the
-// operators here are the ones that choose a hash-based execution strategy
-// instead of the textbook nested-loop/pairwise-scan definitions:
+// This file is the physical side of the planning split: the join strategy
+// the batch engine (batch.go) executes, its counters, and Explain's rendering
+// of the plan. Where the textbook definitions pair every row with every row,
+// the batch engine uses hash-based strategies:
 //
-//   - hashJoinOp executes σ_p(L ×̄ R) — the shape of every θ-join after
-//     rewriting — by partitioning the build (right) side on the ground
-//     values of the equi-join key columns extracted by SplitJoinPredicate.
-//     Rows whose key cells are variable terms cannot be placed in a value
-//     bucket; they fall into a residual bucket that every probe also scans
-//     nested-loop, so symbolic matches (x = 5, x = y) are still produced
-//     and Mod is preserved exactly. Probe rows with variable key cells scan
-//     the whole build side for the same reason.
-//   - diffOp and intersectOp (exec.go) partition their materialized right
-//     side by ground tuple so a ground left row only pairs with rows that
-//     can possibly equal it; skipped pairs are exactly those whose equality
+//   - σ_p(L ×̄ R) — the shape of every θ-join after rewriting — runs as a
+//     symbolic hash join when joinStrategy extracts equi-join keys: the
+//     build (right) side is partitioned on the ground values of the key
+//     columns. Rows whose key cells are variable terms cannot be placed in a
+//     value bucket; they fall into a residual bucket that every probe also
+//     scans nested-loop, so symbolic matches (x = 5, x = y) are still
+//     produced and Mod is preserved exactly. Probe rows with variable key
+//     cells scan the whole build side for the same reason.
+//   - difference and intersection partition their materialized right side
+//     by ground tuple so a ground left row only pairs with rows that can
+//     possibly equal it; skipped pairs are exactly those whose equality
 //     condition is constant-false, which contribute a trivially-true
 //     conjunct (difference) or a false disjunct (intersection).
 //
-// The pairs a hash operator skips all carry conditions with a
-// constant-false conjunct, so the represented set of instances and every
-// tuple marginal are identical to the nested-loop path; only the syntactic
-// answer table differs (it no longer contains rows whose condition is the
-// constant false). Options.NoHash restores the nested-loop path, which
-// remains byte-identical to the frozen eager twin.
+// The pairs a hash strategy skips all carry conditions with a constant-false
+// conjunct, so the represented set of instances and every tuple marginal are
+// identical to the nested-loop path; only the syntactic answer table differs
+// (it no longer contains rows whose condition is the constant false).
+// Options.NoHash restores the nested-loop path, which is byte-identical to
+// the frozen eager evaluator.
 
 // OpStats counts the work the physical operators did while executing plans.
 // Counters are written without synchronization: share one OpStats across
@@ -58,12 +56,10 @@ type OpStats struct {
 	// whole-side scans forced by probe rows with variable key cells.
 	ResidualHits uint64 `json:"residualHits"`
 	// Batches counts batch-stage applications executed by the vectorized
-	// engine (one per streaming stage per morsel); zero on the
-	// tuple-at-a-time path.
+	// engine (one per streaming stage per morsel).
 	Batches uint64 `json:"batches"`
 	// Morsels counts the morsel tasks the parallel driver ran (fixed-size
-	// scan splits pushed through fused operator pipelines); zero on the
-	// tuple-at-a-time path.
+	// scan splits pushed through fused operator pipelines).
 	Morsels uint64 `json:"morsels"`
 }
 
@@ -113,215 +109,23 @@ func (s *OpStats) residual(n uint64) {
 	}
 }
 
-// buildJoin compiles σ_pred(left × right) — produced by Build for JoinQ
-// nodes and for selections directly over a cross product — into a symbolic
-// hash join when the predicate contains cross-side equi-join conjuncts and
-// the hash path is enabled, and into the selection-over-nested-loop-cross
-// composition otherwise.
-func buildJoin(left, right ra.Query, pred ra.Predicate, env Env, ar ra.ArityEnv, opts Options) (Iterator, error) {
-	l, r, err := buildBoth(left, right, env, ar, opts)
-	if err != nil {
-		return nil, err
+// joinStrategy picks how σ_pred(left × right) executes: the equi-join keys
+// of a symbolic hash join, or none — hash path off, or no cross-side
+// column=column conjunct — for the selection over a nested-loop cross
+// product. la is left's arity, the probe side's split point. The batch
+// engine and Explain both take the strategy from here, so the plan text
+// cannot drift from what ran.
+func joinStrategy(left ra.Query, pred ra.Predicate, ar ra.ArityEnv, opts Options) (keys []JoinKey, la int) {
+	la, err := ra.Arity(left, ar)
+	if err != nil || opts.NoHash {
+		return nil, la
 	}
-	if !opts.NoHash {
-		if la, err := ra.Arity(left, ar); err == nil {
-			if keys, _ := SplitJoinPredicate(pred, la); len(keys) > 0 {
-				if opts.Stats != nil {
-					opts.Stats.HashJoins++
-				}
-				return &hashJoinOp{left: l, right: r, keys: keys, pred: pred, opts: opts}, nil
-			}
-		}
-	}
-	if opts.Stats != nil {
-		opts.Stats.NestedLoopJoins++
-	}
-	return &selectOp{in: &crossOp{left: l, right: r, opts: opts}, pred: pred, opts: opts}, nil
+	keys, _ = SplitJoinPredicate(pred, la)
+	return keys, la
 }
 
-// hashJoinOp is the symbolic hash join for σ_pred(L ×̄ R) with at least one
-// extracted equi-join key. The right side is materialized and partitioned
-// by the ground values of its key columns; rows with variable key cells go
-// to the residual bucket. Each left row probes the bucket matching its own
-// ground key values and always scans the residual bucket; left rows with
-// variable key cells scan the whole right side. Every emitted pair carries
-// exactly the condition the nested-loop path would have built for it —
-// opts.cond(φ1 ∧ φ2) strengthened with the symbolic predicate — and pairs
-// are emitted in nested-loop order (right rows by ascending index per left
-// row), so with simplification on the output is the nested-loop output
-// minus its constant-false rows.
-type hashJoinOp struct {
-	left, right Iterator
-	keys        []JoinKey
-	pred        ra.Predicate
-	opts        Options
-
-	rightRows []Row
-	buckets   map[string][]int
-	residual  []int
-	all       []int
-
-	cur     Row
-	haveCur bool
-	cand    []int
-	candBuf []int
-	keyBuf  []byte
-	pos     int
-}
-
-func (h *hashJoinOp) Open() error {
-	rows, err := Drain(h.right)
-	if err != nil {
-		return err
-	}
-	h.rightRows = rows
-	h.opts.Stats.in(uint64(len(rows)))
-	h.buckets = make(map[string][]int)
-	h.residual, h.all, h.cand, h.haveCur = nil, nil, nil, false
-	var keyBuf []byte
-	for i, r := range rows {
-		key, ok := groundJoinKey(keyBuf[:0], r.Terms, h.keys, false)
-		if !ok {
-			h.residual = append(h.residual, i)
-			continue
-		}
-		h.buckets[string(key)] = append(h.buckets[string(key)], i)
-		keyBuf = key
-	}
-	return h.left.Open()
-}
-
-func (h *hashJoinOp) Next() (Row, bool, error) {
-	for {
-		if !h.haveCur {
-			r, ok, err := h.left.Next()
-			if err != nil || !ok {
-				return Row{}, false, err
-			}
-			h.opts.Stats.in(1)
-			h.cur, h.haveCur, h.pos = r, true, 0
-			h.cand = h.candidates(r)
-		}
-		if h.pos >= len(h.cand) {
-			h.haveCur = false
-			continue
-		}
-		r2 := h.rightRows[h.cand[h.pos]]
-		h.pos++
-		terms := make([]condition.Term, 0, len(h.cur.Terms)+len(r2.Terms))
-		terms = append(terms, h.cur.Terms...)
-		terms = append(terms, r2.Terms...)
-		cross := h.opts.cond(condition.And(h.cur.Cond, r2.Cond))
-		pc, err := PredicateCondition(h.pred, terms)
-		if err != nil {
-			return Row{}, false, err
-		}
-		h.opts.Stats.out(1)
-		return Row{Terms: terms, Cond: h.opts.cond(condition.And(cross, pc))}, true, nil
-	}
-}
-
-func (h *hashJoinOp) Close() {
-	h.left.Close()
-	h.rightRows, h.buckets, h.residual, h.all, h.cand, h.candBuf, h.keyBuf = nil, nil, nil, nil, nil, nil, nil
-}
-
-// candidates returns the right-row indexes the probe row r can possibly
-// join with, in ascending (nested-loop) order.
-func (h *hashJoinOp) candidates(r Row) []int {
-	key, ok := groundJoinKey(h.keyBuf[:0], r.Terms, h.keys, true)
-	h.keyBuf = key
-	if !ok {
-		// A variable key cell on the probe side can match any build value:
-		// fall back to scanning the whole build side for this row.
-		h.opts.Stats.residual(uint64(len(h.rightRows)))
-		return h.allIndexes()
-	}
-	h.opts.Stats.probe()
-	h.opts.Stats.residual(uint64(len(h.residual)))
-	bucket := h.buckets[string(key)]
-	if len(h.residual) == 0 {
-		return bucket
-	}
-	if len(bucket) == 0 {
-		return h.residual
-	}
-	// Merge the two ascending index lists to preserve nested-loop order.
-	h.candBuf = mergeAscending(h.candBuf, bucket, h.residual)
-	return h.candBuf
-}
-
-func (h *hashJoinOp) allIndexes() []int {
-	if h.all == nil {
-		h.all = make([]int, len(h.rightRows))
-		for i := range h.all {
-			h.all[i] = i
-		}
-	}
-	return h.all
-}
-
-// groundJoinKey appends the packed ground key of the row's join columns to
-// dst. ok is false when any key cell is a variable term. probe selects the
-// left (probe) side of each key pair, otherwise the right (build) side.
-func groundJoinKey(dst []byte, terms []condition.Term, keys []JoinKey, probe bool) ([]byte, bool) {
-	for _, k := range keys {
-		col := k.Right
-		if probe {
-			col = k.Left
-		}
-		t := terms[col]
-		if t.IsVar {
-			return dst, false
-		}
-		dst = appendValueKey(dst, t.Const)
-	}
-	return dst, true
-}
-
-// groundRowKey appends the packed key of a fully ground row; ok is false
-// when any cell is a variable term.
-func groundRowKey(dst []byte, terms []condition.Term) ([]byte, bool) {
-	for _, t := range terms {
-		if t.IsVar {
-			return dst, false
-		}
-		dst = appendValueKey(dst, t.Const)
-	}
-	return dst, true
-}
-
-// appendValueKey appends a length-prefixed value key so concatenated keys
-// cannot collide across column boundaries.
-func appendValueKey(dst []byte, v value.Value) []byte {
-	k := v.Key()
-	dst = strconv.AppendInt(dst, int64(len(k)), 10)
-	dst = append(dst, ':')
-	return append(dst, k...)
-}
-
-// groundPartition splits materialized rows into buckets keyed by their
-// packed ground tuple plus the residual indexes of rows with variable
-// cells. It is the build phase shared by the hash difference and
-// intersection.
-func groundPartition(rows []Row) (buckets map[string][]int, residual []int) {
-	buckets = make(map[string][]int)
-	var keyBuf []byte
-	for i, r := range rows {
-		key, ok := groundRowKey(keyBuf[:0], r.Terms)
-		if !ok {
-			residual = append(residual, i)
-			continue
-		}
-		buckets[string(key)] = append(buckets[string(key)], i)
-		keyBuf = key
-	}
-	return buckets, residual
-}
-
-// mergeAscending merges two ascending index lists into buf (the iterator
-// operators index with int, the batch engine with int32).
-func mergeAscending[T int | int32](buf, a, b []T) []T {
+// mergeAscending merges two ascending index lists into buf.
+func mergeAscending(buf, a, b []int32) []int32 {
 	buf = buf[:0]
 	i, j := 0, 0
 	for i < len(a) && j < len(b) {
@@ -337,95 +141,92 @@ func mergeAscending[T int | int32](buf, a, b []T) []T {
 	return append(buf, b[j:]...)
 }
 
-// Explain renders the physical operator tree Build produces for q — one
-// line per operator, children indented — after applying the same validation
-// and rewriting Run would. When the batch engine is active (the default)
-// every operator is prefixed "batch-", since the same tree executes
-// vectorized over morsels of interned-ID columns. It is what the engine
-// caches alongside a compiled plan and what /v1/query returns in the "plan"
-// field.
+// planPrefix marks every operator line of a rendered plan (Explain and
+// Analyze's PlanNode.Op) as executed by the vectorized batch engine.
+const planPrefix = "batch-"
+
+// Explain renders the physical plan Run executes for q — one line per
+// operator, children indented, every operator prefixed "batch-" — after
+// applying the same validation and rewriting Run would. It is what the
+// engine caches alongside a compiled plan and what /v1/query returns in the
+// "plan" field. Its lines are the pre-order rendering of Analyze's plan
+// tree.
 func Explain(q ra.Query, env Env, opts Options) (string, error) {
-	arities := make(ra.ArityEnv, len(env))
-	for name, m := range env {
-		arities[name] = m.Arity()
-	}
+	arities := modelArities(env)
 	if _, err := ra.Arity(q, arities); err != nil {
 		return "", err
 	}
 	if opts.Rewrite {
 		q = Rewrite(q, arities)
 	}
-	// Explain must not count plan compilations twice.
-	opts.Stats = nil
-	it, err := build(q, env, arities, opts)
-	if err != nil {
+	e := explainer{ar: arities, opts: opts}
+	if err := e.node(q, 0); err != nil {
 		return "", err
 	}
-	prefix := "batch-"
-	if opts.NoBatch {
-		prefix = ""
-	}
-	var b strings.Builder
-	explainOp(&b, it, 0, prefix)
-	return strings.TrimRight(b.String(), "\n"), nil
+	return strings.TrimSuffix(e.b.String(), "\n"), nil
 }
 
-func explainOp(b *strings.Builder, it Iterator, depth int, prefix string) {
-	indent := strings.Repeat("  ", depth)
-	fmt.Fprintf(b, "%s%s%s\n", indent, prefix, opLabel(it))
-	for _, c := range opChildren(it) {
-		explainOp(b, c, depth+1, prefix)
-	}
+// explainer walks a validated (and possibly rewritten) query in the shape
+// the batch engine's eval executes it.
+type explainer struct {
+	b    strings.Builder
+	ar   ra.ArityEnv
+	opts Options
 }
 
-// opLabel renders one operator's plan line — the label shared between
-// Explain's indented tree and the EXPLAIN ANALYZE plan nodes, so the two
-// renderings cannot drift.
-func opLabel(it Iterator) string {
-	switch op := it.(type) {
-	case *scanOp:
-		return labelScan(op.name)
-	case *constOp:
-		return labelConst(len(op.rel.Tuples()))
-	case *selectOp:
-		return labelSelect(op.pred)
-	case *projectOp:
-		return labelProject(op.cols)
-	case *crossOp:
-		return labelCross
-	case *hashJoinOp:
-		return labelHashJoin(op.keys, op.pred)
-	case *unionOp:
-		return labelUnion
-	case *diffOp:
-		return labelDiff(op.opts)
-	case *intersectOp:
-		return labelIntersect(op.opts)
-	default:
-		return fmt.Sprintf("%T", it)
-	}
-}
-
-// opChildren returns an operator's input iterators in plan (left-to-right)
-// order.
-func opChildren(it Iterator) []Iterator {
-	switch op := it.(type) {
-	case *selectOp:
-		return []Iterator{op.in}
-	case *projectOp:
-		return []Iterator{op.in}
-	case *crossOp:
-		return []Iterator{op.left, op.right}
-	case *hashJoinOp:
-		return []Iterator{op.left, op.right}
-	case *unionOp:
-		return []Iterator{op.left, op.right}
-	case *diffOp:
-		return []Iterator{op.left, op.right}
-	case *intersectOp:
-		return []Iterator{op.left, op.right}
+// op writes one operator line at depth, then its inputs one level deeper.
+func (e *explainer) op(depth int, label string, inputs ...ra.Query) error {
+	e.b.WriteString(strings.Repeat("  ", depth))
+	e.b.WriteString(planPrefix)
+	e.b.WriteString(label)
+	e.b.WriteByte('\n')
+	for _, in := range inputs {
+		if err := e.node(in, depth+1); err != nil {
+			return err
+		}
 	}
 	return nil
+}
+
+// node renders the operator(s) q executes as, at depth.
+func (e *explainer) node(q ra.Query, depth int) error {
+	switch q := q.(type) {
+	case ra.BaseRel:
+		return e.op(depth, labelScan(q.Name))
+	case ra.ConstRel:
+		return e.op(depth, labelConst(len(q.Rel.Tuples())))
+	case ra.SelectQ:
+		if cq, ok := q.Input.(ra.CrossQ); ok {
+			return e.join(cq.Left, cq.Right, q.Pred, depth)
+		}
+		return e.op(depth, labelSelect(q.Pred), q.Input)
+	case ra.ProjectQ:
+		return e.op(depth, labelProject(q.Cols), q.Input)
+	case ra.CrossQ:
+		return e.op(depth, labelCross, q.Left, q.Right)
+	case ra.JoinQ:
+		return e.join(q.Left, q.Right, q.Pred, depth)
+	case ra.UnionQ:
+		return e.op(depth, labelUnion, q.Left, q.Right)
+	case ra.DiffQ:
+		return e.op(depth, labelDiff(e.opts), q.Left, q.Right)
+	case ra.IntersectQ:
+		return e.op(depth, labelIntersect(e.opts), q.Left, q.Right)
+	default:
+		return fmt.Errorf("exec: unsupported query node %T", q)
+	}
+}
+
+// join renders σ_pred(left × right): one hash-join operator, or the
+// nested-loop fallback's two operators, select over cross.
+func (e *explainer) join(left, right ra.Query, pred ra.Predicate, depth int) error {
+	if keys, _ := joinStrategy(left, pred, e.ar, e.opts); len(keys) > 0 {
+		return e.op(depth, labelHashJoin(keys, pred), left, right)
+	}
+	if err := e.op(depth, labelSelect(pred)); err != nil {
+		return err
+	}
+	return e.op(depth+1, labelCross, left, right)
 }
 
 const (

@@ -216,3 +216,27 @@ func TestExplain(t *testing.T) {
 		t.Errorf("diff plan not hash-partitioned:\n%s", plan)
 	}
 }
+
+// With rewrites off the JoinQ is not normalized to σ over ×, yet it still
+// runs as a hash join: the key extraction reads the join predicate
+// directly. The serving engine always rewrites; this pins the unrewritten
+// path the single-operator ctable functions and maintenance's delta queries
+// use.
+func TestHashJoinWithoutRewrites(t *testing.T) {
+	env := joinTables()
+	plan, err := exec.Explain(equiJoinQuery, env.ExecEnv(), exec.Options{Simplify: true, Rewrite: false})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := "batch-hash-join[$1=$1] pred=$1=$3 build=right\n  batch-scan(R)\n  batch-scan(S)"; plan != want {
+		t.Errorf("plan with rewrites off:\n%s\nwant:\n%s", plan, want)
+	}
+	var stats exec.OpStats
+	if _, err := ctable.EvalQueryEnvWithOptions(equiJoinQuery, env,
+		ctable.Options{Simplify: true, Rewrite: false, Stats: &stats}); err != nil {
+		t.Fatal(err)
+	}
+	if stats.HashJoins != 1 || stats.NestedLoopJoins != 0 {
+		t.Errorf("ops: %+v, want one hash join", stats)
+	}
+}

@@ -1,16 +1,17 @@
 package uncertaindb
 
 // Incremental-maintenance acceptance: randomized patch streams driven
-// through maintained engines across the plan-option grid, a follower tailing
+// through maintained engines for two request engines, a follower tailing
 // the patched leader, and an independently patched shadow state. At every
 // catalog version, the delta-maintained answer must be byte-identical (rows,
-// conditions, order) to a from-scratch recompile over the same catalog, the
+// conditions, order) to a from-scratch recompile over the same catalog, with
+// the same effective engine and auto-selector decision, the
 // maintained marginals must match the exact big.Rat ground truth of an eager
 // evaluation over the shadow state, and the patched catalog's canonical
-// table encodings must equal the shadow's to the byte. The hash-path axis of
-// the plan grid lives below the engine (exec options) and is covered by the
-// operator-core grid test in equivalence_test.go; the engine grid here is
-// rewrites × batch.
+// table encodings must equal the shadow's to the byte. The plan-option grid
+// (rewrites × hash path) lives below the engine (exec options) and is
+// covered by the operator-core grid test in equivalence_test.go; the axis
+// here is the request engine: the default and "auto".
 
 import (
 	"flag"
@@ -20,6 +21,7 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -61,9 +63,9 @@ var maintQueries = []string{
 }
 
 // newMaintEngine builds an engine over a fresh catalog holding R and S.
-func newMaintEngine(t *testing.T, opts engine.Options) *engine.Engine {
+func newMaintEngine(t *testing.T) *engine.Engine {
 	t.Helper()
-	e := engine.New(catalog.New(), opts)
+	e := engine.New(catalog.New(), engine.Options{})
 	for _, script := range []string{maintRScript, maintSScript} {
 		pt, err := parser.ParseTableString(script)
 		if err != nil {
@@ -187,15 +189,16 @@ func exactAnswerRats(t *testing.T, q string, env pctable.Env) map[string]string 
 }
 
 // assertMaintainedEqualsFresh executes req on the maintained engine and on a
-// fresh engine sharing its catalog, requiring byte-identical answers, plans
-// and bit-identical tuple marginals.
-func assertMaintainedEqualsFresh(t *testing.T, e *engine.Engine, opts engine.Options, req engine.Request, label string) *engine.Result {
+// fresh engine sharing its catalog, requiring byte-identical answers and
+// plans, the same effective engine and selector decision, and bit-identical
+// tuple marginals.
+func assertMaintainedEqualsFresh(t *testing.T, e *engine.Engine, req engine.Request, label string) *engine.Result {
 	t.Helper()
 	got, err := e.Execute(req)
 	if err != nil {
 		t.Fatalf("%s: maintained execute %s: %v", label, req.Query, err)
 	}
-	want, err := engine.New(e.Catalog(), opts).Execute(req)
+	want, err := engine.New(e.Catalog(), engine.Options{}).Execute(req)
 	if err != nil {
 		t.Fatalf("%s: fresh execute %s: %v", label, req.Query, err)
 	}
@@ -207,6 +210,12 @@ func assertMaintainedEqualsFresh(t *testing.T, e *engine.Engine, opts engine.Opt
 	}
 	if got.CatalogVersion != want.CatalogVersion {
 		t.Errorf("%s: %s: catalog version %d != %d", label, req.Query, got.CatalogVersion, want.CatalogVersion)
+	}
+	if got.Effective != want.Effective {
+		t.Errorf("%s: %s: maintained plan ran engine %s, recompile %s", label, req.Query, got.Effective, want.Effective)
+	}
+	if !reflect.DeepEqual(got.Selection, want.Selection) {
+		t.Errorf("%s: %s: maintained selection differs:\n got: %+v\nwant: %+v", label, req.Query, got.Selection, want.Selection)
 	}
 	if len(got.Tuples) != len(want.Tuples) {
 		t.Fatalf("%s: %s: %d tuples, recompile has %d", label, req.Query, len(got.Tuples), len(want.Tuples))
@@ -261,23 +270,21 @@ func assertMatchesExact(t *testing.T, res *engine.Result, rats map[string]string
 }
 
 // TestPatchStreamEquivalence is the randomized acceptance property: for
-// every prefix of a random patch stream, across the rewrites × batch engine
-// grid, the maintained engines, a fresh recompile, a follower tailing the
-// leader's change feed, and the eager shadow evaluation all agree exactly.
+// every prefix of a random patch stream, for the default and the "auto"
+// request engine, the maintained engines, a fresh recompile, a follower
+// tailing the leader's change feed, and the eager shadow evaluation all
+// agree exactly.
 func TestPatchStreamEquivalence(t *testing.T) {
 	type cell struct {
-		opts engine.Options
+		kind string // request engine
 		e    *engine.Engine
 	}
 	for _, seed := range []int64{7, 8} {
 		seed := seed
 		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
 			var cells []cell
-			for _, rw := range []bool{false, true} {
-				for _, batch := range []bool{false, true} {
-					opts := engine.Options{DisableRewrites: rw, DisableBatch: batch}
-					cells = append(cells, cell{opts, newMaintEngine(t, opts)})
-				}
+			for _, kind := range []string{"", "auto"} {
+				cells = append(cells, cell{kind, newMaintEngine(t)})
 			}
 			leader := cells[0].e
 
@@ -314,7 +321,7 @@ func TestPatchStreamEquivalence(t *testing.T) {
 			// Warm every plan cache so the patches have plans to maintain.
 			for _, c := range cells {
 				for _, q := range maintQueries {
-					if _, err := c.e.Execute(engine.Request{Query: q}); err != nil {
+					if _, err := c.e.Execute(engine.Request{Query: q, Engine: c.kind}); err != nil {
 						t.Fatalf("prime %s: %v", q, err)
 					}
 				}
@@ -354,14 +361,14 @@ func TestPatchStreamEquivalence(t *testing.T) {
 					rats := exactAnswerRats(t, q, shadow)
 					var leaderRes *engine.Result
 					for i, c := range cells {
-						label := fmt.Sprintf("step %d cell rw=%v batch=%v", step, c.opts.DisableRewrites, c.opts.DisableBatch)
-						res := assertMaintainedEqualsFresh(t, c.e, c.opts, engine.Request{Query: q}, label)
+						label := fmt.Sprintf("step %d engine=%q", step, c.kind)
+						res := assertMaintainedEqualsFresh(t, c.e, engine.Request{Query: q, Engine: c.kind}, label)
 						assertMatchesExact(t, res, rats, label, q)
 						if i == 0 {
 							leaderRes = res
 						}
 					}
-					fres := assertMaintainedEqualsFresh(t, follower, engine.Options{}, engine.Request{Query: q}, fmt.Sprintf("step %d follower", step))
+					fres := assertMaintainedEqualsFresh(t, follower, engine.Request{Query: q}, fmt.Sprintf("step %d follower", step))
 					if fres.Answer != leaderRes.Answer || fres.CatalogVersion != leaderRes.CatalogVersion {
 						t.Errorf("step %d: %s: follower diverged from leader:\nleader:   %s @%d\nfollower: %s @%d",
 							step, q, leaderRes.Answer, leaderRes.CatalogVersion, fres.Answer, fres.CatalogVersion)
@@ -372,10 +379,10 @@ func TestPatchStreamEquivalence(t *testing.T) {
 			for _, c := range cells {
 				st := c.e.Stats().Maintenance
 				if st.PatchesApplied != steps {
-					t.Errorf("cell rw=%v batch=%v: patchesApplied = %d, want %d", c.opts.DisableRewrites, c.opts.DisableBatch, st.PatchesApplied, steps)
+					t.Errorf("engine=%q: patchesApplied = %d, want %d", c.kind, st.PatchesApplied, steps)
 				}
 				if st.PlansMaintained == 0 {
-					t.Errorf("cell rw=%v batch=%v: no plans maintained", c.opts.DisableRewrites, c.opts.DisableBatch)
+					t.Errorf("engine=%q: no plans maintained", c.kind)
 				}
 			}
 			if st := follower.Stats().Maintenance; st.PlansMaintained == 0 {
@@ -455,7 +462,7 @@ func renderPatchWorkload(t *testing.T, e *engine.Engine) string {
 // Regenerate with `go test . -run TestGoldenPatchWorkload -update-patch-golden`
 // and review the diff — a change here is a maintenance-semantics change.
 func TestGoldenPatchWorkload(t *testing.T) {
-	leader := newMaintEngine(t, engine.Options{})
+	leader := newMaintEngine(t)
 	w, err := leader.Catalog().Watch(0)
 	if err != nil {
 		t.Fatal(err)

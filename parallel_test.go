@@ -18,8 +18,9 @@ import (
 // split into several morsels must produce the byte-identical answer table —
 // same rows, same condition syntax, same ordering — at workers=1, 2 and 8,
 // and every exact big.Rat tuple marginal must be bit-identical across
-// worker counts and to the tuple-at-a-time twin. The CI race job runs this
-// under -race, so the parallel driver is also exercised for data races.
+// worker counts. The CI race job runs this under -race, so the parallel
+// driver is also exercised for data races. (TestCoreMatchesEagerSyntax in
+// internal/exec checks multi-morsel answers against the eager evaluator.)
 func TestParallelWorkersDeterministic(t *testing.T) {
 	// A join+projection spine over >BatchSize rows: the scan splits into two
 	// morsels, the probe pipeline runs them concurrently, and the projection
@@ -38,20 +39,12 @@ func TestParallelWorkersDeterministic(t *testing.T) {
 	if renderings[2] != renderings[1] || renderings[8] != renderings[1] {
 		t.Fatal("parallel execution changed the rendered answer (ordering or condition syntax)")
 	}
-	tuple, err := ctable.EvalQueryEnvWithOptions(q, env,
-		ctable.Options{Simplify: true, Rewrite: true, NoBatch: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if tuple.String() != renderings[1] {
-		t.Fatal("batch answer differs from the tuple-at-a-time twin")
-	}
 
 	// Marginals: a symbolic workload with >BatchSize rows but few variables,
 	// so exact lineage probabilities are cheap. Row i is guarded by one of
 	// four shared variables, every answer tuple's lineage is a disjunction
 	// spanning morsel boundaries, and the exact big.Rat marginal must agree
-	// bit for bit across worker counts and engines.
+	// bit for bit across worker counts.
 	const rows = 1100
 	dom := value.IntRange(1, 3)
 	tab := ctable.New(2)
@@ -68,38 +61,34 @@ func TestParallelWorkersDeterministic(t *testing.T) {
 			ra.Join(ra.Rel("T"), ra.Rel("T"),
 				ra.AndOf(ra.Eq(ra.Col(0), ra.Col(2)), ra.Eq(ra.Col(1), ra.Col(3))))))
 	menv := ctable.Env{"T": tab}
-	type answerKey struct {
-		workers int
-		batch   bool
-	}
-	marginals := make(map[answerKey][]string)
-	for _, cfg := range []answerKey{{1, true}, {2, true}, {8, true}, {0, false}} {
+	marginals := make(map[int][]string)
+	for _, workers := range []int{1, 2, 8} {
 		res, err := ctable.EvalQueryEnvWithOptions(qm, menv,
-			ctable.Options{Simplify: true, Rewrite: true, Workers: cfg.workers, NoBatch: !cfg.batch})
+			ctable.Options{Simplify: true, Rewrite: true, Workers: workers})
 		if err != nil {
-			t.Fatalf("%+v: %v", cfg, err)
+			t.Fatalf("workers=%d: %v", workers, err)
 		}
 		pc, err := pctable.UniformPCTable(res)
 		if err != nil {
-			t.Fatalf("%+v: %v", cfg, err)
+			t.Fatalf("workers=%d: %v", workers, err)
 		}
 		exact := probcalc.NewExact(pc)
 		var rats []string
 		for k := int64(0); k < 7; k++ {
 			rat, err := exact.ProbabilityRat(pc.Lineage(value.NewTuple(value.Int(k))))
 			if err != nil {
-				t.Fatalf("%+v: marginal of (%d): %v", cfg, k, err)
+				t.Fatalf("workers=%d: marginal of (%d): %v", workers, k, err)
 			}
 			rats = append(rats, rat.RatString())
 		}
-		marginals[cfg] = rats
+		marginals[workers] = rats
 	}
-	want := marginals[answerKey{1, true}]
-	for cfg, rats := range marginals {
+	want := marginals[1]
+	for workers, rats := range marginals {
 		for i := range rats {
 			if rats[i] != want[i] {
-				t.Errorf("%+v: marginal of (%d) = %s, workers=1 batch = %s — not bit-identical",
-					cfg, i, rats[i], want[i])
+				t.Errorf("workers=%d: marginal of (%d) = %s, workers=1 = %s — not bit-identical",
+					workers, i, rats[i], want[i])
 			}
 		}
 	}

@@ -100,14 +100,6 @@ type Config struct {
 	// engine splits base-table scans into morsels executed on a pool of
 	// this size). Zero or negative selects GOMAXPROCS.
 	Workers int
-	// DisableRewrites turns off the logical-plan rewriter (predicate
-	// pushdown, projection pruning). Rewrites never change answers, only
-	// compilation cost, so they are on by default.
-	DisableRewrites bool
-	// DisableBatch turns off the vectorized batch engine, restoring the
-	// tuple-at-a-time iterator operators (byte-identical answers, only
-	// slower); a debugging aid.
-	DisableBatch bool
 	// DataDir, when non-empty, makes the catalog durable: every mutation is
 	// appended to a write-ahead log in this directory before it is
 	// acknowledged, compacted snapshots are written every SnapshotEvery
@@ -241,11 +233,9 @@ func Open(cfg Config) (*DB, error) {
 		ob = obs.NewObserver(threshold, slowCap)
 	}
 	engOpts := engine.Options{
-		CacheSize:       cfg.CacheSize,
-		Workers:         cfg.Workers,
-		DisableRewrites: cfg.DisableRewrites,
-		DisableBatch:    cfg.DisableBatch,
-		Obs:             ob,
+		CacheSize: cfg.CacheSize,
+		Workers:   cfg.Workers,
+		Obs:       ob,
 	}
 	window := func(cat *catalog.Catalog) *catalog.Catalog {
 		if cfg.ChangeWindow > 0 {
