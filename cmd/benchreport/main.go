@@ -35,7 +35,7 @@ import (
 	"uncertaindb/internal/prob"
 	"uncertaindb/internal/probcalc"
 	"uncertaindb/internal/ra"
-	"uncertaindb/internal/replica"
+	"uncertaindb/internal/router"
 	"uncertaindb/internal/value"
 	"uncertaindb/internal/wal"
 	"uncertaindb/internal/workload"
@@ -533,7 +533,7 @@ func replication(out io.Writer) {
 
 	// Router overhead: the same warm query served by the replica directly
 	// vs through the router (health-checked fan-out, stamping, relaying).
-	router, err := replica.NewRouter(replica.RouterOptions{
+	rt, err := router.New(router.Options{
 		Leader:         leaderSrv.URL,
 		Replicas:       []string{fSrv.URL},
 		HealthInterval: 20 * time.Millisecond,
@@ -542,9 +542,9 @@ func replication(out io.Writer) {
 	if err != nil {
 		panic(err)
 	}
-	router.Start()
-	defer router.Close()
-	routerSrv := httptest.NewServer(router.Handler())
+	rt.Start()
+	defer rt.Close()
+	routerSrv := httptest.NewServer(rt.Handler())
 	defer routerSrv.Close()
 	for { // wait for the health loop to admit the replica
 		resp, err := http.Post(routerSrv.URL+"/v1/query", "application/json",

@@ -72,10 +72,8 @@
 // -data-dir and -follow are mutually exclusive: the leader owns the durable
 // history, a follower replicates it.
 //
-// The pre-versioning unversioned routes (/tables, /query, /stats) remain as
-// deprecated aliases of the same handlers; responses on them carry a
-// "Deprecation: true" header and a Link to the /v1 successor. New clients
-// should use /v1 only.
+// Every route is under /v1 except /metrics; the pre-versioning unversioned
+// aliases (/tables, /query, /stats) are gone and answer 404.
 //
 // Errors are classified: a query referencing an unknown table is 404, a
 // request that can never succeed (bad query text, unknown engine, table

@@ -56,17 +56,17 @@ func doJSON(t *testing.T, method, url string, body string) (int, []byte) {
 
 func putTakes(t *testing.T, srv *httptest.Server) {
 	t.Helper()
-	status, body := doJSON(t, http.MethodPut, srv.URL+"/tables/Takes", takesScript)
+	status, body := doJSON(t, http.MethodPut, srv.URL+"/v1/tables/Takes", takesScript)
 	if status != http.StatusOK {
-		t.Fatalf("PUT /tables/Takes: status %d: %s", status, body)
+		t.Fatalf("PUT /v1/tables/Takes: status %d: %s", status, body)
 	}
 }
 
 func postQuery(t *testing.T, srv *httptest.Server, reqBody string) queryResponse {
 	t.Helper()
-	status, body := doJSON(t, http.MethodPost, srv.URL+"/query", reqBody)
+	status, body := doJSON(t, http.MethodPost, srv.URL+"/v1/query", reqBody)
 	if status != http.StatusOK {
-		t.Fatalf("POST /query: status %d: %s", status, body)
+		t.Fatalf("POST /v1/query: status %d: %s", status, body)
 	}
 	var qr queryResponse
 	if err := json.Unmarshal(body, &qr); err != nil {
@@ -137,28 +137,28 @@ func TestTableEndpoints(t *testing.T) {
 	srv, _ := newTestServer(t)
 	putTakes(t, srv)
 
-	status, body := doJSON(t, http.MethodGet, srv.URL+"/tables", "")
+	status, body := doJSON(t, http.MethodGet, srv.URL+"/v1/tables", "")
 	if status != http.StatusOK || !strings.Contains(string(body), `"Takes"`) {
-		t.Fatalf("GET /tables: %d %s", status, body)
+		t.Fatalf("GET /v1/tables: %d %s", status, body)
 	}
-	status, body = doJSON(t, http.MethodGet, srv.URL+"/tables/Takes", "")
+	status, body = doJSON(t, http.MethodGet, srv.URL+"/v1/tables/Takes", "")
 	if status != http.StatusOK || !strings.Contains(string(body), `"probabilistic":true`) {
-		t.Fatalf("GET /tables/Takes: %d %s", status, body)
+		t.Fatalf("GET /v1/tables/Takes: %d %s", status, body)
 	}
-	if status, _ = doJSON(t, http.MethodGet, srv.URL+"/tables/Nope", ""); status != http.StatusNotFound {
-		t.Errorf("GET /tables/Nope: status %d, want 404", status)
+	if status, _ = doJSON(t, http.MethodGet, srv.URL+"/v1/tables/Nope", ""); status != http.StatusNotFound {
+		t.Errorf("GET /v1/tables/Nope: status %d, want 404", status)
 	}
 	// Script name must match the URL.
-	if status, _ = doJSON(t, http.MethodPut, srv.URL+"/tables/Other", takesScript); status != http.StatusBadRequest {
+	if status, _ = doJSON(t, http.MethodPut, srv.URL+"/v1/tables/Other", takesScript); status != http.StatusBadRequest {
 		t.Errorf("PUT with mismatched name: status %d, want 400", status)
 	}
-	if status, _ = doJSON(t, http.MethodPut, srv.URL+"/tables/Bad", "garbage"); status != http.StatusBadRequest {
+	if status, _ = doJSON(t, http.MethodPut, srv.URL+"/v1/tables/Bad", "garbage"); status != http.StatusBadRequest {
 		t.Errorf("PUT with bad script: status %d, want 400", status)
 	}
-	if status, _ = doJSON(t, http.MethodDelete, srv.URL+"/tables/Takes", ""); status != http.StatusOK {
-		t.Errorf("DELETE /tables/Takes: status %d, want 200", status)
+	if status, _ = doJSON(t, http.MethodDelete, srv.URL+"/v1/tables/Takes", ""); status != http.StatusOK {
+		t.Errorf("DELETE /v1/tables/Takes: status %d, want 200", status)
 	}
-	if status, _ = doJSON(t, http.MethodDelete, srv.URL+"/tables/Takes", ""); status != http.StatusNotFound {
+	if status, _ = doJSON(t, http.MethodDelete, srv.URL+"/v1/tables/Takes", ""); status != http.StatusNotFound {
 		t.Errorf("second DELETE: status %d, want 404", status)
 	}
 }
@@ -174,7 +174,7 @@ func TestQueryErrors(t *testing.T) {
 		`{"query": "project[1](Takes)", "unknown": 1}`, // unknown field
 	}
 	for _, body := range cases {
-		status, resp := doJSON(t, http.MethodPost, srv.URL+"/query", body)
+		status, resp := doJSON(t, http.MethodPost, srv.URL+"/v1/query", body)
 		if status != http.StatusBadRequest {
 			t.Errorf("body %s: status %d (%s), want 400", body, status, resp)
 		}
@@ -195,9 +195,9 @@ func TestStatsEndpoint(t *testing.T) {
 	postQuery(t, srv, `{"query": "project[1](Takes)"}`)
 	postQuery(t, srv, `{"query": "project[1](Takes)"}`)
 
-	status, body := doJSON(t, http.MethodGet, srv.URL+"/stats", "")
+	status, body := doJSON(t, http.MethodGet, srv.URL+"/v1/stats", "")
 	if status != http.StatusOK {
-		t.Fatalf("GET /stats: %d %s", status, body)
+		t.Fatalf("GET /v1/stats: %d %s", status, body)
 	}
 	var stats statsResponse
 	if err := json.Unmarshal(body, &stats); err != nil {
@@ -229,9 +229,9 @@ func TestConcurrentClients(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < 15; i++ {
 				body := queries[(w+i)%len(queries)]
-				status, resp := doJSON(t, http.MethodPost, srv.URL+"/query", body)
+				status, resp := doJSON(t, http.MethodPost, srv.URL+"/v1/query", body)
 				if status != http.StatusOK {
-					t.Errorf("POST /query %s: %d %s", body, status, resp)
+					t.Errorf("POST /v1/query %s: %d %s", body, status, resp)
 					return
 				}
 			}
@@ -241,9 +241,9 @@ func TestConcurrentClients(t *testing.T) {
 	go func() {
 		defer wg.Done()
 		for i := 0; i < 10; i++ {
-			status, resp := doJSON(t, http.MethodPut, srv.URL+"/tables/Takes", takesScript)
+			status, resp := doJSON(t, http.MethodPut, srv.URL+"/v1/tables/Takes", takesScript)
 			if status != http.StatusOK {
-				t.Errorf("PUT /tables/Takes: %d %s", status, resp)
+				t.Errorf("PUT /v1/tables/Takes: %d %s", status, resp)
 				return
 			}
 		}
@@ -302,14 +302,14 @@ func TestRunLifecycle(t *testing.T) {
 		t.Errorf("startup output missing catalog load line:\n%s", out.String())
 	}
 
-	resp, err := http.Get(base + "/tables")
+	resp, err := http.Get(base + "/v1/tables")
 	if err != nil {
 		t.Fatal(err)
 	}
 	body, _ := io.ReadAll(resp.Body)
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusOK || !strings.Contains(string(body), `"Takes"`) {
-		t.Fatalf("GET /tables on the live daemon: %d %s", resp.StatusCode, body)
+		t.Fatalf("GET /v1/tables on the live daemon: %d %s", resp.StatusCode, body)
 	}
 
 	cancel()

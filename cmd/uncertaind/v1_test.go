@@ -12,10 +12,9 @@ import (
 	"uncertaindb/pkg/uncertain"
 )
 
-// The /v1 surface serves the same handlers as the legacy routes, without
-// deprecation headers; the legacy routes carry Deprecation and a successor
-// Link.
-func TestV1RoutesAndDeprecationHeaders(t *testing.T) {
+// The /v1 surface is the only one: the removed unversioned aliases of the
+// table, query and stats routes answer 404.
+func TestV1RoutesAndUnversionedGone(t *testing.T) {
 	srv, _ := newTestServer(t)
 
 	status, body := doJSON(t, http.MethodPut, srv.URL+"/v1/tables/Takes", takesScript)
@@ -23,38 +22,21 @@ func TestV1RoutesAndDeprecationHeaders(t *testing.T) {
 		t.Fatalf("PUT /v1/tables/Takes: %d %s", status, body)
 	}
 	for _, path := range []string{"/v1/tables", "/v1/tables/Takes", "/v1/stats"} {
-		resp, err := http.Get(srv.URL + path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		resp.Body.Close()
-		if resp.StatusCode != http.StatusOK {
-			t.Errorf("GET %s: status %d", path, resp.StatusCode)
-		}
-		if d := resp.Header.Get("Deprecation"); d != "" {
-			t.Errorf("GET %s: unexpected Deprecation header %q on the versioned surface", path, d)
+		if status, body := doJSON(t, http.MethodGet, srv.URL+path, ""); status != http.StatusOK {
+			t.Errorf("GET %s: status %d %s", path, status, body)
 		}
 	}
+	postPath(t, srv, "/v1/query", `{"query": "project[1](Takes)"}`)
 
-	resp, err := http.Get(srv.URL + "/tables")
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.Header.Get("Deprecation") != "true" {
-		t.Errorf("legacy /tables: missing Deprecation header")
-	}
-	if link := resp.Header.Get("Link"); !strings.Contains(link, "</v1/tables>") || !strings.Contains(link, "successor-version") {
-		t.Errorf("legacy /tables: Link = %q, want successor-version pointer to /v1/tables", link)
-	}
-
-	// Same answers on both surfaces.
-	v1 := postPath(t, srv, "/v1/query", `{"query": "project[1](Takes)"}`)
-	legacy := postPath(t, srv, "/query", `{"query": "project[1](Takes)"}`)
-	a, _ := json.Marshal(v1.Tuples)
-	b, _ := json.Marshal(legacy.Tuples)
-	if string(a) != string(b) {
-		t.Errorf("v1 and legacy answers differ: %s vs %s", a, b)
+	for _, req := range [][2]string{
+		{http.MethodGet, "/tables"},
+		{http.MethodGet, "/tables/Takes"},
+		{http.MethodGet, "/stats"},
+		{http.MethodPost, "/query"},
+	} {
+		if status, _ := doJSON(t, req[0], srv.URL+req[1], `{"query": "project[1](Takes)"}`); status != http.StatusNotFound {
+			t.Errorf("%s %s: status %d, want 404", req[0], req[1], status)
+		}
 	}
 }
 

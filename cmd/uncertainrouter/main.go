@@ -41,7 +41,7 @@ import (
 	"time"
 
 	"uncertaindb/internal/obs"
-	"uncertaindb/internal/replica"
+	"uncertaindb/internal/router"
 )
 
 func main() {
@@ -91,7 +91,7 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 	if !*noObs {
 		ob = obs.NewObserver(0, 1)
 	}
-	router, err := replica.NewRouter(replica.RouterOptions{
+	rt, err := router.New(router.Options{
 		Leader:         *leader,
 		Replicas:       replicas,
 		HealthInterval: *healthInterval,
@@ -101,14 +101,14 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 	if err != nil {
 		return fmt.Errorf("uncertainrouter: %w", err)
 	}
-	router.Start()
-	defer router.Close()
+	rt.Start()
+	defer rt.Close()
 
 	ln, err := net.Listen("tcp", *addr)
 	if err != nil {
 		return err
 	}
-	srv := &http.Server{Handler: router.Handler()}
+	srv := &http.Server{Handler: rt.Handler()}
 	fmt.Fprintf(out, "uncertainrouter listening on http://%s (leader %s, %d replicas)\n",
 		ln.Addr(), *leader, len(replicas))
 

@@ -255,16 +255,11 @@ func (c *Catalog) CommitTime(version uint64) (int64, bool) {
 // reaches an attached sink (a durable follower logs what it applies), enters
 // the change window and fans out to watchers — so a follower is itself a
 // followable leader.
-func (c *Catalog) ApplyRecord(rec *wal.Record) error {
-	_, err := c.ApplyRecordEx(rec)
-	return err
-}
-
-// ApplyRecordEx is ApplyRecord additionally returning the applied row-level
-// difference for KindPatch records (nil for puts and deletes). A follower's
-// engine consumes it to maintain its cached plans incrementally, exactly as
-// the leader did.
-func (c *Catalog) ApplyRecordEx(rec *wal.Record) (*wal.AppliedPatch, error) {
+//
+// It returns the applied row-level difference for KindPatch records (nil for
+// puts and deletes); a follower's engine consumes it to maintain its cached
+// plans incrementally, exactly as the leader did.
+func (c *Catalog) ApplyRecord(rec *wal.Record) (*wal.AppliedPatch, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if rec.Version != c.version+1 {

@@ -52,7 +52,7 @@ func TestApplyPatchVersioningAndIsolation(t *testing.T) {
 	follower := New()
 	for i := 0; i < 2; i++ {
 		rec := <-w.C()
-		fap, err := follower.ApplyRecordEx(rec)
+		fap, err := follower.ApplyRecord(rec)
 		if err != nil {
 			t.Fatalf("apply record v%d: %v", rec.Version, err)
 		}

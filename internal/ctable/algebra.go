@@ -174,15 +174,6 @@ func EvalQuery(q ra.Query, input *CTable) (*CTable, error) {
 	return EvalQueryWithOptions(q, input, DefaultOptions)
 }
 
-// MustEvalQuery is EvalQuery that panics on error.
-func MustEvalQuery(q ra.Query, input *CTable) *CTable {
-	out, err := EvalQuery(q, input)
-	if err != nil {
-		panic(err)
-	}
-	return out
-}
-
 // EvalQueryWithOptions is EvalQuery with explicit algebra options.
 func EvalQueryWithOptions(q ra.Query, input *CTable, opts Options) (*CTable, error) {
 	env := Env{}

@@ -32,16 +32,6 @@ func EvalQueryEnvEager(q ra.Query, env Env, opts Options) (*CTable, error) {
 	return evalEager(q, env, opts)
 }
 
-// EvalQueryEager is EvalQueryEnvEager with every input relation name bound
-// to the same table, matching EvalQuery.
-func EvalQueryEager(q ra.Query, input *CTable, opts Options) (*CTable, error) {
-	env := Env{}
-	for name := range ra.InputNames(q) {
-		env[name] = input
-	}
-	return EvalQueryEnvEager(q, env, opts)
-}
-
 func evalEager(q ra.Query, env Env, opts Options) (*CTable, error) {
 	switch q := q.(type) {
 	case ra.BaseRel:

@@ -10,6 +10,7 @@ import (
 	"uncertaindb/internal/condition"
 	"uncertaindb/internal/parser"
 	"uncertaindb/internal/pctable"
+	"uncertaindb/internal/probcalc"
 	"uncertaindb/internal/value"
 )
 
@@ -179,72 +180,128 @@ func TestAutoSelector(t *testing.T) {
 }
 
 // TestWhatIfDistributions re-evaluates a prepared query under overridden
-// distributions: every exact engine must agree with direct computation over
-// the overridden table, and the override must never pollute the cached
-// base marginals.
+// distributions. Every exact engine must agree with exact enumeration over
+// the overridden answer in tuples, P and Certain flags (an override that
+// zeroes outcomes drops a tuple and makes another certain); mc must equal a
+// sampler over the overridden answer with the same seed, samples and
+// workers; an override restating every declared distribution must answer
+// like the plain request; and no override may pollute the cached base
+// marginals.
 func TestWhatIfDistributions(t *testing.T) {
-	e := newEngine(t, Options{}, takesScript)
+	e := newEngine(t, Options{Workers: 4}, takesScript)
 	const queryText = "project[1](Takes)"
-	override := map[string]map[string]float64{
+	reweight := map[string]map[string]float64{
 		"x": {"'math'": 0.6, "'phys'": 0.2, "'chem'": 0.2},
 		"t": {"0": 0.9, "1": 0.1},
 	}
-
-	base, err := e.Execute(Request{Query: queryText, Engine: "dtree"})
-	if err != nil {
-		t.Fatal(err)
+	narrow := map[string]map[string]float64{
+		"x": {"'math'": 1},
+		"t": {"1": 1},
+	}
+	restate := map[string]map[string]float64{
+		"x": {"'math'": 0.3, "'phys'": 0.3, "'chem'": 0.4},
+		"t": {"0": 0.15, "1": 0.85},
 	}
 
-	// Direct reference: the parsed table with the same overrides applied.
-	pt, err := parser.ParseTableString(takesScript)
-	if err != nil {
-		t.Fatal(err)
-	}
+	// The engine's own answer for the query: same algebra options, same
+	// lineage syntax, so a sampler over it draws what the engine draws.
 	q, err := parser.ParseQuery(queryText)
 	if err != nil {
 		t.Fatal(err)
 	}
-	overSpaces, err := overrideTable(&plan{answer: pt.PCTable}, override)
+	env, err := e.Catalog().Snapshot().Env([]string{"Takes"})
 	if err != nil {
 		t.Fatal(err)
 	}
-	direct, err := overSpaces.AnswerTupleProbabilities(q)
+	answer, err := pctable.EvalQueryEnvWithOptions(q, env, e.algebraOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	cands, err := answer.Candidates()
 	if err != nil {
 		t.Fatal(err)
 	}
 
-	for _, kind := range []string{"dtree", "circuit", "enum", "auto"} {
-		res, err := e.Execute(Request{Query: queryText, Engine: kind, Distributions: override})
-		if err != nil {
-			t.Fatalf("%s: %v", kind, err)
+	check := func(name string, got, want []TupleAnswer, tol float64) {
+		t.Helper()
+		if len(got) != len(want) {
+			t.Fatalf("%s: %d answers %v, want %d %v", name, len(got), got, len(want), want)
 		}
-		if !res.WhatIf {
-			t.Fatalf("%s: WhatIf not reported", kind)
-		}
-		if len(res.Tuples) != len(direct) {
-			t.Fatalf("%s: %d answers, want %d", kind, len(res.Tuples), len(direct))
-		}
-		for i, ta := range res.Tuples {
-			if ta.Tuple.Key() != direct[i].Tuple.Key() || math.Abs(ta.P-direct[i].P) > 1e-12 {
-				t.Fatalf("%s: what-if answer %d = (%s, %g), want (%s, %g)",
-					kind, i, ta.Tuple, ta.P, direct[i].Tuple, direct[i].P)
+		for i, g := range got {
+			w := want[i]
+			if g.Tuple.Key() != w.Tuple.Key() || math.Abs(g.P-w.P) > tol || g.StdErr != w.StdErr || g.Certain != w.Certain {
+				t.Fatalf("%s: answer %d = %+v, want %+v", name, i, g, w)
 			}
 		}
 	}
+	execute := func(req Request) *Result {
+		t.Helper()
+		res, err := e.Execute(req)
+		if err != nil {
+			t.Fatalf("%s %v: %v", req.Engine, req.Distributions, err)
+		}
+		if res.WhatIf != (req.Distributions != nil) {
+			t.Fatalf("%s: WhatIf = %v", req.Engine, res.WhatIf)
+		}
+		return res
+	}
+
+	base := execute(Request{Query: queryText, Engine: "dtree"})
+	for name, override := range map[string]map[string]map[string]float64{"reweight": reweight, "narrow": narrow} {
+		over, err := overrideTable(&plan{answer: answer}, override)
+		if err != nil {
+			t.Fatal(err)
+		}
+		// Exact reference: big.Rat enumeration of each lineage, zeros
+		// dropped, certain at 1 within CertainEps.
+		var exact []TupleAnswer
+		for _, c := range cands {
+			r, err := probcalc.EnumProbabilityRat(c.Lineage, over)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if p, _ := r.Float64(); p != 0 {
+				exact = append(exact, TupleAnswer{Tuple: c.Tuple, P: p, Certain: p >= 1-pctable.CertainEps})
+			}
+		}
+		for _, kind := range []string{"dtree", "circuit", "enum", "auto"} {
+			res := execute(Request{Query: queryText, Engine: kind, Distributions: override})
+			check(name+"/"+kind, res.Tuples, exact, 1e-12)
+		}
+
+		// mc: bit-identical to a sampler over the overridden answer; every
+		// candidate kept, certain only for a lineage that is constant true.
+		const samples, seed, workers = 3000, 11, 3
+		sampler, err := pctable.NewSampler(over, seed)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var sampled []TupleAnswer
+		for _, c := range cands {
+			p, se, err := sampler.EstimateConditionProbabilityParallel(c.Lineage, samples, workers)
+			if err != nil {
+				t.Fatal(err)
+			}
+			_, isTrue := c.Lineage.(condition.TrueCond)
+			sampled = append(sampled, TupleAnswer{Tuple: c.Tuple, P: p, StdErr: se, Certain: isTrue})
+		}
+		res := execute(Request{Query: queryText, Engine: "mc", Samples: samples, Seed: seed, Workers: workers, Distributions: override})
+		check(name+"/mc", res.Tuples, sampled, 0)
+	}
+
+	// Restating every declared distribution is the plain request.
+	for _, kind := range []string{"dtree", "circuit", "enum", "auto"} {
+		plain := execute(Request{Query: queryText, Engine: kind})
+		res := execute(Request{Query: queryText, Engine: kind, Distributions: restate})
+		check("restate/"+kind, res.Tuples, plain.Tuples, 1e-12)
+	}
 
 	// The what-ifs above must not have perturbed the memoized base answer.
-	again, err := e.Execute(Request{Query: queryText, Engine: "dtree"})
-	if err != nil {
-		t.Fatal(err)
+	again := execute(Request{Query: queryText, Engine: "dtree"})
+	if !again.CacheHit {
+		t.Fatalf("base re-execution missed the cache")
 	}
-	if !again.CacheHit || again.WhatIf {
-		t.Fatalf("base re-execution: cacheHit=%v whatIf=%v", again.CacheHit, again.WhatIf)
-	}
-	for i := range again.Tuples {
-		if again.Tuples[i].P != base.Tuples[i].P {
-			t.Fatalf("what-if polluted cached marginals: %g != %g", again.Tuples[i].P, base.Tuples[i].P)
-		}
-	}
+	check("base", again.Tuples, base.Tuples, 0)
 }
 
 // TestWhatIfValidation: overrides referencing unknown variables, widening

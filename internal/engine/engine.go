@@ -10,14 +10,20 @@
 // that depend on it, while plans over other tables keep hitting. The cache
 // is LRU-bounded and publishes hit/miss/eviction/latency counters.
 //
-// Execution computes tuple marginals with one of three engines — dtree
-// (d-tree decomposition, internal/probcalc), enum (brute-force valuation
-// enumeration) or mc (Monte-Carlo estimation) — under a bounded worker
-// pool. Exact marginals are computed once per plan and memoized; Monte-Carlo
-// re-samples per request (deterministically for a fixed seed).
+// Execution computes tuple marginals under a bounded worker pool with one of
+// four engines — dtree (d-tree decomposition, internal/probcalc), circuit
+// (one shared arithmetic circuit per answer), enum (brute-force valuation
+// enumeration) or mc (Monte-Carlo estimation) — or with auto, which picks
+// dtree, circuit or mc per plan from its lineage statistics. Every engine
+// runs through one function, pctable.Marginals, which owns the rules for
+// dropping zero-probability candidates and flagging certain answers. Exact
+// marginals are computed once per plan and memoized; Monte-Carlo re-samples
+// per request (deterministically for a fixed seed), and what-if requests
+// recompute under their overridden distributions.
 package engine
 
 import (
+	"cmp"
 	"container/list"
 	"errors"
 	"fmt"
@@ -62,16 +68,16 @@ type Kind string
 
 const (
 	// KindDTree decomposes lineage conditions (internal/probcalc). Default.
-	KindDTree Kind = "dtree"
+	KindDTree Kind = pctable.EngineDTree
 	// KindCircuit compiles the whole answer's lineage set into one shared
 	// arithmetic circuit (probcalc.CompileAnswer) and evaluates every
 	// marginal in a single bottom-up pass. The circuit is retained on the
 	// cached plan, so what-if re-evaluation skips decomposition entirely.
-	KindCircuit Kind = "circuit"
+	KindCircuit Kind = pctable.EngineCircuit
 	// KindEnum enumerates every valuation of the lineage variables.
-	KindEnum Kind = "enum"
+	KindEnum Kind = pctable.EngineEnum
 	// KindMC estimates marginals by Monte-Carlo sampling.
-	KindMC Kind = "mc"
+	KindMC Kind = pctable.EngineMC
 	// KindAuto picks dtree, circuit or mc per answer from the lineage-set
 	// statistics gathered at plan compilation (see Selection).
 	KindAuto Kind = "auto"
@@ -88,10 +94,6 @@ func ParseKind(s string) (Kind, error) {
 		return "", fmt.Errorf("%w: unknown engine %q (valid engines: auto, circuit, dtree, enum, mc)", ErrBadQuery, s)
 	}
 }
-
-// CertainEps is the tolerance under which a float marginal counts as 1 and
-// the tuple is reported as a certain answer.
-const CertainEps = 1e-9
 
 // Options tunes an Engine.
 type Options struct {
@@ -196,6 +198,7 @@ type Request struct {
 	// Seed is the Monte-Carlo random seed (mc only; default 1).
 	Seed int64
 	// Workers shards the Monte-Carlo draw (mc only; default 1, sequential).
+	// It may not exceed Options.Workers.
 	Workers int
 	// Analyze re-executes the compiled algebra with per-operator
 	// instrumentation and attaches the timed plan tree (and the execution's
@@ -214,18 +217,7 @@ type Request struct {
 }
 
 // TupleAnswer is one answer tuple with its marginal probability.
-type TupleAnswer struct {
-	Tuple value.Tuple
-	P     float64
-	// StdErr is the standard error of a Monte-Carlo estimate (0 for exact
-	// engines).
-	StdErr float64
-	// Certain reports whether the tuple is a certain answer: marginal 1
-	// within CertainEps for the exact engines; for Monte-Carlo, only a
-	// lineage that simplified to the constant true (an estimate of 1 is not
-	// proof).
-	Certain bool
-}
+type TupleAnswer = pctable.TupleAnswer
 
 // Selection is the engine=auto selector's decision for one plan, together
 // with the lineage-set statistics that drove it. It is computed once at plan
@@ -327,7 +319,6 @@ type plan struct {
 	once      sync.Once
 	margDone  atomic.Bool
 	marginals []TupleAnswer
-	probStats probcalc.Stats // d-tree decomposition shape (dtree only)
 	execErr   error
 
 	// The shared circuit is compiled once per plan (first circuit execution
@@ -462,7 +453,7 @@ func (e *Engine) DropTable(name string) (bool, error) {
 // entry keeps the leader's per-table version, plans compiled or maintained
 // after the apply carry exactly the leader's cache keys.
 func (e *Engine) ApplyChange(rec *wal.Record) error {
-	ap, err := e.cat.ApplyRecordEx(rec)
+	ap, err := e.cat.ApplyRecord(rec)
 	if err != nil {
 		return err
 	}
@@ -561,18 +552,10 @@ func (ph *phases) materialize(parseEnd int64) obs.SpanRef {
 	return ph.root
 }
 
-// dtreeAttrs attaches the d-tree decomposition shape to a marginals span.
-func dtreeAttrs(sp obs.SpanRef, st probcalc.Stats) {
-	sp.SetInt("dtreeNodes", int64(st.ComponentSplits+st.ExclusiveSplits+st.ShannonExpansions+st.Enumerations))
-	sp.SetInt("memoHits", int64(st.MemoHits))
-	sp.SetInt("memoMisses", int64(st.MemoMisses))
-	sp.SetInt("memoEntries", int64(st.MemoEntries))
-}
-
 // marginalAttrs describes a marginal computation on its span: the effective
 // engine, the auto-selector's inputs and decision, and — for freshly
-// computed exact marginals — the decomposition or circuit shape.
-func marginalAttrs(sp obs.SpanRef, chosen Kind, sel *Selection, computed bool, p *plan) {
+// computed exact marginals (st non-nil) — the decomposition or circuit shape.
+func marginalAttrs(sp obs.SpanRef, chosen Kind, sel *Selection, st *pctable.MarginalStats) {
 	sp.SetStr("engine", string(chosen))
 	if sel != nil {
 		sp.SetInt("selTuples", int64(sel.Tuples))
@@ -581,18 +564,22 @@ func marginalAttrs(sp obs.SpanRef, chosen Kind, sel *Selection, computed bool, p
 		sp.SetInt("selMaxComponentVars", int64(sel.MaxComponentVars))
 		sp.SetStr("selReason", sel.Reason)
 	}
-	if !computed {
+	if st == nil {
 		return
 	}
 	switch chosen {
 	case KindDTree:
-		dtreeAttrs(sp, p.probStats)
+		d := st.DTree
+		sp.SetInt("dtreeNodes", int64(d.ComponentSplits+d.ExclusiveSplits+d.ShannonExpansions+d.Enumerations))
+		sp.SetInt("memoHits", int64(d.MemoHits))
+		sp.SetInt("memoMisses", int64(d.MemoMisses))
+		sp.SetInt("memoEntries", int64(d.MemoEntries))
 	case KindCircuit:
-		if p.circuit != nil {
-			st := p.circuit.Stats()
-			sp.SetInt("circuitNodes", int64(st.Nodes))
-			sp.SetInt("circuitRoots", int64(st.Roots))
-			sp.SetInt("circuitShared", int64(st.SharedHits))
+		if st.Circuit != nil {
+			cs := st.Circuit.Stats()
+			sp.SetInt("circuitNodes", int64(cs.Nodes))
+			sp.SetInt("circuitRoots", int64(cs.Roots))
+			sp.SetInt("circuitShared", int64(cs.SharedHits))
 		}
 	}
 }
@@ -670,6 +657,11 @@ func (e *Engine) executeOn(snap *catalog.Snapshot, req Request, ph *phases) (*Re
 	if err != nil {
 		return nil, err
 	}
+	// Each Monte-Carlo worker is a goroutine with its own shard state, so a
+	// request may not ask for more than the engine's own worker bound.
+	if req.Workers > e.opts.Workers {
+		return nil, fmt.Errorf("%w: workers %d exceeds the server's bound of %d", ErrBadQuery, req.Workers, e.opts.Workers)
+	}
 
 	// Bounded execution pool: at most opts.Workers queries in flight at
 	// once. The slot covers both plan compilation (the expensive cold path)
@@ -710,41 +702,27 @@ func (e *Engine) executeOn(snap *catalog.Snapshot, req Request, ph *phases) (*Re
 		// marginals phase records live and its d-tree attributes can attach.
 		margSpan = ph.root.ChildAt("marginals", start)
 	}
-	var tuples []TupleAnswer
-	computed := false
-	switch {
-	case override != nil:
-		// What-if: fresh marginals under the overridden distributions,
-		// never memoized on the plan (the override is per-request state).
-		tuples, err = e.whatIfMarginals(p, chosen, override, req)
-		if err != nil {
-			return nil, err
-		}
-	case chosen == KindDTree || chosen == KindEnum || chosen == KindCircuit:
+	var (
+		tuples   []TupleAnswer
+		computed *pctable.MarginalStats
+	)
+	if override != nil || chosen == KindMC {
+		// What-if marginals (under the per-request override) and Monte-Carlo
+		// estimates are computed fresh per request, never memoized on the plan.
+		tuples, _, err = e.planMarginals(p, chosen, cmp.Or(override, p.answer), req)
+	} else {
 		p.once.Do(func() {
-			if chosen == KindCircuit {
-				p.marginals, p.execErr = e.circuitMarginals(p, nil)
-			} else {
-				p.marginals, p.probStats, p.execErr = exactMarginals(p, chosen)
-				if p.execErr == nil {
-					e.memoHits.Add(uint64(p.probStats.MemoHits))
-					e.memoMisses.Add(uint64(p.probStats.MemoMisses))
-				}
-			}
+			var st pctable.MarginalStats
+			p.marginals, st, p.execErr = e.planMarginals(p, chosen, p.answer, req)
 			if p.execErr == nil {
 				p.margDone.Store(true)
 			}
-			computed = true
+			computed = &st
 		})
-		if p.execErr != nil {
-			return nil, p.execErr
-		}
-		tuples = p.marginals
-	case chosen == KindMC:
-		tuples, err = sampledMarginals(p, p.answer, req)
-		if err != nil {
-			return nil, err
-		}
+		tuples, err = p.marginals, p.execErr
+	}
+	if err != nil {
+		return nil, err
 	}
 	end := obs.Nanotime()
 	execDur := time.Duration(end - start)
@@ -752,7 +730,7 @@ func (e *Engine) executeOn(snap *catalog.Snapshot, req Request, ph *phases) (*Re
 	// Effective engine, selector decision and — for fresh exact runs — the
 	// decomposition/circuit shape; warm hits reuse the memoized marginals
 	// and attach only the engine and selection.
-	marginalAttrs(margSpan, chosen, sel, computed, p)
+	marginalAttrs(margSpan, chosen, sel, computed)
 	e.executions.Add(1)
 	e.execNanos.Add(uint64(execDur))
 
@@ -803,7 +781,7 @@ func (e *Engine) executeOn(snap *catalog.Snapshot, req Request, ph *phases) (*Re
 		root := ph.materialize(start)
 		ms := root.ChildAt("marginals", start)
 		ms.EndDur(execDur)
-		marginalAttrs(ms, chosen, sel, computed, p)
+		marginalAttrs(ms, chosen, sel, computed)
 	}
 	if req.Analyze {
 		aspan := ph.root.Child("analyze")
@@ -840,18 +818,14 @@ func (e *Engine) executeOn(snap *catalog.Snapshot, req Request, ph *phases) (*Re
 
 // analyzePlan re-executes the compiled query's algebra with per-operator
 // instrumentation (exec.Analyze) against the same snapshot the plan was
-// keyed on. The run is independent of the cached artifact: it re-parses the
-// cached query text and discards its answer, keeping only the timed tree.
+// keyed on. The run is independent of the cached artifact: it discards its
+// answer, keeping only the timed tree.
 func (e *Engine) analyzePlan(snap *catalog.Snapshot, p *plan) (*exec.PlanNode, error) {
-	q, err := parser.ParseQuery(p.queryText)
-	if err != nil {
-		return nil, fmt.Errorf("%w: %v", ErrBadQuery, err)
-	}
 	env, err := snap.Env(p.tables)
 	if err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrUnknownTable, err)
 	}
-	an, err := exec.Analyze(q, env.ExecEnv(), e.algebraOptions().ExecOptions())
+	an, err := exec.Analyze(p.query, env.ExecEnv(), e.algebraOptions().ExecOptions())
 	if err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrBadQuery, err)
 	}
@@ -874,12 +848,15 @@ func (e *Engine) prepare(snap *catalog.Snapshot, queryText string, kind Kind, ph
 		names = append(names, name)
 	}
 	sort.Strings(names)
+	vers := make(map[string]uint64, len(names))
 	for _, name := range names {
-		if snap.Get(name) == nil {
+		ent := snap.Get(name)
+		if ent == nil {
 			return nil, false, 0, fmt.Errorf("%w: %q (have %v)", ErrUnknownTable, name, snap.Names())
 		}
+		vers[name] = ent.Version
 	}
-	key := cacheKey(queryText, kind, names, snap)
+	key := planKey(queryText, kind, names, vers)
 
 	e.mu.Lock()
 	if el, ok := e.byKey[key]; ok {
@@ -895,7 +872,7 @@ func (e *Engine) prepare(snap *catalog.Snapshot, queryText string, kind Kind, ph
 	compileSpan := ph.materialize(start).ChildAt("compile", start)
 	opts := e.algebraOptions()
 	opts.Trace = compileSpan
-	p, err := compile(q, queryText, kind, names, snap, key, opts)
+	p, err := compile(q, queryText, kind, names, vers, snap, key, opts)
 	if err != nil {
 		return nil, false, 0, err
 	}
@@ -971,16 +948,11 @@ func (e *Engine) removeLocked(el *list.Element, counter *uint64) {
 	*counter++
 }
 
-// cacheKey identifies a compiled plan: engine, query text, and the exact
-// version of every referenced table in the snapshot. Replacing a table
-// changes its version, so stale plans can never be served.
-func cacheKey(queryText string, kind Kind, names []string, snap *catalog.Snapshot) string {
-	return planKey(queryText, kind, names, snapVersions(names, snap))
-}
-
-// planKey is cacheKey over an explicit name→version map; incremental
-// maintenance uses it to derive a maintained plan's next key from the plan's
-// recorded versions with only the patched table's version bumped.
+// planKey identifies a compiled plan: engine, query text, and the exact
+// version of every table it reads. Replacing a table changes its version, so
+// stale plans can never be served; incremental maintenance derives a
+// maintained plan's next key from the plan's versions with only the patched
+// table's version bumped.
 func planKey(queryText string, kind Kind, names []string, vers map[string]uint64) string {
 	var b strings.Builder
 	b.WriteString(string(kind))
@@ -990,20 +962,6 @@ func planKey(queryText string, kind Kind, names []string, vers map[string]uint64
 		fmt.Fprintf(&b, "\x00%s@%d", name, vers[name])
 	}
 	return b.String()
-}
-
-// snapVersions extracts the versions of the named tables from a snapshot
-// (0 for absent tables, matching the historical key format).
-func snapVersions(names []string, snap *catalog.Snapshot) map[string]uint64 {
-	vers := make(map[string]uint64, len(names))
-	for _, name := range names {
-		if ent := snap.Get(name); ent != nil {
-			vers[name] = ent.Version
-		} else {
-			vers[name] = 0
-		}
-	}
-	return vers
 }
 
 // algebraOptions returns the operator-core options the engine compiles with:
@@ -1026,7 +984,7 @@ func (e *Engine) algebraOptions() ctable.Options {
 // compiled artifact: its rendering (exec.Explain) and its operator counters
 // are cached on the plan, so hits surface the same plan text without
 // re-planning.
-func compile(q ra.Query, queryText string, kind Kind, names []string, snap *catalog.Snapshot, key string, opts ctable.Options) (*plan, error) {
+func compile(q ra.Query, queryText string, kind Kind, names []string, vers map[string]uint64, snap *catalog.Snapshot, key string, opts ctable.Options) (*plan, error) {
 	env, err := snap.Env(names)
 	if err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrUnknownTable, err)
@@ -1058,7 +1016,7 @@ func compile(q ra.Query, queryText string, kind Kind, names []string, snap *cata
 		kind:       kind,
 		tables:     names,
 		query:      q,
-		tableVers:  snapVersions(names, snap),
+		tableVers:  vers,
 		answer:     answer,
 		physical:   physical,
 		ops:        ops,
@@ -1176,8 +1134,9 @@ func maxLineageComponent(in *condition.Interner, c condition.Condition, total in
 	return maxComp
 }
 
-// planCircuit compiles (once) and returns the plan's shared circuit,
-// feeding the engine's circuit counters on the actual compilation.
+// planCircuit compiles (once) and returns the plan's shared circuit over
+// the answer's own distributions, so what-if requests re-weight it instead of
+// re-decomposing.
 func (e *Engine) planCircuit(p *plan) (*probcalc.Circuit, error) {
 	p.circuitOnce.Do(func() {
 		conds := make([]condition.Condition, len(p.candidates))
@@ -1186,40 +1145,48 @@ func (e *Engine) planCircuit(p *plan) (*probcalc.Circuit, error) {
 		}
 		p.circuit, p.circuitErr = probcalc.CompileAnswer(conds, p.answer)
 		if p.circuitErr == nil {
-			st := p.circuit.Stats()
-			e.circuitCompiles.Add(1)
-			e.circuitNodes.Add(uint64(st.Nodes))
-			e.circuitShare.Add(uint64(st.SharedHits))
+			e.countProbcalc(pctable.MarginalStats{Circuit: p.circuit, Compiled: true})
 		}
 	})
 	return p.circuit, p.circuitErr
 }
 
-// circuitMarginals evaluates the plan's shared circuit under dists (nil
-// selects the answer's own distributions), shaping the result like the
-// other exact engines: zero-probability candidates are dropped and
-// certainty is the CertainEps threshold.
-func (e *Engine) circuitMarginals(p *plan, dists probcalc.DistProvider) ([]TupleAnswer, error) {
-	circ, err := e.planCircuit(p)
-	if err != nil {
-		return nil, err
-	}
-	if dists == nil {
-		dists = p.answer
-	}
-	probs, err := circ.EvalFloat(dists)
-	if err != nil {
-		return nil, err
-	}
-	out := make([]TupleAnswer, 0, len(p.candidates))
-	for i, c := range p.candidates {
-		pr := probs[i]
-		if pr == 0 {
-			continue
+// planMarginals computes the plan's candidate marginals with engine kind
+// under dists — the plan's answer or its what-if view. The circuit engine
+// evaluates the plan's shared circuit.
+func (e *Engine) planMarginals(p *plan, kind Kind, dists *pctable.PCTable, req Request) ([]TupleAnswer, pctable.MarginalStats, error) {
+	s := pctable.Strategy{Engine: string(kind), Samples: req.Samples, Seed: req.Seed, Workers: req.Workers}
+	if kind == KindCircuit {
+		var err error
+		if s.Circuit, err = e.planCircuit(p); err != nil {
+			return nil, pctable.MarginalStats{}, err
 		}
-		out = append(out, TupleAnswer{Tuple: c.Tuple, P: pr, Certain: pr >= 1-CertainEps})
 	}
-	return out, nil
+	return e.marginals(dists, p.candidates, s)
+}
+
+// marginals is the engine's one call into pctable.Marginals; it feeds the
+// probcalc counters from the call's stats.
+func (e *Engine) marginals(dists *pctable.PCTable, cands []pctable.Candidate, s pctable.Strategy) ([]TupleAnswer, pctable.MarginalStats, error) {
+	out, st, err := pctable.Marginals(dists, cands, s)
+	if err != nil {
+		return nil, st, err
+	}
+	e.countProbcalc(st)
+	return out, st, nil
+}
+
+// countProbcalc adds one computation's d-tree memo counters and, when it
+// compiled a circuit, that circuit's size to the engine's probcalc totals.
+func (e *Engine) countProbcalc(st pctable.MarginalStats) {
+	e.memoHits.Add(uint64(st.DTree.MemoHits))
+	e.memoMisses.Add(uint64(st.DTree.MemoMisses))
+	if st.Compiled {
+		cs := st.Circuit.Stats()
+		e.circuitCompiles.Add(1)
+		e.circuitNodes.Add(uint64(cs.Nodes))
+		e.circuitShare.Add(uint64(cs.SharedHits))
+	}
 }
 
 // overrideTable builds the what-if view of the plan's answer from the
@@ -1253,119 +1220,4 @@ func overrideTable(p *plan, dists map[string]map[string]float64) (*pctable.PCTab
 		return nil, fmt.Errorf("%w: %v", ErrBadQuery, err)
 	}
 	return t, nil
-}
-
-// whatIfMarginals computes marginals under request-supplied distribution
-// overrides. Results are never memoized on the plan — the override is
-// per-request state — but the circuit path reuses the plan's compiled
-// circuit, so a what-if over a prepared answer is a pure re-weighting pass
-// with no decomposition at all.
-func (e *Engine) whatIfMarginals(p *plan, chosen Kind, over *pctable.PCTable, req Request) ([]TupleAnswer, error) {
-	switch chosen {
-	case KindCircuit:
-		return e.circuitMarginals(p, over)
-	case KindMC:
-		return sampledMarginals(p, over, req)
-	}
-	out := make([]TupleAnswer, 0, len(p.candidates))
-	var ev *probcalc.Evaluator
-	if chosen == KindDTree {
-		ev = probcalc.New(over)
-	}
-	for _, c := range p.candidates {
-		var (
-			pr  float64
-			err error
-		)
-		if ev != nil {
-			pr, err = ev.Probability(c.Lineage)
-		} else {
-			pr, err = probcalc.EnumProbability(c.Lineage, over)
-		}
-		if err != nil {
-			return nil, err
-		}
-		if pr == 0 {
-			continue
-		}
-		out = append(out, TupleAnswer{Tuple: c.Tuple, P: pr, Certain: pr >= 1-CertainEps})
-	}
-	if ev != nil {
-		st := ev.Stats()
-		e.memoHits.Add(uint64(st.MemoHits))
-		e.memoMisses.Add(uint64(st.MemoMisses))
-	}
-	return out, nil
-}
-
-// exactMarginals computes every candidate's marginal with an exact engine.
-// The dtree path shares one decomposition evaluator (and its memo cache)
-// across candidates and reports the decomposition's shape alongside the
-// answers (zero Stats for enum).
-func exactMarginals(p *plan, kind Kind) ([]TupleAnswer, probcalc.Stats, error) {
-	out := make([]TupleAnswer, 0, len(p.candidates))
-	var ev *probcalc.Evaluator
-	if kind == KindDTree {
-		ev = probcalc.New(p.answer)
-	}
-	for _, c := range p.candidates {
-		var (
-			prob float64
-			err  error
-		)
-		if kind == KindDTree {
-			prob, err = ev.Probability(c.Lineage)
-		} else {
-			prob, err = p.answer.ConditionProbabilityEnum(c.Lineage)
-		}
-		if err != nil {
-			return nil, probcalc.Stats{}, err
-		}
-		if prob == 0 {
-			// Row-pattern candidate with unsatisfiable lineage.
-			continue
-		}
-		out = append(out, TupleAnswer{Tuple: c.Tuple, P: prob, Certain: prob >= 1-CertainEps})
-	}
-	var st probcalc.Stats
-	if ev != nil {
-		st = ev.Stats()
-	}
-	return out, st, nil
-}
-
-// sampledMarginals estimates every candidate's marginal by Monte-Carlo over
-// table t (the plan's answer, or its what-if view). A fresh sampler per
-// request keeps concurrent executions independent and deterministic for a
-// fixed (seed, samples, workers).
-func sampledMarginals(p *plan, t *pctable.PCTable, req Request) ([]TupleAnswer, error) {
-	samples := req.Samples
-	if samples <= 0 {
-		samples = 10000
-	}
-	seed := req.Seed
-	if seed == 0 {
-		seed = 1
-	}
-	workers := req.Workers
-	if workers <= 0 {
-		workers = 1
-	}
-	sampler, err := pctable.NewSampler(t, seed)
-	if err != nil {
-		return nil, err
-	}
-	out := make([]TupleAnswer, 0, len(p.candidates))
-	for _, c := range p.candidates {
-		est, se, err := sampler.EstimateConditionProbabilityParallel(c.Lineage, samples, workers)
-		if err != nil {
-			return nil, err
-		}
-		// Certainty is a logical property; a sampled estimate of 1 is not
-		// proof. Only a lineage that simplified to the constant true makes
-		// a Monte-Carlo answer certain.
-		_, isTrue := c.Lineage.(condition.TrueCond)
-		out = append(out, TupleAnswer{Tuple: c.Tuple, P: est, StdErr: se, Certain: isTrue})
-	}
-	return out, nil
 }

@@ -41,7 +41,7 @@ func newEngine(t *testing.T, opts Options, scripts ...string) *Engine {
 // same input, for both exact engines, and the Monte-Carlo engine must agree
 // within a few standard errors.
 func TestExecuteMatchesDirectComputation(t *testing.T) {
-	e := newEngine(t, Options{}, takesScript)
+	e := newEngine(t, Options{Workers: 4}, takesScript)
 	const queryText = "project[1](select[$2 = 'phys'](Takes))"
 
 	pt, err := parser.ParseTableString(takesScript)
@@ -264,7 +264,7 @@ func TestExecuteRejectsDistributionFreeTable(t *testing.T) {
 }
 
 func TestMonteCarloDeterminism(t *testing.T) {
-	e := newEngine(t, Options{}, takesScript)
+	e := newEngine(t, Options{Workers: 4}, takesScript)
 	req := Request{Query: "project[1](Takes)", Engine: "mc", Samples: 5000, Seed: 9, Workers: 3}
 	res1, err := e.Execute(req)
 	if err != nil {

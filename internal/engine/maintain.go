@@ -43,7 +43,6 @@ import (
 	"uncertaindb/internal/exec"
 	"uncertaindb/internal/obs"
 	"uncertaindb/internal/pctable"
-	"uncertaindb/internal/probcalc"
 	"uncertaindb/internal/ra"
 	"uncertaindb/internal/relation"
 	"uncertaindb/internal/wal"
@@ -732,7 +731,6 @@ func (e *Engine) rebuildPlan(p *plan, name string, version uint64, newAnswer *pc
 		marg, reused, fresh, err := e.refreshMarginals(p, newp, isAffected, chosen)
 		if err == nil {
 			newp.marginals = marg
-			newp.probStats = p.probStats
 			newp.once.Do(func() {}) // marginals are final; burn the once
 			newp.margDone.Store(true)
 			m.reused, m.refreshed = reused, fresh
@@ -761,57 +759,16 @@ func (e *Engine) refreshMarginals(old, newp *plan, isAffected map[string]bool, k
 	}
 
 	// Fresh values for the affected lineages with the plan's chosen engine.
-	// Each engine computes a marginal as a pure function of (lineage,
-	// distributions), so evaluating the affected subset alone yields the
-	// same values a full recompute would.
-	fresh := make(map[string]float64, len(affCands))
-	switch kind {
-	case KindDTree:
-		ev := probcalc.New(newp.answer)
-		for _, c := range affCands {
-			pr, err := ev.Probability(c.Lineage)
-			if err != nil {
-				return nil, 0, 0, err
-			}
-			fresh[c.Tuple.Key()] = pr
-		}
-		st := ev.Stats()
-		e.memoHits.Add(uint64(st.MemoHits))
-		e.memoMisses.Add(uint64(st.MemoMisses))
-	case KindEnum:
-		for _, c := range affCands {
-			pr, err := newp.answer.ConditionProbabilityEnum(c.Lineage)
-			if err != nil {
-				return nil, 0, 0, err
-			}
-			fresh[c.Tuple.Key()] = pr
-		}
-	case KindCircuit:
-		if len(affCands) > 0 {
-			conds := make([]condition.Condition, len(affCands))
-			for i, c := range affCands {
-				conds[i] = c.Lineage
-			}
-			circ, err := probcalc.CompileAnswer(conds, newp.answer)
-			if err != nil {
-				return nil, 0, 0, err
-			}
-			st := circ.Stats()
-			e.circuitCompiles.Add(1)
-			e.circuitNodes.Add(uint64(st.Nodes))
-			e.circuitShare.Add(uint64(st.SharedHits))
-			probs, err := circ.EvalFloat(newp.answer)
-			if err != nil {
-				return nil, 0, 0, err
-			}
-			for i, c := range affCands {
-				fresh[c.Tuple.Key()] = probs[i]
-			}
-		}
+	// A marginal is a pure function of (lineage, distributions), so
+	// evaluating the affected subset alone yields the values a full
+	// recompute would. fresh keeps candidate order and drops zeros.
+	fresh, _, err := e.marginals(newp.answer, affCands, pctable.Strategy{Engine: string(kind)})
+	if err != nil {
+		return nil, 0, 0, err
 	}
 
 	out := make([]TupleAnswer, 0, len(newp.candidates))
-	reused, refreshed := 0, 0
+	reused := 0
 	for _, c := range newp.candidates {
 		k := c.Tuple.Key()
 		if !isAffected[k] {
@@ -819,16 +776,12 @@ func (e *Engine) refreshMarginals(old, newp *plan, isAffected map[string]bool, k
 				out = append(out, ta)
 				reused++
 			}
-			continue
+		} else if len(fresh) > 0 && fresh[0].Tuple.Key() == k {
+			out = append(out, fresh[0])
+			fresh = fresh[1:]
 		}
-		refreshed++
-		pr := fresh[k]
-		if pr == 0 {
-			continue
-		}
-		out = append(out, TupleAnswer{Tuple: c.Tuple, P: pr, Certain: pr >= 1-CertainEps})
 	}
-	return out, reused, refreshed, nil
+	return out, reused, len(affCands), nil
 }
 
 // renderAnswer renders t into one buffer, byte-identical to t.String(), and

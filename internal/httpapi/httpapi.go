@@ -41,8 +41,7 @@ type Options struct {
 	MaxSubscriptions int
 }
 
-// New builds the HTTP API over the facade: the /v1 surface plus the
-// deprecated unversioned aliases.
+// New builds the HTTP API over the facade: the /v1 surface and /metrics.
 func New(db *uncertain.DB) http.Handler { return NewWithOptions(db, Options{}) }
 
 // NewWithOptions is New with explicit tuning.
@@ -52,39 +51,33 @@ func NewWithOptions(db *uncertain.DB, opts Options) http.Handler {
 	}
 	subSem := make(chan struct{}, opts.MaxSubscriptions)
 	mux := http.NewServeMux()
-	register := func(prefix string, wrap func(http.HandlerFunc) http.HandlerFunc) {
-		mux.HandleFunc("PUT "+prefix+"/tables/{name}", wrap(func(w http.ResponseWriter, r *http.Request) {
-			handlePutTable(db, w, r)
-		}))
-		mux.HandleFunc("GET "+prefix+"/tables", wrap(func(w http.ResponseWriter, r *http.Request) {
-			handleListTables(db, w)
-		}))
-		mux.HandleFunc("GET "+prefix+"/tables/{name}", wrap(func(w http.ResponseWriter, r *http.Request) {
-			handleGetTable(db, w, r)
-		}))
-		mux.HandleFunc("DELETE "+prefix+"/tables/{name}", wrap(func(w http.ResponseWriter, r *http.Request) {
-			handleDropTable(db, w, r)
-		}))
-		mux.HandleFunc("POST "+prefix+"/query", wrap(func(w http.ResponseWriter, r *http.Request) {
-			handleQuery(db, w, r)
-		}))
-		mux.HandleFunc("GET "+prefix+"/stats", wrap(func(w http.ResponseWriter, r *http.Request) {
-			version, infos := db.Tables()
-			names := make([]string, 0, len(infos))
-			for _, info := range infos {
-				names = append(names, info.Name)
-			}
-			writeJSON(w, http.StatusOK, StatsResponse{
-				Engine:         db.Stats(),
-				CatalogVersion: version,
-				Tables:         names,
-			})
-		}))
-	}
-	register("/v1", func(h http.HandlerFunc) http.HandlerFunc { return h })
-	register("", deprecated)
-	// The patch, subscribe, batch, change-feed and replication endpoints are
-	// /v1-only: they postdate the unversioned surface.
+	mux.HandleFunc("PUT /v1/tables/{name}", func(w http.ResponseWriter, r *http.Request) {
+		handlePutTable(db, w, r)
+	})
+	mux.HandleFunc("GET /v1/tables", func(w http.ResponseWriter, r *http.Request) {
+		handleListTables(db, w)
+	})
+	mux.HandleFunc("GET /v1/tables/{name}", func(w http.ResponseWriter, r *http.Request) {
+		handleGetTable(db, w, r)
+	})
+	mux.HandleFunc("DELETE /v1/tables/{name}", func(w http.ResponseWriter, r *http.Request) {
+		handleDropTable(db, w, r)
+	})
+	mux.HandleFunc("POST /v1/query", func(w http.ResponseWriter, r *http.Request) {
+		handleQuery(db, w, r)
+	})
+	mux.HandleFunc("GET /v1/stats", func(w http.ResponseWriter, r *http.Request) {
+		version, infos := db.Tables()
+		names := make([]string, 0, len(infos))
+		for _, info := range infos {
+			names = append(names, info.Name)
+		}
+		writeJSON(w, http.StatusOK, StatsResponse{
+			Engine:         db.Stats(),
+			CatalogVersion: version,
+			Tables:         names,
+		})
+	})
 	mux.HandleFunc("PATCH /v1/tables/{name}", func(w http.ResponseWriter, r *http.Request) {
 		handlePatchTable(db, w, r)
 	})
@@ -293,16 +286,6 @@ func parseUintParam(s string, def uint64) (uint64, error) {
 	return strconv.ParseUint(s, 10, 64)
 }
 
-// deprecated marks responses on the unversioned aliases: clients are pointed
-// at the /v1 successor route.
-func deprecated(h http.HandlerFunc) http.HandlerFunc {
-	return func(w http.ResponseWriter, r *http.Request) {
-		w.Header().Set("Deprecation", "true")
-		w.Header().Set("Link", fmt.Sprintf("</v1%s>; rel=\"successor-version\"", r.URL.Path))
-		h(w, r)
-	}
-}
-
 // errStatus maps typed facade errors onto HTTP status codes.
 func errStatus(err error) int {
 	switch {
@@ -508,7 +491,8 @@ func handleGetTable(db *uncertain.DB, w http.ResponseWriter, r *http.Request) {
 	}{tableInfoJSON(info), text})
 }
 
-// queryRequest is the JSON body of POST /query (and one element of a batch).
+// queryRequest is the JSON body of POST /v1/query (and one element of a
+// batch).
 type queryRequest struct {
 	Query   string `json:"query"`
 	Engine  string `json:"engine"`

@@ -3,10 +3,12 @@ package httpapi
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"io"
 	"math"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -83,6 +85,28 @@ func TestQueryUnknownEngineIs400(t *testing.T) {
 		if !strings.Contains(msg, name) {
 			t.Fatalf("error %q does not list engine %q", msg, name)
 		}
+	}
+}
+
+// TestQueryWorkersBeyondBoundIs400 is the contract for the Monte-Carlo
+// "workers" field: at most the server's worker bound (GOMAXPROCS by
+// default), otherwise 400 naming the bound before any shard is allocated.
+func TestQueryWorkersBeyondBoundIs400(t *testing.T) {
+	srv := newTestServer(t)
+	bound := runtime.GOMAXPROCS(0)
+	status, out := postQuery(t, srv, map[string]any{"query": "Takes", "engine": "mc", "samples": 1e9, "workers": 1e9})
+	if status != http.StatusBadRequest {
+		t.Fatalf("status %d, want 400 (%v)", status, out)
+	}
+	var msg string
+	if err := json.Unmarshal(out["error"], &msg); err != nil {
+		t.Fatalf("no error message in %v", out)
+	}
+	if !strings.Contains(msg, fmt.Sprintf("bound of %d", bound)) {
+		t.Fatalf("error %q does not name the bound %d", msg, bound)
+	}
+	if status, out := postQuery(t, srv, map[string]any{"query": "Takes", "engine": "mc", "samples": 100, "workers": bound}); status != http.StatusOK {
+		t.Fatalf("workers at the bound: status %d (%v), want 200", status, out)
 	}
 }
 

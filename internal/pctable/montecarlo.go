@@ -53,17 +53,9 @@ func NewSampler(t *PCTable, seed int64) (*Sampler, error) {
 	return s, nil
 }
 
-// SampleValuation draws one valuation of the given variables.
-func (s *Sampler) SampleValuation(vars []condition.Variable, into condition.Valuation) condition.Valuation {
-	return s.sampleWith(s.rng, vars, into)
-}
-
 // sampleWith draws one valuation using the given RNG stream; the cdf table
 // is read-only, so distinct streams may sample concurrently.
 func (s *Sampler) sampleWith(rng *rand.Rand, vars []condition.Variable, into condition.Valuation) condition.Valuation {
-	if into == nil {
-		into = make(condition.Valuation, len(vars))
-	}
 	for _, x := range vars {
 		entries := s.cdf[x]
 		u := rng.Float64()
@@ -79,36 +71,61 @@ func (s *Sampler) sampleWith(rng *rand.Rand, vars []condition.Variable, into con
 	return into
 }
 
-// EstimateConditionProbability estimates P[c] by drawing n samples of the
-// condition's variables. It returns the estimate and its standard error.
-func (s *Sampler) EstimateConditionProbability(c condition.Condition, n int) (estimate, stderr float64, err error) {
+// lineageVars returns c's variables, each of which must have a distribution.
+func (s *Sampler) lineageVars(c condition.Condition, n int) ([]condition.Variable, error) {
 	if n <= 0 {
-		return 0, 0, fmt.Errorf("pctable: sample count must be positive")
+		return nil, fmt.Errorf("pctable: sample count must be positive")
 	}
 	vars := condition.Vars(c)
 	for _, x := range vars {
 		if _, ok := s.cdf[x]; !ok {
-			return 0, 0, fmt.Errorf("pctable: variable %s has no distribution", x)
+			return nil, fmt.Errorf("pctable: variable %s has no distribution", x)
 		}
 	}
+	return vars, nil
+}
+
+// hits draws n valuations of vars from rng and counts those satisfying c.
+func (s *Sampler) hits(rng *rand.Rand, c condition.Condition, vars []condition.Variable, n int) (int, error) {
 	val := make(condition.Valuation, len(vars))
-	hits := 0
+	h := 0
 	for i := 0; i < n; i++ {
-		s.SampleValuation(vars, val)
-		holds, evalErr := c.Eval(val)
-		if evalErr != nil {
-			return 0, 0, evalErr
+		holds, err := c.Eval(s.sampleWith(rng, vars, val))
+		if err != nil {
+			return 0, err
 		}
 		if holds {
-			hits++
+			h++
 		}
 	}
+	return h, nil
+}
+
+// estimateOf turns a hit count over n samples into the estimate and its
+// standard error.
+func estimateOf(hits, n int) (float64, float64) {
 	p := float64(hits) / float64(n)
 	se := 0.0
 	if n > 1 {
 		se = math.Sqrt(p * (1 - p) / float64(n))
 	}
-	return p, se, nil
+	return p, se
+}
+
+// EstimateConditionProbability estimates P[c] by drawing n samples of the
+// condition's variables from the sampler's own RNG stream. It returns the
+// estimate and its standard error.
+func (s *Sampler) EstimateConditionProbability(c condition.Condition, n int) (estimate, stderr float64, err error) {
+	vars, err := s.lineageVars(c, n)
+	if err != nil {
+		return 0, 0, err
+	}
+	h, err := s.hits(s.rng, c, vars, n)
+	if err != nil {
+		return 0, 0, err
+	}
+	estimate, stderr = estimateOf(h, n)
+	return estimate, stderr, nil
 }
 
 // EstimateTupleProbability estimates the marginal probability of a tuple
@@ -125,21 +142,14 @@ func (s *Sampler) EstimateTupleProbability(tuple value.Tuple, n int) (float64, f
 // parallel path does not advance the sampler's sequential RNG stream.
 // workers <= 1 falls back to the sequential estimator.
 func (s *Sampler) EstimateConditionProbabilityParallel(c condition.Condition, n, workers int) (estimate, stderr float64, err error) {
-	if n <= 0 {
-		return 0, 0, fmt.Errorf("pctable: sample count must be positive")
-	}
 	if workers <= 1 {
 		return s.EstimateConditionProbability(c, n)
 	}
-	if workers > n {
-		workers = n
+	vars, err := s.lineageVars(c, n)
+	if err != nil {
+		return 0, 0, err
 	}
-	vars := condition.Vars(c)
-	for _, x := range vars {
-		if _, ok := s.cdf[x]; !ok {
-			return 0, 0, fmt.Errorf("pctable: variable %s has no distribution", x)
-		}
-	}
+	workers = min(workers, n)
 	hits := make([]int, workers)
 	errs := make([]error, workers)
 	base, rem := n/workers, n%workers
@@ -153,38 +163,19 @@ func (s *Sampler) EstimateConditionProbabilityParallel(c condition.Condition, n,
 		go func(shard, count int) {
 			defer wg.Done()
 			rng := rand.New(rand.NewSource(shardSeed(s.seed, shard)))
-			val := make(condition.Valuation, len(vars))
-			h := 0
-			for j := 0; j < count; j++ {
-				s.sampleWith(rng, vars, val)
-				holds, evalErr := c.Eval(val)
-				if evalErr != nil {
-					errs[shard] = evalErr
-					return
-				}
-				if holds {
-					h++
-				}
-			}
-			hits[shard] = h
+			hits[shard], errs[shard] = s.hits(rng, c, vars, count)
 		}(i, count)
 	}
 	wg.Wait()
-	for _, e := range errs {
-		if e != nil {
-			return 0, 0, e
-		}
-	}
 	total := 0
-	for _, h := range hits {
+	for i, h := range hits {
+		if errs[i] != nil {
+			return 0, 0, errs[i]
+		}
 		total += h
 	}
-	p := float64(total) / float64(n)
-	se := 0.0
-	if n > 1 {
-		se = math.Sqrt(p * (1 - p) / float64(n))
-	}
-	return p, se, nil
+	estimate, stderr = estimateOf(total, n)
+	return estimate, stderr, nil
 }
 
 // EstimateTupleProbabilityParallel estimates the marginal probability of a

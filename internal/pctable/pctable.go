@@ -243,8 +243,10 @@ func (t *PCTable) ConditionProbability(c condition.Condition) (float64, error) {
 
 // ConditionProbabilityEnum is the brute-force reference implementation: it
 // enumerates every valuation of the variables occurring in c, which is
-// exponential in their number. It is kept as the baseline of the E12
-// crossover benchmarks and as the -engine=enum path of cmd/pctable.
+// exponential in their number. It is the enum engine of Marginals — served
+// enum queries, what-if included, and cmd/pctable -engine=enum — and the
+// reference the tests and the E12 crossover benchmarks compare the d-tree
+// against.
 func (t *PCTable) ConditionProbabilityEnum(c condition.Condition) (float64, error) {
 	vars := condition.Vars(c)
 	for _, x := range vars {
@@ -403,28 +405,22 @@ func (t *PCTable) PossibleTuples() ([]value.Tuple, error) {
 
 // TupleProbabilities returns the marginal probability of every possible
 // tuple of the table: candidates and their lineage come from the rows
-// (Candidates) — not from enumerating possible worlds — and probabilities
-// are computed from the lineage conditions by one shared decomposition
-// evaluator, whose memo cache is reused across tuples. Candidates whose
-// marginal is zero are dropped (candidate discovery over-approximates: a
-// tuple matching a row pattern may have unsatisfiable lineage). The whole
-// pipeline avoids anything exponential in the total variable count.
+// (Candidates) — not from enumerating possible worlds — and Marginals
+// computes the probabilities with the d-tree engine, dropping candidates
+// whose marginal is zero. The whole pipeline avoids anything exponential in
+// the total variable count.
 func (t *PCTable) TupleProbabilities() ([]TupleProb, error) {
 	candidates, err := t.Candidates()
 	if err != nil {
 		return nil, err
 	}
-	ev := probcalc.New(t)
-	out := make([]TupleProb, 0, len(candidates))
-	for _, c := range candidates {
-		p, err := ev.Probability(c.Lineage)
-		if err != nil {
-			return nil, err
-		}
-		if p == 0 {
-			continue
-		}
-		out = append(out, TupleProb{Tuple: c.Tuple, P: p})
+	answers, _, err := Marginals(t, candidates, Strategy{Engine: EngineDTree})
+	if err != nil {
+		return nil, err
+	}
+	out := make([]TupleProb, len(answers))
+	for i, a := range answers {
+		out[i] = TupleProb{Tuple: a.Tuple, P: a.P}
 	}
 	return out, nil
 }

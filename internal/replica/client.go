@@ -1,6 +1,6 @@
 // Package replica is the scale-out serving subsystem: read replicas that
-// tail a leader uncertaind's catalog change feed, and a query router that
-// fans reads out across them.
+// tail a leader uncertaind's catalog change feed (the query router that fans
+// reads out across them is internal/router).
 //
 // The paper's c-table semantics make replication correctness checkable to
 // the byte: a catalog is a deterministic function of its mutation history

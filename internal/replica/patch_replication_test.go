@@ -16,6 +16,7 @@ import (
 	"strings"
 	"testing"
 
+	"uncertaindb/internal/router"
 	"uncertaindb/pkg/uncertain"
 )
 
@@ -151,8 +152,12 @@ func TestRouterPatchProxy(t *testing.T) {
 	v := putScript(t, leaderDB, takesV1)
 	waitVersion(t, fDB, v)
 
-	router, routerSrv := startRouter(t, leaderSrv.URL, []string{fSrv.URL})
-	waitHealthy(t, router, 1)
+	rt, err := router.New(router.Options{Leader: leaderSrv.URL, Replicas: []string{fSrv.URL}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	routerSrv := httptest.NewServer(rt.Handler())
+	t.Cleanup(routerSrv.Close)
 
 	req, err := http.NewRequest(http.MethodPatch, routerSrv.URL+"/v1/tables/Takes",
 		strings.NewReader("upsert 'Dana', 'math'\n"))

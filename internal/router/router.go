@@ -1,4 +1,7 @@
-package replica
+// Package router fans /v1 query traffic out across read replicas and proxies
+// everything else to the leader. It speaks only HTTP to the nodes, so it
+// links none of the database.
+package router
 
 import (
 	"bytes"
@@ -17,8 +20,8 @@ import (
 	"uncertaindb/internal/obs"
 )
 
-// RouterOptions configures a Router.
-type RouterOptions struct {
+// Options configures a Router.
+type Options struct {
 	// Leader is the leader's base URL. Mutations and non-query traffic proxy
 	// to it, and it is the fallthrough when no replica can serve a query.
 	Leader string
@@ -37,7 +40,7 @@ type RouterOptions struct {
 	Obs *obs.Observer
 }
 
-func (o RouterOptions) withDefaults() RouterOptions {
+func (o Options) withDefaults() Options {
 	if o.HealthInterval <= 0 {
 		o.HealthInterval = time.Second
 	}
@@ -77,7 +80,7 @@ type BackendStatus struct {
 // skipping stale replicas and, when necessary, falling through to the
 // leader — a stale answer is never silently served.
 type Router struct {
-	opts     RouterOptions
+	opts     Options
 	leader   *url.URL
 	proxy    *httputil.ReverseProxy
 	backends []*backend
@@ -93,15 +96,15 @@ type Router struct {
 	leaderFalls  *obs.Counter
 }
 
-// NewRouter builds a router over a leader and a static replica set.
-func NewRouter(opts RouterOptions) (*Router, error) {
+// New builds a router over a leader and a static replica set.
+func New(opts Options) (*Router, error) {
 	opts = opts.withDefaults()
 	if opts.Leader == "" {
-		return nil, fmt.Errorf("replica: router needs a leader URL")
+		return nil, fmt.Errorf("router: needs a leader URL")
 	}
 	leaderURL, err := url.Parse(opts.Leader)
 	if err != nil {
-		return nil, fmt.Errorf("replica: bad leader URL %q: %w", opts.Leader, err)
+		return nil, fmt.Errorf("router: bad leader URL %q: %w", opts.Leader, err)
 	}
 	r := &Router{
 		opts:   opts,
@@ -123,7 +126,7 @@ func NewRouter(opts RouterOptions) (*Router, error) {
 		r.backends = append(r.backends, b)
 	}
 	if len(r.backends) == 0 {
-		return nil, fmt.Errorf("replica: router needs at least one replica")
+		return nil, fmt.Errorf("router: needs at least one replica")
 	}
 	if ob := opts.Obs; ob != nil {
 		r.routeSeconds = ob.Reg.Histogram("uncertaindb_router_route_duration_seconds", "",
@@ -251,7 +254,6 @@ func (r *Router) Handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("POST /v1/query", r.route)
 	mux.HandleFunc("POST /v1/query/batch", r.route)
-	mux.HandleFunc("POST /query", r.route) // deprecated alias, same fan-out
 	mux.HandleFunc("GET /v1/router", func(w http.ResponseWriter, req *http.Request) {
 		w.Header().Set("Content-Type", "application/json")
 		json.NewEncoder(w).Encode(map[string]any{

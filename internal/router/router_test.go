@@ -1,4 +1,4 @@
-package replica_test
+package router_test
 
 import (
 	"encoding/json"
@@ -13,15 +13,15 @@ import (
 	"time"
 
 	"uncertaindb/internal/httpapi"
-	"uncertaindb/internal/replica"
+	"uncertaindb/internal/router"
 	"uncertaindb/pkg/uncertain"
 )
 
 // startRouter builds and starts a router over the given backends with a
 // fast health loop, serving it over httptest.
-func startRouter(t *testing.T, leader string, replicas []string) (*replica.Router, *httptest.Server) {
+func startRouter(t *testing.T, leader string, replicas []string) (*router.Router, *httptest.Server) {
 	t.Helper()
-	r, err := replica.NewRouter(replica.RouterOptions{
+	r, err := router.New(router.Options{
 		Leader:         leader,
 		Replicas:       replicas,
 		HealthInterval: 10 * time.Millisecond,
@@ -39,7 +39,7 @@ func startRouter(t *testing.T, leader string, replicas []string) (*replica.Route
 }
 
 // waitHealthy blocks until want backends report healthy.
-func waitHealthy(t *testing.T, r *replica.Router, want int) {
+func waitHealthy(t *testing.T, r *router.Router, want int) {
 	t.Helper()
 	deadline := time.Now().Add(10 * time.Second)
 	for time.Now().Before(deadline) {
@@ -94,8 +94,8 @@ func TestRouterFanOutAndStamps(t *testing.T) {
 	waitVersion(t, f1DB, v)
 	waitVersion(t, f2DB, v)
 
-	router, routerSrv := startRouter(t, leaderSrv.URL, []string{f1Srv.URL, f2Srv.URL})
-	waitHealthy(t, router, 2)
+	rt, routerSrv := startRouter(t, leaderSrv.URL, []string{f1Srv.URL, f2Srv.URL})
+	waitHealthy(t, rt, 2)
 
 	replicaSet := map[string]bool{f1Srv.URL: true, f2Srv.URL: true}
 	var served sync.Map
@@ -189,8 +189,8 @@ func TestRouterMinCatalogVersion(t *testing.T) {
 	}
 	v2 := putScript(t, leaderDB, gradesV1)
 
-	router, routerSrv := startRouter(t, leaderSrv.URL, []string{fSrv.URL})
-	waitHealthy(t, router, 1)
+	rt, routerSrv := startRouter(t, leaderSrv.URL, []string{fSrv.URL})
+	waitHealthy(t, rt, 1)
 
 	// No freshness demand: the stale replica serves, stamped with its true
 	// (old) version — staleness is visible, never silent.
@@ -272,8 +272,8 @@ func TestRouterEjectsAndReadmits(t *testing.T) {
 	waitVersion(t, f1DB, v)
 	waitVersion(t, f2DB, v)
 
-	router, routerSrv := startRouter(t, leaderSrv.URL, []string{srv1.URL, srv2.URL})
-	waitHealthy(t, router, 2)
+	rt, routerSrv := startRouter(t, leaderSrv.URL, []string{srv1.URL, srv2.URL})
+	waitHealthy(t, rt, 2)
 
 	fl1.down.Store(true)
 	// Every query keeps succeeding: in-flight failures retry on the healthy
@@ -287,7 +287,7 @@ func TestRouterEjectsAndReadmits(t *testing.T) {
 			t.Fatalf("query %d served by the failing replica", i)
 		}
 	}
-	waitHealthy(t, router, 1)
+	waitHealthy(t, rt, 1)
 
 	fl2.down.Store(true) // both replicas down: the leader carries the reads
 	status, hdr, body := routedQuery(t, routerSrv, "project[1](Takes)", "")
@@ -297,7 +297,7 @@ func TestRouterEjectsAndReadmits(t *testing.T) {
 
 	fl1.down.Store(false)
 	fl2.down.Store(false)
-	waitHealthy(t, router, 2) // the health loop readmits both
+	waitHealthy(t, rt, 2) // the health loop readmits both
 
 	status, hdr, _ = routedQuery(t, routerSrv, "project[1](Takes)", "")
 	if status != http.StatusOK || hdr.Get("X-Served-By") == "leader" {
@@ -312,8 +312,8 @@ func TestRouterEjectsAndReadmits(t *testing.T) {
 	defer resp.Body.Close()
 	raw, _ := io.ReadAll(resp.Body)
 	var statusBody struct {
-		Leader   string                  `json:"leader"`
-		Backends []replica.BackendStatus `json:"backends"`
+		Leader   string                 `json:"leader"`
+		Backends []router.BackendStatus `json:"backends"`
 	}
 	if err := json.Unmarshal(raw, &statusBody); err != nil {
 		t.Fatalf("decoding /v1/router: %v (%s)", err, raw)

@@ -185,68 +185,35 @@ type Marginal struct {
 // unsatisfiable are dropped.
 func (a *Answer) Marginals(eng string) ([]Marginal, error) {
 	switch eng {
-	case "", "dtree":
-		probs, err := a.pc.TupleProbabilities()
-		if err != nil {
-			return nil, err
-		}
-		out := make([]Marginal, 0, len(probs))
-		for _, tp := range probs {
-			out = append(out, Marginal{Tuple: tp.Tuple, P: tp.P})
-		}
-		return out, nil
-	case "enum":
-		candidates, err := a.pc.Candidates()
-		if err != nil {
-			return nil, err
-		}
-		out := make([]Marginal, 0, len(candidates))
-		for _, c := range candidates {
-			p, err := a.pc.ConditionProbabilityEnum(c.Lineage)
-			if err != nil {
-				return nil, err
-			}
-			if p == 0 {
-				// Row-pattern candidate with unsatisfiable lineage — not a
-				// possible answer.
-				continue
-			}
-			out = append(out, Marginal{Tuple: c.Tuple, P: p})
-		}
-		return out, nil
+	case "":
+		eng = pctable.EngineDTree
+	case pctable.EngineDTree, pctable.EngineEnum:
 	default:
 		return nil, fmt.Errorf("%w: unknown engine %q (want dtree or enum)", ErrBadQuery, eng)
 	}
+	return a.marginals(pctable.Strategy{Engine: eng})
 }
 
 // Estimate estimates every candidate tuple's marginal by Monte-Carlo
 // sampling: samples draws (default 10000), sharded over workers goroutines,
 // deterministic for a fixed seed.
 func (a *Answer) Estimate(samples int, seed int64, workers int) ([]Marginal, error) {
-	if samples <= 0 {
-		samples = 10000
-	}
-	if seed == 0 {
-		seed = 1
-	}
-	if workers <= 0 {
-		workers = 1
-	}
-	sampler, err := pctable.NewSampler(a.pc, seed)
-	if err != nil {
-		return nil, err
-	}
+	return a.marginals(pctable.Strategy{Engine: pctable.EngineMC, Samples: samples, Seed: seed, Workers: workers})
+}
+
+// marginals computes every candidate's marginal with pctable.Marginals.
+func (a *Answer) marginals(s pctable.Strategy) ([]Marginal, error) {
 	candidates, err := a.pc.Candidates()
 	if err != nil {
 		return nil, err
 	}
-	out := make([]Marginal, 0, len(candidates))
-	for _, c := range candidates {
-		est, se, err := sampler.EstimateConditionProbabilityParallel(c.Lineage, samples, workers)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, Marginal{Tuple: c.Tuple, P: est, StdErr: se})
+	answers, _, err := pctable.Marginals(a.pc, candidates, s)
+	if err != nil {
+		return nil, err
+	}
+	out := make([]Marginal, len(answers))
+	for i, ta := range answers {
+		out[i] = Marginal{Tuple: ta.Tuple, P: ta.P, StdErr: ta.StdErr}
 	}
 	return out, nil
 }
