@@ -201,7 +201,11 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 	// handler goroutine past the drain timeout.
 	srvCtx, srvCancel := context.WithCancel(context.Background())
 	defer srvCancel()
-	srv := &http.Server{Handler: handler, BaseContext: func(net.Listener) context.Context { return srvCtx }}
+	srv := &http.Server{
+		Handler:           handler,
+		ReadHeaderTimeout: readHeaderTimeout,
+		BaseContext:       func(net.Listener) context.Context { return srvCtx },
+	}
 	fmt.Fprintf(out, "uncertaind listening on http://%s\n", ln.Addr())
 
 	errCh := make(chan error, 1)
@@ -226,6 +230,13 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 	fmt.Fprintln(out, "uncertaind: shut down")
 	return nil
 }
+
+// readHeaderTimeout bounds how long a client may take to send its request
+// headers, so one that never finishes them cannot hold a goroutine and a
+// file descriptor forever. Read, write and idle timeouts stay unset: a read
+// or write timeout would cut long-lived /v1/subscribe streams, and an idle
+// timeout would race the router's reuse of its kept-alive connections.
+const readHeaderTimeout = 5 * time.Second
 
 // newHandler builds the HTTP API over the facade; the implementation lives
 // in internal/httpapi so in-process harnesses mount the production handler.

@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -340,5 +341,32 @@ func TestRunFlagErrors(t *testing.T) {
 	}
 	if !strings.Contains(buf.String(), "Usage of uncertaind") {
 		t.Errorf("-h output missing usage:\n%s", buf.String())
+	}
+}
+
+// A client that sends part of a request header and then stalls is cut off
+// once readHeaderTimeout has passed, instead of holding its connection (and
+// a server goroutine) open for good.
+func TestSlowHeaderConnectionClosed(t *testing.T) {
+	t.Parallel()
+	base, _, shutdown := startDaemon(t)
+	defer shutdown()
+	conn, err := net.Dial("tcp", strings.TrimPrefix(base, "http://"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	start := time.Now()
+	if _, err := io.WriteString(conn, "GET /v1/tables HTTP/1.1\r\nHost: uncertaind\r\n"); err != nil {
+		t.Fatal(err)
+	}
+	conn.SetReadDeadline(start.Add(readHeaderTimeout + 3*time.Second))
+	_, err = io.Copy(io.Discard, conn)
+	elapsed := time.Since(start)
+	if ne, ok := err.(net.Error); ok && ne.Timeout() {
+		t.Fatalf("connection with a partial header still open after %v", elapsed)
+	}
+	if elapsed < readHeaderTimeout-time.Second {
+		t.Fatalf("connection closed after %v, before the %v header timeout (err %v)", elapsed, readHeaderTimeout, err)
 	}
 }

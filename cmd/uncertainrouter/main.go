@@ -59,6 +59,11 @@ type multiFlag []string
 func (m *multiFlag) String() string     { return strings.Join(*m, ",") }
 func (m *multiFlag) Set(s string) error { *m = append(*m, s); return nil }
 
+// readHeaderTimeout cuts off a client that never finishes its headers. No
+// read, write or idle timeout is set: those would cut proxied
+// /v1/subscribe streams or race clients reusing kept-alive connections.
+const readHeaderTimeout = 5 * time.Second
+
 // run is the testable body of the router: parse flags, serve until ctx is
 // cancelled, shut down gracefully. The listen address is printed to out so
 // -addr :0 is usable in tests.
@@ -108,7 +113,7 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 	if err != nil {
 		return err
 	}
-	srv := &http.Server{Handler: rt.Handler()}
+	srv := &http.Server{Handler: rt.Handler(), ReadHeaderTimeout: readHeaderTimeout}
 	fmt.Fprintf(out, "uncertainrouter listening on http://%s (leader %s, %d replicas)\n",
 		ln.Addr(), *leader, len(replicas))
 

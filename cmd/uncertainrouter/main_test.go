@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/json"
 	"io"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"regexp"
@@ -185,5 +186,57 @@ func TestRunFlagErrors(t *testing.T) {
 	}
 	if !strings.Contains(buf.String(), "-leader") {
 		t.Errorf("usage output missing flags:\n%s", buf.String())
+	}
+}
+
+// A client that sends part of a request header and then stalls is cut off
+// once readHeaderTimeout has passed, instead of holding its connection (and
+// a router goroutine) open for good.
+func TestSlowHeaderConnectionClosed(t *testing.T) {
+	t.Parallel()
+	ctx, cancel := context.WithCancel(context.Background())
+	out := &syncWriter{}
+	done := make(chan error, 1)
+	go func() {
+		done <- run(ctx, []string{
+			"-addr", "127.0.0.1:0",
+			"-leader", "http://127.0.0.1:1",
+			"-replica", "http://127.0.0.1:1",
+		}, out)
+	}()
+	defer func() {
+		cancel()
+		if err := <-done; err != nil {
+			t.Errorf("run returned %v, want nil on graceful shutdown", err)
+		}
+	}()
+	var base string
+	for deadline := time.Now().Add(5 * time.Second); base == ""; {
+		if time.Now().After(deadline) {
+			t.Fatalf("router never announced its address; output so far:\n%s", out.String())
+		}
+		if m := listenRe.FindStringSubmatch(out.String()); m != nil {
+			base = m[1]
+		} else {
+			time.Sleep(5 * time.Millisecond)
+		}
+	}
+	conn, err := net.Dial("tcp", strings.TrimPrefix(base, "http://"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	start := time.Now()
+	if _, err := io.WriteString(conn, "POST /v1/query HTTP/1.1\r\nHost: uncertainrouter\r\n"); err != nil {
+		t.Fatal(err)
+	}
+	conn.SetReadDeadline(start.Add(readHeaderTimeout + 3*time.Second))
+	_, err = io.Copy(io.Discard, conn)
+	elapsed := time.Since(start)
+	if ne, ok := err.(net.Error); ok && ne.Timeout() {
+		t.Fatalf("connection with a partial header still open after %v", elapsed)
+	}
+	if elapsed < readHeaderTimeout-time.Second {
+		t.Fatalf("connection closed after %v, before the %v header timeout (err %v)", elapsed, readHeaderTimeout, err)
 	}
 }

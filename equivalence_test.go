@@ -319,8 +319,10 @@ func TestOperatorCoreBitIdenticalToEager(t *testing.T) {
 // Property (acceptance criterion of the shared-circuit engine): on the same
 // randomized multi-table environments and queries as the grid test above,
 // one shared circuit compiled over ALL answer tuples computes, for every
-// tuple, a rational marginal bit-identical to the per-tuple exact d-tree's
-// and to the frozen eager evaluator's — across the 2×2 plan-option grid,
+// tuple, a rational marginal bit-identical to the per-tuple exact d-tree's,
+// to the frozen eager evaluator's, and to brute-force enumeration's (the
+// reference that shares no decomposition with the other two) — across the
+// 2×2 plan-option grid,
 // and with the circuit evaluated by 1 and by 8 concurrent goroutines (the
 // compiled circuit is immutable; the CI race job runs this under -race).
 func TestCircuitBitIdenticalAcrossGrid(t *testing.T) {
@@ -397,9 +399,13 @@ func TestCircuitBitIdenticalAcrossGrid(t *testing.T) {
 							if err != nil {
 								t.Fatalf("trial %d: eager marginal: %v", trial, err)
 							}
-							if got.Cmp(dtree) != 0 || got.Cmp(eager) != 0 {
-								t.Errorf("trial %d (%s) workers=%d, tuple %s: circuit %s, dtree %s, eager %s — not bit-identical\nquery: %s",
-									trial, grid, workers, tp, got, dtree, eager, q)
+							enum, err := probcalc.EnumProbabilityRat(lineages[i], corePC)
+							if err != nil {
+								t.Fatalf("trial %d (%s): enumeration: %v", trial, grid, err)
+							}
+							if got.Cmp(dtree) != 0 || got.Cmp(eager) != 0 || got.Cmp(enum) != 0 {
+								t.Errorf("trial %d (%s) workers=%d, tuple %s: circuit %s, dtree %s, eager %s, enum %s — not bit-identical\nquery: %s",
+									trial, grid, workers, tp, got, dtree, eager, enum, q)
 							}
 						}
 					}

@@ -46,8 +46,10 @@ func chainScript(n int) string {
 	return b.String()
 }
 
-// TestCircuitEngineMatchesDTree runs the same queries under the circuit and
-// d-tree engines and requires identical answers.
+// TestCircuitEngineMatchesDTree runs the same queries under the circuit,
+// d-tree and enum engines. The d-tree and circuit engines run one compiler,
+// so they must agree to the bit; enumeration shares no decomposition with
+// them and is the independent reference, within float rounding.
 func TestCircuitEngineMatchesDTree(t *testing.T) {
 	e := newEngine(t, Options{}, takesScript, labsScript, sharedScript(24))
 	for _, queryText := range []string{
@@ -64,17 +66,25 @@ func TestCircuitEngineMatchesDTree(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		enum, err := e.Execute(Request{Query: queryText, Engine: "enum"})
+		if err != nil {
+			t.Fatal(err)
+		}
 		if got.Effective != KindCircuit {
 			t.Fatalf("%s: effective engine %q, want circuit", queryText, got.Effective)
 		}
-		if len(got.Tuples) != len(want.Tuples) {
-			t.Fatalf("%s: %d answers, want %d", queryText, len(got.Tuples), len(want.Tuples))
+		if len(got.Tuples) != len(want.Tuples) || len(enum.Tuples) != len(want.Tuples) {
+			t.Fatalf("%s: %d circuit and %d enum answers, want %d", queryText, len(got.Tuples), len(enum.Tuples), len(want.Tuples))
 		}
 		for i := range got.Tuples {
-			g, w := got.Tuples[i], want.Tuples[i]
-			if g.Tuple.Key() != w.Tuple.Key() || math.Abs(g.P-w.P) > 1e-12 || g.Certain != w.Certain {
-				t.Fatalf("%s: answer %d = (%s, %g, %v), want (%s, %g, %v)",
+			g, w, n := got.Tuples[i], want.Tuples[i], enum.Tuples[i]
+			if g.Tuple.Key() != w.Tuple.Key() || g.P != w.P || g.Certain != w.Certain {
+				t.Fatalf("%s: answer %d = (%s, %v, %v), want (%s, %v, %v) bit for bit",
 					queryText, i, g.Tuple, g.P, g.Certain, w.Tuple, w.P, w.Certain)
+			}
+			if n.Tuple.Key() != w.Tuple.Key() || math.Abs(n.P-w.P) > 1e-12 || n.Certain != w.Certain {
+				t.Fatalf("%s: answer %d = (%s, %g, %v), enumeration gives (%s, %g, %v)",
+					queryText, i, w.Tuple, w.P, w.Certain, n.Tuple, n.P, n.Certain)
 			}
 		}
 	}

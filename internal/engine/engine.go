@@ -11,15 +11,15 @@
 // is LRU-bounded and publishes hit/miss/eviction/latency counters.
 //
 // Execution computes tuple marginals under a bounded worker pool with one of
-// four engines — dtree (d-tree decomposition, internal/probcalc), circuit
-// (one shared arithmetic circuit per answer), enum (brute-force valuation
-// enumeration) or mc (Monte-Carlo estimation) — or with auto, which picks
-// dtree, circuit or mc per plan from its lineage statistics. Every engine
-// runs through one function, pctable.Marginals, which owns the rules for
-// dropping zero-probability candidates and flagging certain answers. Exact
-// marginals are computed once per plan and memoized; Monte-Carlo re-samples
-// per request (deterministically for a fixed seed), and what-if requests
-// recompute under their overridden distributions.
+// four engines — dtree and circuit (internal/probcalc's one decomposition
+// compiler, driven per tuple or over the whole answer at once), enum
+// (brute-force valuation enumeration) or mc (Monte-Carlo estimation) — or
+// with auto, which picks dtree, circuit or mc per plan from its lineage
+// statistics. Every engine runs through one function, pctable.Marginals,
+// which owns the rules for dropping zero-probability candidates and flagging
+// certain answers. Exact marginals are computed once per plan and memoized;
+// Monte-Carlo re-samples per request (deterministically for a fixed seed),
+// and what-if requests recompute under their overridden distributions.
 package engine
 
 import (

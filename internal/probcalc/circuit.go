@@ -9,30 +9,26 @@ import (
 	"uncertaindb/internal/value"
 )
 
-// This file compiles the lineage conditions of a WHOLE answer into one
-// shared arithmetic circuit — the knowledge-compilation reading of the
-// d-tree engine in dtree.go. Where the per-tuple path re-pays simplification,
-// variable collection and decomposition bookkeeping for every tuple, the
-// compiler works at the level of hash-consed condition IDs: every
-// structurally distinct subcondition is decomposed exactly once (memoized by
-// ID), its variable set is computed exactly once (Interner.Vars), and the
-// result is a DAG whose internal nodes are the same splits dtree.go performs
-// (independence products, exclusive sums, Shannon expansions) with residual
-// enumeration leaves at the fringe.
+// This file is the one compiler: it decomposes conditions by the rules in
+// dtree.go into a shared arithmetic circuit. It works at the level of
+// hash-consed condition IDs: every structurally distinct subcondition is
+// decomposed exactly once (memoized by ID), and the result is a DAG whose
+// internal nodes are the splits (independence products, exclusive sums,
+// Shannon expansions) with residual enumeration leaves at the fringe.
 //
-// Evaluation is a single bottom-up pass over a flat node array — children
-// always precede parents, so one index-ordered sweep computes every tuple's
-// marginal with no tree walks, no hashing and no map lookups on internal
-// nodes. Because the circuit fixes only the decomposition STRUCTURE (Shannon
-// branch values, enumeration supports) and reads the distribution WEIGHTS at
-// evaluation time, the same compiled circuit re-evaluates under changed
-// distributions (what-if queries) without re-decomposing — the weights just
-// flow through the same DAG again.
+// Two callers drive it. CompileAnswer compiles the lineage of a whole answer
+// into an immutable Circuit and evaluates it in one bottom-up pass over the
+// flat node array (children always precede parents, so one index-ordered
+// sweep computes every tuple's marginal with no hashing on internal nodes).
+// The circuit fixes only the decomposition STRUCTURE (Shannon branch values,
+// enumeration supports) and reads the distribution WEIGHTS at evaluation
+// time, so it re-evaluates under changed distributions (what-if queries)
+// without re-decomposing. The per-tuple evaluators in dtree.go keep one
+// compiler across calls and evaluate each new condition's fresh nodes only.
 //
-// The same field abstraction as dtree.go gives a float64 fast path and a
-// bit-exact big.Rat twin: exact rational arithmetic is associative and
-// commutative, so the circuit's rationals are bit-identical to the per-tuple
-// d-tree twin and to brute-force enumeration.
+// Both evaluate through evalNodes, in float64 or in exact big.Rat
+// arithmetic; exact rational arithmetic is associative and commutative, so
+// the rationals are bit-identical to brute-force enumeration.
 
 // circuitNodeKind discriminates circuit node shapes.
 type circuitNodeKind uint8
@@ -51,13 +47,13 @@ const (
 // topological order (and the DAG is acyclic by construction).
 type circuitNode struct {
 	kind circuitNodeKind
-	one  bool   // cnConst: true for 1, false for 0
-	kids []int  // child node indices (cnNot: exactly one)
-	// cnShannon: pivot variable and the branch value of each child, in
-	// compile-time distribution order. Weights are looked up at evaluation
-	// time, so overridden distributions reweight the same branches.
-	pivot      condition.Variable
-	branchVals []value.Value
+	one  bool  // cnConst: true for 1, false for 0
+	kids []int // child node indices (cnNot: exactly one)
+	// cnShannon: the pivot variable; child j is the branch for the j-th
+	// value of the pivot's compile-time support. Weights are looked up at
+	// evaluation time, so overridden distributions reweight the same
+	// branches.
+	pivot condition.Variable
 	// cnEnum: the residual condition and its sorted variables. The leaf is
 	// re-enumerated at evaluation time under the distributions in effect.
 	cond condition.Condition
@@ -65,8 +61,9 @@ type circuitNode struct {
 }
 
 // CircuitStats describes a compiled circuit: its size, how much cross-tuple
-// structure sharing the compiler found, and the decomposition steps taken
-// (the circuit-shaped analogue of Stats).
+// structure sharing the compiler found, and the decomposition steps taken.
+// The step counters are the compiler's Stats under circuit names:
+// SharedHits is MemoHits and EnumLeaves is Enumerations.
 type CircuitStats struct {
 	Nodes             int // total DAG nodes
 	Roots             int // input conditions (answer tuples)
@@ -104,63 +101,105 @@ func CompileAnswer(conds []condition.Condition, d DistProvider) (*Circuit, error
 
 // CompileAnswerWithOptions is CompileAnswer with explicit options.
 func CompileAnswerWithOptions(conds []condition.Condition, d DistProvider, opts Options) (*Circuit, error) {
-	if opts.EnumThreshold <= 0 {
-		opts.EnumThreshold = DefaultEnumThreshold
-	}
-	cp := &compiler{
-		c: &Circuit{
-			support: make(map[condition.Variable][]value.Value),
-			// Nodes 0 and 1 are the constants, so every compiled node's
-			// children (constants included) precede it in index order.
-			nodes: []circuitNode{{kind: cnConst, one: false}, {kind: cnConst, one: true}},
-		},
-		d:        d,
-		in:       condition.NewInterner(),
-		memo:     make(map[condition.ID]int),
-		junctIDs: make(map[junctKey]condition.ID),
-		varsByID: make(map[condition.ID][]condition.Variable),
-		opts:     opts,
-	}
-	cp.c.roots = make([]int, 0, len(conds))
+	floats := floatOutcomes(d)
+	cp := newCompiler(func(x condition.Variable) ([]value.Value, error) {
+		o, err := floats(x)
+		return valuesOf(o), err
+	}, opts)
+	roots := make([]int, 0, len(conds))
 	for _, cond := range conds {
 		root, err := cp.compile(cond)
 		if err != nil {
 			return nil, err
 		}
-		cp.c.roots = append(cp.c.roots, root)
+		roots = append(roots, root)
 	}
-	cp.c.stats.Nodes = len(cp.c.nodes)
-	cp.c.stats.Roots = len(cp.c.roots)
-	cp.c.stats.Vars = len(cp.c.support)
-	return cp.c, nil
+	s := cp.stats
+	return &Circuit{nodes: cp.nodes, roots: roots, support: cp.support, stats: CircuitStats{
+		Nodes:             len(cp.nodes),
+		Roots:             len(roots),
+		Vars:              len(cp.support),
+		SharedHits:        s.MemoHits,
+		EnumLeaves:        s.Enumerations,
+		ComponentSplits:   s.ComponentSplits,
+		ExclusiveSplits:   s.ExclusiveSplits,
+		ShannonExpansions: s.ShannonExpansions,
+	}}, nil
 }
 
 // junctKey identifies a junction node by the backing array of its child
-// slice. Conditions are immutable and the compiler lives for one
-// CompileAnswer call, so a (first-element pointer, length) pair is a sound
-// identity: the lineages of an answer share whole subcondition VALUES (the
-// same AndCond/OrCond copied into many rows), and this key recognizes the
-// share in O(1) where a structural re-walk would pay the subcondition's full
-// size for every occurrence — the dominant cost at 10k+ tuples.
+// slice. Conditions are immutable, and the key's pointer keeps its backing
+// array reachable for as long as the entry exists, so the address cannot be
+// reused by a different slice meanwhile: a (first-element pointer, length)
+// pair is a sound identity however long the compiler lives. CompileAnswer
+// keeps the entries across all roots: the lineages of an answer share whole
+// subcondition VALUES (the same AndCond/OrCond copied into many rows), and
+// this key recognizes the share in O(1) where a structural re-walk would pay
+// the subcondition's full size for every occurrence — the dominant cost at
+// 10k+ tuples. The per-tuple evaluators drop them after every call
+// (forgetJunctions).
 type junctKey struct {
 	or bool
 	p  *condition.Condition
 	n  int
 }
 
-// compiler carries the state of one CompileAnswer run.
+// compiler is the one decomposition. Its node array only grows, and memo
+// maps each compiled condition's ID to its node, so a compiler can be driven
+// one condition at a time (dtree.go) or over a whole answer.
 type compiler struct {
-	c        *Circuit
-	d        DistProvider
-	in       *condition.Interner
-	memo     map[condition.ID]int
-	junctIDs map[junctKey]condition.ID
-	varsByID map[condition.ID][]condition.Variable
+	// nodes 0 and 1 are the constants, so every compiled node's children
+	// (constants included) precede it in index order.
+	nodes []circuitNode
+	// support holds each variable's compile-time outcome values, read once
+	// from source.
+	support map[condition.Variable][]value.Value
+	source  func(condition.Variable) ([]value.Value, error)
+	in      *condition.Interner
+	memo    map[condition.ID]int
+	// junctIDs and junctVars cache a junction's ID and its variables
+	// under its backing array.
+	junctIDs  map[junctKey]condition.ID
+	junctVars map[junctKey][]condition.Variable
+	kidIDs    []condition.ID // junctionID's scratch
 	// varSeen/varGen are the generation-stamped scratch set of mergeVars:
 	// one reused map instead of one allocation per junction.
 	varSeen map[condition.Variable]int
 	varGen  int
 	opts    Options
+	// stats counts the decomposition steps; MemoEntries is len(memo).
+	stats Stats
+}
+
+func newCompiler(source func(condition.Variable) ([]value.Value, error), opts Options) *compiler {
+	if opts.EnumThreshold <= 0 {
+		opts.EnumThreshold = DefaultEnumThreshold
+	}
+	return &compiler{
+		nodes:     []circuitNode{{kind: cnConst, one: false}, {kind: cnConst, one: true}},
+		support:   make(map[condition.Variable][]value.Value),
+		source:    source,
+		in:        condition.NewInterner(),
+		memo:      make(map[condition.ID]int),
+		junctIDs:  make(map[junctKey]condition.ID),
+		junctVars: make(map[junctKey][]condition.Variable),
+		varSeen:   make(map[condition.Variable]int),
+		opts:      opts,
+	}
+}
+
+// forgetJunctions empties the backing-array caches. The memo, keyed by
+// hash-consed ID, is kept.
+func (cp *compiler) forgetJunctions() {
+	clear(cp.junctIDs)
+	clear(cp.junctVars)
+}
+
+// Stats returns the decomposition counters accumulated so far.
+func (cp *compiler) Stats() Stats {
+	s := cp.stats
+	s.MemoEntries = len(cp.memo)
+	return s
 }
 
 // condID is Interner.ID with an O(1) fast path for junctions already seen by
@@ -185,38 +224,62 @@ func (cp *compiler) junctionID(or bool, juncts []condition.Condition) condition.
 	if id, ok := cp.junctIDs[k]; ok {
 		return id
 	}
-	kids := make([]condition.ID, len(juncts))
-	for i, j := range juncts {
-		kids[i] = cp.condID(j)
+	// The child IDs are staged in a shared buffer, so a junction whose
+	// children are already interned costs no allocation.
+	start := len(cp.kidIDs)
+	for _, j := range juncts {
+		id := cp.condID(j) // may grow and restore kidIDs beyond start
+		cp.kidIDs = append(cp.kidIDs, id)
 	}
 	var id condition.ID
 	if or {
-		id = cp.in.OrID(kids)
+		id = cp.in.OrID(cp.kidIDs[start:])
 	} else {
-		id = cp.in.AndID(kids)
+		id = cp.in.AndID(cp.kidIDs[start:])
 	}
+	cp.kidIDs = cp.kidIDs[:start]
 	cp.junctIDs[k] = id
 	return id
 }
 
-// varsOf returns c's sorted free variables, cached by hash-consed ID, with
-// junction variable sets merged from the (cached) child sets instead of
-// re-walking the whole condition.
+// varsOf returns c's sorted free variables. A junction's set is merged from
+// its children's and cached under its backing array (junctKey), so a
+// subcondition shared by value is walked once, and no condition has to be
+// interned just to find its variables; an atom's at most two variables are
+// read off directly.
 func (cp *compiler) varsOf(c condition.Condition) []condition.Variable {
-	id := cp.condID(c)
-	if v, ok := cp.varsByID[id]; ok {
+	switch c := c.(type) {
+	case condition.Cmp:
+		l, r := c.Left, c.Right
+		switch {
+		case l.IsVar && r.IsVar && l.Var != r.Var:
+			return []condition.Variable{min(l.Var, r.Var), max(l.Var, r.Var)}
+		case l.IsVar:
+			return []condition.Variable{l.Var}
+		case r.IsVar:
+			return []condition.Variable{r.Var}
+		}
+		return nil
+	case condition.NotCond:
+		return cp.varsOf(c.Cond)
+	case condition.AndCond:
+		return cp.junctionVars(false, c.Conds)
+	case condition.OrCond:
+		return cp.junctionVars(true, c.Conds)
+	}
+	return condition.Vars(c)
+}
+
+func (cp *compiler) junctionVars(or bool, juncts []condition.Condition) []condition.Variable {
+	if len(juncts) == 0 {
+		return nil
+	}
+	k := junctKey{or, &juncts[0], len(juncts)}
+	if v, ok := cp.junctVars[k]; ok {
 		return v
 	}
-	var v []condition.Variable
-	switch c := c.(type) {
-	case condition.AndCond:
-		v = cp.mergeVars(c.Conds)
-	case condition.OrCond:
-		v = cp.mergeVars(c.Conds)
-	default:
-		v = condition.Vars(c)
-	}
-	cp.varsByID[id] = v
+	v := cp.mergeVars(juncts)
+	cp.junctVars[k] = v
 	return v
 }
 
@@ -233,9 +296,6 @@ func (cp *compiler) mergeVars(juncts []condition.Condition) []condition.Variable
 		sets[i] = cp.varsOf(j)
 	}
 	cp.varGen++
-	if cp.varSeen == nil {
-		cp.varSeen = make(map[condition.Variable]int)
-	}
 	out := make([]condition.Variable, 0, 8)
 	for _, set := range sets {
 		for _, x := range set {
@@ -290,27 +350,23 @@ func sortedVarsDisjoint(a, b []condition.Variable) bool {
 }
 
 func (cp *compiler) add(n circuitNode) int {
-	cp.c.nodes = append(cp.c.nodes, n)
-	return len(cp.c.nodes) - 1
+	cp.nodes = append(cp.nodes, n)
+	return len(cp.nodes) - 1
 }
 
 // supportOf registers (and caches) x's compile-time outcome values.
 func (cp *compiler) supportOf(x condition.Variable) ([]value.Value, error) {
-	if s, ok := cp.c.support[x]; ok {
+	if s, ok := cp.support[x]; ok {
 		return s, nil
 	}
-	sp := cp.d.Dist(x)
-	if sp == nil {
-		return nil, fmt.Errorf("probcalc: variable %s has no distribution", x)
+	s, err := cp.source(x)
+	if err != nil {
+		return nil, err
 	}
-	if sp.Size() == 0 {
+	if len(s) == 0 {
 		return nil, fmt.Errorf("probcalc: empty distribution for variable %s", x)
 	}
-	s := make([]value.Value, 0, sp.Size())
-	for _, o := range sp.Outcomes() {
-		s = append(s, o.ValuePayload())
-	}
-	cp.c.support[x] = s
+	cp.support[x] = s
 	return s, nil
 }
 
@@ -330,10 +386,10 @@ func (cp *compiler) residualSmall(vars []condition.Variable) (bool, error) {
 	return true, nil
 }
 
-// compile returns the node index computing P[c], mirroring engine.eval's
-// decomposition order: constants, residual enumeration, negation complement,
-// junction splits, Shannon expansion. Memoized by hash-consed ID, so any
-// subcondition shared across tuples (or within one tuple) compiles once.
+// compile returns the node index computing P[c], deciding in order:
+// constants, residual enumeration, negation complement, junction splits,
+// Shannon expansion. Memoized by hash-consed ID, so any subcondition shared
+// across conditions (or within one) compiles once.
 func (cp *compiler) compile(c condition.Condition) (int, error) {
 	switch c.(type) {
 	case condition.TrueCond:
@@ -343,22 +399,19 @@ func (cp *compiler) compile(c condition.Condition) (int, error) {
 	}
 	id := cp.condID(c)
 	if n, ok := cp.memo[id]; ok {
-		cp.c.stats.SharedHits++
+		cp.stats.MemoHits++
 		return n, nil
 	}
 	vars := cp.varsOf(c)
 	if len(vars) == 0 {
-		holds, err := c.Eval(nil)
-		if err != nil {
-			return 0, err
+		n := 0
+		if condition.MustEval(c, nil) {
+			n = 1
 		}
-		if holds {
-			cp.memo[id] = 1
-			return 1, nil
-		}
-		cp.memo[id] = 0
-		return 0, nil
+		cp.memo[id] = n
+		return n, nil
 	}
+	cp.stats.MemoMisses++
 	small, err := cp.residualSmall(vars)
 	if err != nil {
 		return 0, err
@@ -366,7 +419,7 @@ func (cp *compiler) compile(c condition.Condition) (int, error) {
 	var idx int
 	switch {
 	case len(vars) == 1 || small:
-		cp.c.stats.EnumLeaves++
+		cp.stats.Enumerations++
 		idx = cp.add(circuitNode{kind: cnEnum, cond: c, vars: vars})
 	default:
 		switch cc := c.(type) {
@@ -408,7 +461,7 @@ func (cp *compiler) junction(juncts []condition.Condition, isAnd bool, whole con
 		comps = componentsVars(juncts, cp.varsOf)
 	}
 	if len(comps) > 1 {
-		cp.c.stats.ComponentSplits++
+		cp.stats.ComponentSplits++
 		kids := make([]int, 0, len(comps))
 		for _, comp := range comps {
 			var sub condition.Condition
@@ -433,7 +486,7 @@ func (cp *compiler) junction(juncts []condition.Condition, isAnd bool, whole con
 		return cp.add(circuitNode{kind: cnNot, kids: []int{prod}}), nil
 	}
 	if !isAnd && pairwiseDisjoint(juncts) {
-		cp.c.stats.ExclusiveSplits++
+		cp.stats.ExclusiveSplits++
 		kids := make([]int, 0, len(juncts))
 		for _, d := range juncts {
 			kid, err := cp.compile(d)
@@ -455,7 +508,7 @@ func (cp *compiler) shannon(c condition.Condition, vars []condition.Variable) (i
 	if err != nil {
 		return 0, err
 	}
-	cp.c.stats.ShannonExpansions++
+	cp.stats.ShannonExpansions++
 	kids := make([]int, 0, len(sup))
 	val := make(condition.Valuation, 1)
 	for _, v := range sup {
@@ -466,7 +519,7 @@ func (cp *compiler) shannon(c condition.Condition, vars []condition.Variable) (i
 		}
 		kids = append(kids, kid)
 	}
-	return cp.add(circuitNode{kind: cnShannon, pivot: pivot, branchVals: sup, kids: kids}), nil
+	return cp.add(circuitNode{kind: cnShannon, pivot: pivot, kids: kids}), nil
 }
 
 // Stats returns the compile-time statistics of the circuit.
@@ -486,8 +539,8 @@ func (c *Circuit) EvalFloat(d DistProvider) ([]float64, error) {
 }
 
 // EvalRat computes every root's probability in exact rational arithmetic
-// under d, bit-identical to the per-tuple ExactEvaluator and to
-// EnumProbabilityRat on each root condition.
+// under d, bit-identical to the ExactEvaluator and to EnumProbabilityRat on
+// each root condition.
 func (c *Circuit) EvalRat(d DistProvider) ([]*big.Rat, error) {
 	return evalCircuit(c, ratField(), ratOutcomes(d))
 }
@@ -516,7 +569,7 @@ func (c *Circuit) WellFormed() error {
 				return fmt.Errorf("probcalc: enum node %d lacks condition or variables", i)
 			}
 		case cnShannon:
-			if len(n.kids) == 0 || len(n.kids) != len(n.branchVals) || n.pivot == "" {
+			if len(n.kids) == 0 || len(n.kids) != len(c.support[n.pivot]) {
 				return fmt.Errorf("probcalc: shannon node %d malformed", i)
 			}
 		}
@@ -529,13 +582,20 @@ func (c *Circuit) WellFormed() error {
 	return nil
 }
 
-// evalCircuit is the generic bottom-up pass: one sweep in index order (a
-// topological order by construction) computes every node, then the roots are
-// read off. Evaluation-time distributions are validated against the
-// compile-time support first.
+// varWeights is one variable's evaluation-time distribution: its outcomes in
+// distribution order (for enumeration leaves), and branch[j], the weight of
+// the j-th compile-time support value (for Shannon nodes; zero for a value
+// an overridden distribution leaves out, so that branch adds nothing).
+// Where the support is the distribution's own order, branch is outs.
+type varWeights[T any] struct {
+	outs   []weighted[T]
+	branch []weighted[T]
+}
+
+// evalCircuit evaluates a whole circuit under dist, after validating dist
+// against the compile-time support, and reads off the roots.
 func evalCircuit[T any](c *Circuit, f field[T], dist func(condition.Variable) ([]weighted[T], error)) ([]T, error) {
-	outs := make(map[condition.Variable][]weighted[T], len(c.support))
-	weightOf := make(map[condition.Variable]map[value.Value]T, len(c.support))
+	w := make(map[condition.Variable]varWeights[T], len(c.support))
 	for x, sup := range c.support {
 		o, err := dist(x)
 		if err != nil {
@@ -544,84 +604,22 @@ func evalCircuit[T any](c *Circuit, f field[T], dist func(condition.Variable) ([
 		if len(o) == 0 {
 			return nil, fmt.Errorf("probcalc: empty distribution for variable %s", x)
 		}
-		allowed := make(map[value.Value]bool, len(sup))
-		for _, v := range sup {
-			allowed[v] = true
+		pos := make(map[value.Value]int, len(sup))
+		branch := make([]weighted[T], len(sup))
+		for j, v := range sup {
+			pos[v] = j
+			branch[j] = weighted[T]{v: v, w: f.zero()}
 		}
-		m := make(map[value.Value]T, len(o))
-		for _, w := range o {
-			if !allowed[w.v] {
-				return nil, fmt.Errorf("probcalc: value %s of variable %s is outside the circuit's compile-time support", w.v, x)
+		for _, wo := range o {
+			j, ok := pos[wo.v]
+			if !ok {
+				return nil, fmt.Errorf("probcalc: value %s of variable %s is outside the circuit's compile-time support", wo.v, x)
 			}
-			m[w.v] = w.w
+			branch[j].w = wo.w
 		}
-		outs[x] = o
-		weightOf[x] = m
+		w[x] = varWeights[T]{outs: o, branch: branch}
 	}
-	vals := make([]T, len(c.nodes))
-	// Scratch valuation reused by the single-variable leaf fast path: most
-	// leaves of a pre-simplified answer bind one variable, and paying a map
-	// and a recursion closure per leaf dominates evaluation otherwise.
-	scratch := make(condition.Valuation, 1)
-	for i := range c.nodes {
-		n := &c.nodes[i]
-		switch n.kind {
-		case cnConst:
-			if n.one {
-				vals[i] = f.one()
-			} else {
-				vals[i] = f.zero()
-			}
-		case cnEnum:
-			if len(n.vars) == 1 {
-				x := n.vars[0]
-				o, ok := outs[x]
-				if !ok {
-					return nil, fmt.Errorf("probcalc: variable %s has no distribution", x)
-				}
-				acc := f.zero()
-				for _, w := range o {
-					scratch[x] = w.v
-					if condition.MustEval(n.cond, scratch) {
-						acc = f.add(acc, w.w)
-					}
-				}
-				delete(scratch, x)
-				vals[i] = acc
-				break
-			}
-			v, err := enumerateLeaf(f, n.cond, n.vars, outs)
-			if err != nil {
-				return nil, err
-			}
-			vals[i] = v
-		case cnNot:
-			vals[i] = f.sub(f.one(), vals[n.kids[0]])
-		case cnMul:
-			acc := f.one()
-			for _, k := range n.kids {
-				acc = f.mul(acc, vals[k])
-			}
-			vals[i] = acc
-		case cnSum:
-			acc := f.zero()
-			for _, k := range n.kids {
-				acc = f.add(acc, vals[k])
-			}
-			vals[i] = acc
-		case cnShannon:
-			acc := f.zero()
-			m := weightOf[n.pivot]
-			for j, k := range n.kids {
-				// A support value absent from an overridden distribution
-				// has weight zero: its branch contributes nothing.
-				if w, ok := m[n.branchVals[j]]; ok {
-					acc = f.add(acc, f.mul(w, vals[k]))
-				}
-			}
-			vals[i] = acc
-		}
-	}
+	vals := evalNodes(f, c.nodes, make([]T, 0, len(c.nodes)), w, make(condition.Valuation))
 	res := make([]T, len(c.roots))
 	for i, r := range c.roots {
 		res[i] = vals[r]
@@ -629,29 +627,71 @@ func evalCircuit[T any](c *Circuit, f field[T], dist func(condition.Variable) ([
 	return res, nil
 }
 
-// enumerateLeaf sums the weights of the satisfying valuations of a residual
-// leaf, exactly like engine.enumerate but over evaluation-time outcomes.
-func enumerateLeaf[T any](f field[T], c condition.Condition, vars []condition.Variable, outs map[condition.Variable][]weighted[T]) (T, error) {
-	for _, x := range vars {
-		if _, ok := outs[x]; !ok {
-			return f.zero(), fmt.Errorf("probcalc: variable %s has no distribution", x)
-		}
-	}
-	acc := f.zero()
-	val := make(condition.Valuation, len(vars))
-	var rec func(i int, w T)
-	rec = func(i int, w T) {
-		if i == len(vars) {
-			if condition.MustEval(c, val) {
-				acc = f.add(acc, w)
+// evalNodes is the one node evaluator: it computes nodes[len(vals):] in
+// index order (a topological order by construction), appending each value
+// to vals. w must hold every variable the nodes mention. val is scratch
+// every enumeration leaf builds its valuations in: most leaves of a
+// pre-simplified answer bind one variable, and paying a map per leaf
+// dominates evaluation otherwise.
+func evalNodes[T any](f field[T], nodes []circuitNode, vals []T, w map[condition.Variable]varWeights[T], val condition.Valuation) []T {
+	for i := len(vals); i < len(nodes); i++ {
+		n := &nodes[i]
+		var v T
+		switch n.kind {
+		case cnConst:
+			if n.one {
+				v = f.one()
+			} else {
+				v = f.zero()
 			}
-			return
+		case cnEnum:
+			v = enumerateLeaf(f, n.cond, n.vars, w, val)
+		case cnNot:
+			v = f.sub(f.one(), vals[n.kids[0]])
+		case cnMul:
+			v = f.one()
+			for _, k := range n.kids {
+				v = f.mul(v, vals[k])
+			}
+		case cnSum:
+			v = f.zero()
+			for _, k := range n.kids {
+				v = f.add(v, vals[k])
+			}
+		case cnShannon:
+			v = f.zero()
+			branch := w[n.pivot].branch
+			for j, k := range n.kids {
+				v = f.add(v, f.mul(branch[j].w, vals[k]))
+			}
 		}
-		for _, o := range outs[vars[i]] {
-			val[vars[i]] = o.v
-			rec(i+1, f.mul(w, o.w))
-		}
+		vals = append(vals, v)
 	}
-	rec(0, f.one())
-	return acc, nil
+	return vals
+}
+
+// enumerateLeaf sums the weights of the valuations of vars (each ranging
+// over its outcomes in w) that satisfy c, in lexicographic order of the
+// outcomes. val is scratch the valuations are built in; the leaf's
+// variables are removed from it again on return.
+func enumerateLeaf[T any](f field[T], c condition.Condition, vars []condition.Variable, w map[condition.Variable]varWeights[T], val condition.Valuation) T {
+	acc := f.zero()
+	enumerateFrom(f, c, vars, w, val, f.one(), &acc)
+	for _, x := range vars {
+		delete(val, x)
+	}
+	return acc
+}
+
+func enumerateFrom[T any](f field[T], c condition.Condition, vars []condition.Variable, w map[condition.Variable]varWeights[T], val condition.Valuation, weight T, acc *T) {
+	if len(vars) == 0 {
+		if condition.MustEval(c, val) {
+			*acc = f.add(*acc, weight)
+		}
+		return
+	}
+	for _, o := range w[vars[0]].outs {
+		val[vars[0]] = o.v
+		enumerateFrom(f, c, vars[1:], w, val, f.mul(weight, o.w), acc)
+	}
 }

@@ -12,9 +12,10 @@ import (
 )
 
 // TestCircuitMatchesDTreeAndEnum compiles random answer sets and checks the
-// circuit's marginals against the per-tuple exact d-tree twin and brute-force
-// enumeration (bit-identical rationals), and the float fast path against the
-// per-tuple float evaluator.
+// circuit's marginals against the per-tuple ExactEvaluator and against
+// brute-force enumeration (bit-identical rationals). Both evaluators run the
+// same compiler, so enumeration is the independent reference: the float fast
+// path is checked against it too.
 func TestCircuitMatchesDTreeAndEnum(t *testing.T) {
 	rng := rand.New(rand.NewSource(20))
 	for _, opts := range []Options{{}, {EnumThreshold: 2}} {
@@ -59,7 +60,7 @@ func TestCircuitMatchesDTreeAndEnum(t *testing.T) {
 					t.Fatalf("trial %d root %d: circuit %s != enumeration %s for %s",
 						trial, i, rats[i], enum, c)
 				}
-				wantF, _ := want.Float64()
+				wantF, _ := enum.Float64()
 				if math.Abs(floats[i]-wantF) > 1e-9 {
 					t.Fatalf("trial %d root %d: float circuit %v != %v", trial, i, floats[i], wantF)
 				}

@@ -1,40 +1,41 @@
 package probcalc
 
 import (
-	"fmt"
-
 	"uncertaindb/internal/condition"
 	"uncertaindb/internal/value"
 )
 
-// This file holds the generic decomposition-tree ("d-tree") core. The
-// evaluator is parameterised over the arithmetic the probabilities are
-// computed in, so the same decomposition logic serves both the fast float64
-// engine and the exact big.Rat engine (and the model counter in sat.go,
-// which runs the exact engine under uniform weights).
+// This file holds the decomposition rules of the one compiler in
+// circuit.go, the arithmetic it evaluates in, and the per-tuple face of that
+// compiler behind Evaluator, ExactEvaluator and the model counter in sat.go.
 //
-// A d-tree decomposes the probability computation for a condition c:
+// The compiler decomposes P[c] into a decomposition tree ("d-tree"), shared
+// as a DAG across every condition it has seen:
 //
 //   - independent split: juncts of a conjunction (disjunction) that share no
 //     variables are probabilistically independent, so P[∧] multiplies and
-//     P[∨] combines as 1 − Π(1 − pᵢ);
+//     P[∨] combines as 1 − Π(1 − pᵢ) (componentsVars);
 //   - exclusive split: pairwise disjoint disjuncts (each pair forces some
-//     variable to two different constants) satisfy P[∨] = Σ pᵢ;
-//   - Shannon expansion: otherwise a pivot variable x is eliminated via
-//     P[c] = Σ_{v ∈ dom(x)} P[x=v]·P[c[x:=v]], with results memoized under
-//     the condition's hash-consed ID so shared subproblems are solved once;
+//     variable to two different constants) satisfy P[∨] = Σ pᵢ
+//     (pairwiseDisjoint);
+//   - Shannon expansion: otherwise a pivot variable x (pickPivot) is
+//     eliminated via P[c] = Σ_{v ∈ dom(x)} P[x=v]·P[c[x:=v]];
 //   - enumeration: residual subproblems with at most Options.EnumThreshold
-//     valuations (or a single variable) are enumerated directly.
+//     valuations (or a single variable) become enumeration leaves.
+//
+// Every subcondition is memoized under its hash-consed ID, so a shared
+// subproblem is decomposed once and evaluated once.
 
 // weighted is one value of a variable's finite distribution together with
-// its probability expressed in the engine's arithmetic.
+// its probability expressed in the evaluation arithmetic.
 type weighted[T any] struct {
 	v value.Value
 	w T
 }
 
-// field is the arithmetic a d-tree is evaluated in. All operations must be
-// free of side effects on their operands (big.Rat instances are shared).
+// field is the arithmetic a compiled DAG is evaluated in. All operations
+// must be free of side effects on their operands (big.Rat instances are
+// shared).
 type field[T any] struct {
 	zero func() T
 	one  func() T
@@ -43,265 +44,71 @@ type field[T any] struct {
 	mul  func(a, b T) T
 }
 
-// engine is the generic d-tree evaluator. It is not safe for concurrent use;
-// wrap one engine per goroutine.
-//
-// The memo is keyed by hash-consed condition IDs from the engine's private
-// interner: looking up a subproblem is two map walks over small integer
-// structures instead of rendering a canonical string key, so the warm path
-// does no string building (and, once a condition's nodes are interned, no
-// allocation at all for the key).
-type engine[T any] struct {
-	f        field[T]
-	dist     func(x condition.Variable) ([]weighted[T], error)
-	vals     map[condition.Variable][]weighted[T]
-	interner *condition.Interner
-	memo     map[condition.ID]T
-	opts     Options
-	stats    Stats
+// incremental answers one condition at a time on a compiler that outlives
+// the call. Each call simplifies the condition, compiles it (a memo hit
+// reuses the node already built for it), and evaluates only the nodes
+// appended since the previous call: the growing node array is the memo, and
+// vals holds every node's value under the fixed distributions. Not safe for
+// concurrent use.
+type incremental[T any] struct {
+	f    field[T]
+	cp   *compiler
+	w    map[condition.Variable]varWeights[T]
+	vals []T
+	val  condition.Valuation // evalNodes' scratch
 }
 
-func newEngine[T any](f field[T], dist func(condition.Variable) ([]weighted[T], error), opts Options) *engine[T] {
-	if opts.EnumThreshold <= 0 {
-		opts.EnumThreshold = DefaultEnumThreshold
-	}
-	return &engine[T]{
-		f:        f,
-		dist:     dist,
-		vals:     make(map[condition.Variable][]weighted[T]),
-		interner: condition.NewInterner(),
-		memo:     make(map[condition.ID]T),
-		opts:     opts,
-	}
+func newIncremental[T any](f field[T], dist func(condition.Variable) ([]weighted[T], error), opts Options) *incremental[T] {
+	e := &incremental[T]{f: f, w: make(map[condition.Variable]varWeights[T]), val: make(condition.Valuation)}
+	// The compiler's support source loads each variable's weights once, in
+	// distribution order, so the compiler's Shannon branches and the
+	// weights that evaluate them line up by position.
+	e.cp = newCompiler(func(x condition.Variable) ([]value.Value, error) {
+		o, err := dist(x)
+		if err != nil {
+			return nil, err
+		}
+		e.w[x] = varWeights[T]{outs: o, branch: o}
+		return valuesOf(o), nil
+	}, opts)
+	return e
 }
 
-// outcomes returns (and caches) the weighted values of x's distribution.
-func (e *engine[T]) outcomes(x condition.Variable) ([]weighted[T], error) {
-	if o, ok := e.vals[x]; ok {
-		return o, nil
+// valuesOf returns the values of a distribution's outcomes, in order.
+func valuesOf[T any](o []weighted[T]) []value.Value {
+	vals := make([]value.Value, len(o))
+	for i, wo := range o {
+		vals[i] = wo.v
 	}
-	o, err := e.dist(x)
-	if err != nil {
-		return nil, err
-	}
-	if len(o) == 0 {
-		return nil, fmt.Errorf("probcalc: empty distribution for variable %s", x)
-	}
-	e.vals[x] = o
-	return o, nil
+	return vals
 }
 
-// probability computes P[c]. The condition is simplified once up front; the
-// recursion keeps intermediate conditions simplified via Substitute.
-func (e *engine[T]) probability(c condition.Condition) (T, error) {
+// probability computes P[c]. Every variable of c must have a distribution,
+// checked up front so an error leaves no half-compiled condition behind.
+// The simplified condition is a fresh value on every call, so the
+// compiler's backing-array caches are cleared when the call returns: no
+// later call can hit them, and clearing lets the call's intermediate
+// conditions be collected.
+func (e *incremental[T]) probability(c condition.Condition) (T, error) {
+	defer e.cp.forgetJunctions()
 	c = condition.Simplify(c)
-	for _, x := range condition.Vars(c) {
-		if _, err := e.outcomes(x); err != nil {
+	for _, x := range e.cp.varsOf(c) {
+		if _, err := e.cp.supportOf(x); err != nil {
 			return e.f.zero(), err
 		}
 	}
-	return e.eval(c)
-}
-
-// bruteForce computes P[c] by full valuation enumeration, bypassing the
-// decomposition. It is the reference the equivalence tests compare against.
-func (e *engine[T]) bruteForce(c condition.Condition) (T, error) {
-	c = condition.Simplify(c)
-	vars := condition.Vars(c)
-	for _, x := range vars {
-		if _, err := e.outcomes(x); err != nil {
-			return e.f.zero(), err
-		}
-	}
-	if len(vars) == 0 {
-		return e.constant(c)
-	}
-	return e.enumerate(c, vars)
-}
-
-// constant evaluates a variable-free condition to zero or one.
-func (e *engine[T]) constant(c condition.Condition) (T, error) {
-	holds, err := c.Eval(nil)
+	root, err := e.cp.compile(c)
 	if err != nil {
 		return e.f.zero(), err
 	}
-	if holds {
-		return e.f.one(), nil
-	}
-	return e.f.zero(), nil
+	e.vals = evalNodes(e.f, e.cp.nodes, e.vals, e.w, e.val)
+	return e.vals[root], nil
 }
 
-func (e *engine[T]) eval(c condition.Condition) (T, error) {
-	switch c.(type) {
-	case condition.TrueCond:
-		return e.f.one(), nil
-	case condition.FalseCond:
-		return e.f.zero(), nil
-	}
-	vars := condition.Vars(c)
-	if len(vars) == 0 {
-		return e.constant(c)
-	}
-	key := e.interner.ID(c)
-	if cached, ok := e.memo[key]; ok {
-		e.stats.MemoHits++
-		return cached, nil
-	}
-	e.stats.MemoMisses++
-	small, err := e.residualAtMost(vars, e.opts.EnumThreshold)
-	if err != nil {
-		return e.f.zero(), err
-	}
-	var out T
-	switch {
-	case len(vars) == 1 || small:
-		out, err = e.enumerate(c, vars)
-	default:
-		switch cc := c.(type) {
-		case condition.NotCond:
-			var inner T
-			inner, err = e.eval(cc.Cond)
-			if err == nil {
-				out = e.f.sub(e.f.one(), inner)
-			}
-		case condition.AndCond:
-			out, err = e.evalJunction(cc.Conds, true, c, vars)
-		case condition.OrCond:
-			out, err = e.evalJunction(cc.Conds, false, c, vars)
-		default:
-			out, err = e.shannon(c, vars)
-		}
-	}
-	if err != nil {
-		return e.f.zero(), err
-	}
-	e.memo[key] = out
-	return out, nil
-}
-
-// evalJunction handles conjunctions (isAnd) and disjunctions: independent
-// component splits first, then (for disjunctions) exclusive splits, then
-// Shannon expansion of the whole junction.
-func (e *engine[T]) evalJunction(juncts []condition.Condition, isAnd bool, whole condition.Condition, vars []condition.Variable) (T, error) {
-	comps := components(juncts)
-	if len(comps) > 1 {
-		e.stats.ComponentSplits++
-		acc := e.f.one()
-		for _, comp := range comps {
-			var sub condition.Condition
-			if isAnd {
-				sub = condition.And(comp...)
-			} else {
-				sub = condition.Or(comp...)
-			}
-			p, err := e.eval(sub)
-			if err != nil {
-				return e.f.zero(), err
-			}
-			if isAnd {
-				acc = e.f.mul(acc, p)
-			} else {
-				acc = e.f.mul(acc, e.f.sub(e.f.one(), p))
-			}
-		}
-		if isAnd {
-			return acc, nil
-		}
-		return e.f.sub(e.f.one(), acc), nil
-	}
-	if !isAnd && pairwiseDisjoint(juncts) {
-		e.stats.ExclusiveSplits++
-		acc := e.f.zero()
-		for _, d := range juncts {
-			p, err := e.eval(d)
-			if err != nil {
-				return e.f.zero(), err
-			}
-			acc = e.f.add(acc, p)
-		}
-		return acc, nil
-	}
-	return e.shannon(whole, vars)
-}
-
-// shannon expands on the most frequently occurring variable:
-// P[c] = Σ_v P[x=v] · P[c[x:=v]].
-func (e *engine[T]) shannon(c condition.Condition, vars []condition.Variable) (T, error) {
-	pivot := pickPivot(c, vars)
-	outs, err := e.outcomes(pivot)
-	if err != nil {
-		return e.f.zero(), err
-	}
-	e.stats.ShannonExpansions++
-	acc := e.f.zero()
-	val := make(condition.Valuation, 1)
-	for _, o := range outs {
-		val[pivot] = o.v
-		branch, err := e.eval(c.Substitute(val))
-		if err != nil {
-			return e.f.zero(), err
-		}
-		acc = e.f.add(acc, e.f.mul(o.w, branch))
-	}
-	return acc, nil
-}
-
-// enumerate sums the weights of all satisfying valuations of vars.
-func (e *engine[T]) enumerate(c condition.Condition, vars []condition.Variable) (T, error) {
-	e.stats.Enumerations++
-	outs := make([][]weighted[T], len(vars))
-	for i, x := range vars {
-		o, err := e.outcomes(x)
-		if err != nil {
-			return e.f.zero(), err
-		}
-		outs[i] = o
-	}
-	acc := e.f.zero()
-	val := make(condition.Valuation, len(vars))
-	var rec func(i int, w T)
-	rec = func(i int, w T) {
-		if i == len(vars) {
-			if condition.MustEval(c, val) {
-				acc = e.f.add(acc, w)
-			}
-			return
-		}
-		for _, o := range outs[i] {
-			val[vars[i]] = o.v
-			rec(i+1, e.f.mul(w, o.w))
-		}
-	}
-	rec(0, e.f.one())
-	return acc, nil
-}
-
-// residualAtMost reports whether the number of valuations of vars is at most
-// limit, without overflowing.
-func (e *engine[T]) residualAtMost(vars []condition.Variable, limit int64) (bool, error) {
-	n := int64(1)
-	for _, x := range vars {
-		o, err := e.outcomes(x)
-		if err != nil {
-			return false, err
-		}
-		n *= int64(len(o))
-		if n > limit {
-			return false, nil
-		}
-	}
-	return true, nil
-}
-
-// components partitions juncts into groups connected by shared variables
+// componentsVars partitions juncts into groups connected by shared variables
 // (connected components of the junct/variable incidence graph), preserving
-// the order of first appearance. Variable-free juncts form singleton groups.
-func components(juncts []condition.Condition) [][]condition.Condition {
-	return componentsVars(juncts, condition.Vars)
-}
-
-// componentsVars is components with an explicit variable extractor, so the
-// circuit compiler can plug in the interner's cached per-ID variable sets.
+// the order of first appearance; varsOf supplies each junct's variables
+// (the compiler's cached varsOf). Variable-free juncts form singleton groups.
 func componentsVars(juncts []condition.Condition, varsOf func(condition.Condition) []condition.Variable) [][]condition.Condition {
 	parent := make([]int, len(juncts))
 	for i := range parent {

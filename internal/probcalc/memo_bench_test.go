@@ -22,7 +22,7 @@ func memoChain(vars int) (condition.Condition, MapDists) {
 }
 
 // BenchmarkMemoWarmEvaluation measures re-evaluating a lineage condition
-// whose d-tree is fully memoized — the hot path of every repeated marginal.
+// whose decomposition is fully memoized — the hot path of every repeated marginal.
 // Before the ID-keyed memo this path rendered a canonical string key for
 // every visited node (EXPERIMENTS.md records the before/after allocation
 // counts); now the key is an interned integer.
@@ -49,23 +49,33 @@ func BenchmarkMemoWarmEvaluation(b *testing.B) {
 // interned: the memo is an ID-keyed map, and computing the ID of a warm
 // condition is pure map lookups (this is the acceptance assertion for the
 // string-key removal — the old canonKey allocated a rendered string per
-// memo probe).
+// memo probe). Every Probability call simplifies its condition into a fresh
+// value, so the key is computed here on a fresh copy each time, as it is
+// there, with the backing-array caches dropped after each probe.
 func TestMemoKeyNoAllocsWarm(t *testing.T) {
 	c, dists := memoChain(12)
 	ev := New(dists)
 	if _, err := ev.Probability(c); err != nil {
 		t.Fatal(err)
 	}
-	eng := ev.eng
-	simplified := condition.Simplify(c)
-	id := eng.interner.ID(simplified)
-	if _, ok := eng.memo[id]; !ok {
+	cp := ev.inc.cp
+	const runs = 200
+	fresh := make([]condition.Condition, runs+1) // AllocsPerRun adds a warm-up run
+	for i := range fresh {
+		fresh[i] = condition.Simplify(c)
+	}
+	id := cp.condID(fresh[0])
+	cp.forgetJunctions()
+	if _, ok := cp.memo[id]; !ok {
 		t.Fatalf("memo has no entry under the interned ID of the evaluated condition")
 	}
-	allocs := testing.AllocsPerRun(200, func() {
-		if eng.interner.ID(simplified) != id {
+	i := 0
+	allocs := testing.AllocsPerRun(runs, func() {
+		if cp.condID(fresh[i]) != id {
 			t.Errorf("interned ID changed between runs")
 		}
+		cp.forgetJunctions()
+		i++
 	})
 	if allocs != 0 {
 		t.Errorf("memo key computation allocates %v objects per probe, want 0", allocs)

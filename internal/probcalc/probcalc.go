@@ -2,23 +2,25 @@
 // independent per-variable distributions (the pc-table semantics of
 // Definition 13) without enumerating all valuations.
 //
-// The evaluator builds a decomposition tree ("d-tree") over the condition:
-// connected-component independence splits, exclusive-disjunction splits, and
-// Shannon expansion on a pivot variable with memoization keyed by
+// One compiler (circuit.go) decomposes a condition into a d-tree shared as
+// a DAG: connected-component independence splits, exclusive-disjunction
+// splits, and Shannon expansion on a pivot variable, memoized by
 // hash-consed condition IDs (condition.Interner), so permutations of the
-// same subcondition share one cache entry without any string rendering on
-// the hot path; brute-force enumeration is used only for residual
-// subproblems with at most Options.EnumThreshold valuations. This replaces
-// the exponential valuation enumeration that internal/pctable used for every
-// marginal, and is the engine behind PCTable.ConditionProbability.
+// same subcondition share one node without any string rendering on the hot
+// path; residual subproblems with at most Options.EnumThreshold valuations
+// become enumeration leaves. It is the engine behind
+// PCTable.ConditionProbability and every exact served marginal.
 //
-// Two instantiations of the same core are exposed: Evaluator computes in
-// float64 (fast path), ExactEvaluator computes in big.Rat (every float64
-// probability converts to an exact rational, and sums/products of rationals
-// are exact), so its results are mathematically identical to brute-force
-// enumeration — the equivalence tests assert bit-identical rationals.
-// sat.go additionally derives model counting and satisfiability from the
-// exact engine under uniform weights.
+// The compiler has two faces. Evaluator (float64) and ExactEvaluator
+// (big.Rat) answer one condition at a time and keep the compiler across
+// calls, so related conditions (the lineage of every answer tuple) share
+// nodes. CompileAnswer compiles a whole answer into a Circuit that
+// re-evaluates under what-if distributions. Exact results convert every
+// float64 probability to the rational it denotes, so they are
+// mathematically identical to brute-force enumeration (EnumProbabilityRat,
+// the independent oracle) — the equivalence tests assert bit-identical
+// rationals. sat.go derives model counting and satisfiability from the same
+// compiler under uniform weights.
 package probcalc
 
 import (
@@ -54,45 +56,41 @@ type Options struct {
 	EnumThreshold int64
 }
 
-// Stats counts the decomposition steps an evaluator has taken; it is the
-// observable shape of the d-tree and is reported by benchmarks.
+// Stats counts the decomposition steps an evaluator's compiler has taken;
+// it is the observable shape of the d-tree and is reported by benchmarks.
 type Stats struct {
 	ComponentSplits   int // independence splits of conjunctions/disjunctions
 	ExclusiveSplits   int // disjoint-disjunction splits
 	ShannonExpansions int // pivot expansions
-	Enumerations      int // residual brute-force enumerations
-	MemoHits          int // subproblems answered from the cache
+	Enumerations      int // residual enumeration leaves
+	MemoHits          int // subproblems answered from the memo
 	MemoMisses        int // subproblems decomposed and inserted
-	MemoEntries       int // size of the cache
+	MemoEntries       int // size of the memo
 }
 
-// Evaluator computes condition probabilities in float64 via d-tree
-// decomposition. The memoization cache persists across calls, so evaluating
-// many related conditions (e.g. the lineage of every answer tuple) shares
-// work. Not safe for concurrent use.
+// Evaluator computes condition probabilities in float64. Its compiler, and
+// so its memo, persists across calls, so evaluating many related conditions
+// (e.g. the lineage of every answer tuple) shares work. Not safe for
+// concurrent use.
 type Evaluator struct {
-	eng *engine[float64]
+	inc *incremental[float64]
 }
 
-// New builds a float64 d-tree evaluator over the given distributions.
+// New builds a float64 evaluator over the given distributions.
 func New(d DistProvider) *Evaluator { return NewWithOptions(d, Options{}) }
 
 // NewWithOptions is New with explicit options.
 func NewWithOptions(d DistProvider, opts Options) *Evaluator {
-	return &Evaluator{eng: newEngine(floatField(), floatOutcomes(d), opts)}
+	return &Evaluator{inc: newIncremental(floatField(), floatOutcomes(d), opts)}
 }
 
 // Probability returns P[c] under the evaluator's distributions.
 func (e *Evaluator) Probability(c condition.Condition) (float64, error) {
-	return e.eng.probability(c)
+	return e.inc.probability(c)
 }
 
 // Stats returns the accumulated decomposition statistics.
-func (e *Evaluator) Stats() Stats {
-	s := e.eng.stats
-	s.MemoEntries = len(e.eng.memo)
-	return s
-}
+func (e *Evaluator) Stats() Stats { return e.inc.cp.Stats() }
 
 // ExactEvaluator computes condition probabilities in exact rational
 // arithmetic. Every float64 probability is converted to the rational it
@@ -103,25 +101,25 @@ func (e *Evaluator) Stats() Stats {
 // order: it is bit-identical to exact enumeration (EnumProbabilityRat).
 // Not safe for concurrent use.
 type ExactEvaluator struct {
-	eng *engine[*big.Rat]
+	inc *incremental[*big.Rat]
 }
 
-// NewExact builds an exact (big.Rat) d-tree evaluator.
+// NewExact builds an exact (big.Rat) evaluator.
 func NewExact(d DistProvider) *ExactEvaluator { return NewExactWithOptions(d, Options{}) }
 
 // NewExactWithOptions is NewExact with explicit options.
 func NewExactWithOptions(d DistProvider, opts Options) *ExactEvaluator {
-	return &ExactEvaluator{eng: newEngine(ratField(), ratOutcomes(d), opts)}
+	return &ExactEvaluator{inc: newIncremental(ratField(), ratOutcomes(d), opts)}
 }
 
 // ProbabilityRat returns P[c] as an exact rational.
 func (e *ExactEvaluator) ProbabilityRat(c condition.Condition) (*big.Rat, error) {
-	return e.eng.probability(c)
+	return e.inc.probability(c)
 }
 
 // Probability returns P[c] as the float64 nearest the exact rational.
 func (e *ExactEvaluator) Probability(c condition.Condition) (float64, error) {
-	r, err := e.eng.probability(c)
+	r, err := e.inc.probability(c)
 	if err != nil {
 		return 0, err
 	}
@@ -130,13 +128,9 @@ func (e *ExactEvaluator) Probability(c condition.Condition) (float64, error) {
 }
 
 // Stats returns the accumulated decomposition statistics.
-func (e *ExactEvaluator) Stats() Stats {
-	s := e.eng.stats
-	s.MemoEntries = len(e.eng.memo)
-	return s
-}
+func (e *ExactEvaluator) Stats() Stats { return e.inc.cp.Stats() }
 
-// Probability is the one-shot convenience: P[c] by a fresh float64 d-tree
+// Probability is the one-shot convenience: P[c] by a fresh float64
 // evaluator over d.
 func Probability(c condition.Condition, d DistProvider) (float64, error) {
 	return New(d).Probability(c)
@@ -144,16 +138,35 @@ func Probability(c condition.Condition, d DistProvider) (float64, error) {
 
 // EnumProbability computes P[c] by brute-force enumeration of all valuations
 // of the condition's variables, in float64. It is the reference baseline the
-// benchmarks compare the d-tree engine against.
+// benchmarks compare the compiler against.
 func EnumProbability(c condition.Condition, d DistProvider) (float64, error) {
-	return newEngine(floatField(), floatOutcomes(d), Options{}).bruteForce(c)
+	return enumProbability(c, floatField(), floatOutcomes(d))
 }
 
 // EnumProbabilityRat computes P[c] by brute-force enumeration in exact
-// rational arithmetic. ExactEvaluator.ProbabilityRat returns a rational
-// equal to this one for every condition — the equivalence tests assert it.
+// rational arithmetic. It never decomposes, so it is an oracle independent
+// of the compiler: ExactEvaluator.ProbabilityRat returns a rational equal to
+// this one for every condition — the equivalence tests assert it.
 func EnumProbabilityRat(c condition.Condition, d DistProvider) (*big.Rat, error) {
-	return newEngine(ratField(), ratOutcomes(d), Options{}).bruteForce(c)
+	return enumProbability(c, ratField(), ratOutcomes(d))
+}
+
+// enumProbability runs the one leaf enumerator over all of c's variables.
+func enumProbability[T any](c condition.Condition, f field[T], dist func(condition.Variable) ([]weighted[T], error)) (T, error) {
+	c = condition.Simplify(c)
+	vars := condition.Vars(c)
+	w := make(map[condition.Variable]varWeights[T], len(vars))
+	for _, x := range vars {
+		o, err := dist(x)
+		if err != nil {
+			return f.zero(), err
+		}
+		if len(o) == 0 {
+			return f.zero(), fmt.Errorf("probcalc: empty distribution for variable %s", x)
+		}
+		w[x] = varWeights[T]{outs: o}
+	}
+	return enumerateLeaf(f, c, vars, w, make(condition.Valuation, len(vars))), nil
 }
 
 func floatField() field[float64] {
@@ -191,25 +204,27 @@ func floatOutcomes(d DistProvider) func(condition.Variable) ([]weighted[float64]
 }
 
 func ratOutcomes(d DistProvider) func(condition.Variable) ([]weighted[*big.Rat], error) {
+	floats := floatOutcomes(d)
 	return func(x condition.Variable) ([]weighted[*big.Rat], error) {
-		s := d.Dist(x)
-		if s == nil {
-			return nil, fmt.Errorf("probcalc: variable %s has no distribution", x)
+		o, err := floats(x)
+		if err != nil {
+			return nil, err
 		}
-		out := make([]weighted[*big.Rat], 0, s.Size())
+		out := make([]weighted[*big.Rat], len(o))
 		sum := new(big.Rat)
-		for _, o := range s.Outcomes() {
-			w := new(big.Rat).SetFloat64(o.P)
+		for i, wo := range o {
+			w := new(big.Rat).SetFloat64(wo.w)
 			if w == nil {
-				return nil, fmt.Errorf("probcalc: probability %v of %s is not finite", o.P, x)
+				return nil, fmt.Errorf("probcalc: probability %v of %s is not finite", wo.w, x)
 			}
 			sum.Add(sum, w)
-			out = append(out, weighted[*big.Rat]{v: o.ValuePayload(), w: w})
+			out[i] = weighted[*big.Rat]{v: wo.v, w: w}
 		}
 		// Float probabilities only sum to 1 within prob.Tolerance; as exact
 		// rationals the residue would break the measure (and with it the
-		// complement and marginalization identities the d-tree relies on).
-		// Renormalize so the weights form an exact probability distribution.
+		// complement and marginalization identities the decomposition
+		// relies on). Renormalize so the weights form an exact probability
+		// distribution.
 		if sum.Cmp(big.NewRat(1, 1)) != 0 {
 			inv := new(big.Rat).Inv(sum)
 			for i := range out {

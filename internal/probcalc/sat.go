@@ -7,8 +7,8 @@ import (
 	"uncertaindb/internal/condition"
 )
 
-// This file derives model counting and satisfiability from the exact d-tree
-// engine: running the big.Rat evaluator under exact uniform weights 1/|dom(x)|
+// This file derives model counting and satisfiability from the compiler:
+// running it in big.Rat arithmetic under exact uniform weights 1/|dom(x)|
 // turns a probability into a model count (count = P · Π|dom(x)|, an exact
 // integer). These are the decomposition-based replacements for the
 // enumeration helpers in internal/condition/sat.go and scale to variable
@@ -28,8 +28,7 @@ func CountSatisfyingBig(c condition.Condition, dom condition.DomainProvider) (sa
 		}
 		total.Mul(total, big.NewInt(int64(d.Size())))
 	}
-	eng := newEngine(ratField(), uniformOutcomes(dom), Options{})
-	p, err := eng.probability(c)
+	p, err := newIncremental(ratField(), uniformOutcomes(dom), Options{}).probability(c)
 	if err != nil {
 		panic(err)
 	}

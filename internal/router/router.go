@@ -267,9 +267,7 @@ func (r *Router) Handler() http.Handler {
 			r.opts.Obs.Reg.WritePrometheus(w)
 		})
 	}
-	mux.HandleFunc("/", func(w http.ResponseWriter, req *http.Request) {
-		r.proxy.ServeHTTP(w, req)
-	})
+	mux.Handle("/", r.proxy)
 	return mux
 }
 
@@ -289,17 +287,14 @@ func minVersionOf(req *http.Request) (uint64, error) {
 
 // pick selects the healthy backend with an advertised version of at least
 // minVer carrying the fewest outstanding requests. Backends tried this
-// request are excluded. It reports (nil, true) when replicas exist but all
-// qualified ones are stale — the caller should fall through to the leader
-// rather than fail.
-func (r *Router) pick(minVer uint64, tried map[*backend]bool) (b *backend, staleOnly bool) {
+// request are excluded; nil means none qualifies, and the caller falls
+// through to the leader.
+func (r *Router) pick(minVer uint64, tried map[*backend]bool) *backend {
 	var best *backend
-	sawHealthy := false
 	for _, cand := range r.backends {
 		if tried[cand] || !cand.healthy.Load() {
 			continue
 		}
-		sawHealthy = true
 		if cand.version.Load() < minVer {
 			r.staleSkips.Inc()
 			continue
@@ -308,7 +303,7 @@ func (r *Router) pick(minVer uint64, tried map[*backend]bool) (b *backend, stale
 			best = cand
 		}
 	}
-	return best, best == nil && sawHealthy
+	return best
 }
 
 // routed is the outcome of one backend attempt.
@@ -341,7 +336,7 @@ func (r *Router) route(w http.ResponseWriter, req *http.Request) {
 	attempts := 0
 	// Bounded retries: each replica at most once, then the leader.
 	for attempts <= len(r.backends) {
-		b, _ := r.pick(minVer, tried)
+		b := r.pick(minVer, tried)
 		if b == nil {
 			break
 		}
