@@ -7,11 +7,12 @@
 //	pctable -table takes.tbl -query "project[1](select[$2 = 'phys'](Takes))" \
 //	        [-engine dtree|enum|mc] [-samples 10000] [-workers 4]
 //
-// The exact engines differ in how tuple marginals are computed: dtree (the
-// default) decomposes lineage conditions via internal/probcalc, enum
-// enumerates every valuation of the lineage variables, and mc skips exact
-// computation entirely in favour of Monte-Carlo estimation. All evaluation
-// goes through the public pkg/uncertain facade.
+// The engines differ in how tuple marginals are computed: dtree (the
+// default) compiles every lineage condition into one decomposition circuit
+// via internal/probcalc, enum enumerates every valuation of the lineage
+// variables, and mc skips exact computation entirely in favour of
+// Monte-Carlo estimation. All evaluation goes through the public
+// pkg/uncertain facade.
 package main
 
 import (
@@ -39,7 +40,7 @@ func run(args []string, out io.Writer) error {
 	fs.SetOutput(io.Discard)
 	tablePath := fs.String("table", "", "path to the table description file (must contain dist directives)")
 	queryText := fs.String("query", "", "relational algebra query (optional; defaults to the identity)")
-	engine := fs.String("engine", "dtree", "marginal engine: dtree (decomposition), enum (brute force) or mc (Monte-Carlo only)")
+	engine := fs.String("engine", "dtree", "marginal engine: dtree (exact, one decomposition circuit), enum (brute force) or mc (Monte-Carlo only)")
 	samples := fs.Int("samples", 0, "if positive, also estimate tuple probabilities by Monte-Carlo sampling (default 10000 with -engine=mc)")
 	workers := fs.Int("workers", 1, "worker goroutines for the Monte-Carlo estimator")
 	seed := fs.Int64("seed", 1, "random seed for the Monte-Carlo estimator")

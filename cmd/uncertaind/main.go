@@ -25,7 +25,8 @@
 //	GET    /v1/tables          list catalog tables
 //	GET    /v1/tables/{name}   one table's metadata and rendering
 //	DELETE /v1/tables/{name}   drop a table
-//	POST   /v1/query           {"query": "...", "engine": "dtree|enum|mc", ...}
+//	POST   /v1/query           {"query": "...", "engine": "circuit|enum|mc|auto",
+//	                           ...}; "dtree" is an alias of circuit
 //	POST   /v1/subscribe       live query: the body is a query request plus
 //	                           "maxUpdates"; the response streams one JSON line
 //	                           per result (initial + one per relevant catalog

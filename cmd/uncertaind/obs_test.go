@@ -121,8 +121,7 @@ func TestMetricsEndpoint(t *testing.T) {
 		`uncertaindb_exec_rows_total{dir="in"}`,
 		`uncertaindb_exec_rows_total{dir="out"}`,
 		`uncertaindb_exec_hash_probes_total`,
-		`uncertaindb_probcalc_memo_hits_total`,
-		`uncertaindb_probcalc_memo_hit_ratio`,
+		`uncertaindb_probcalc_circuit_compiles_total`,
 		`uncertaindb_catalog_version`,
 		`uncertaindb_slow_queries_total`,
 	} {
@@ -170,14 +169,15 @@ func TestMetricsEndpoint(t *testing.T) {
 	}
 }
 
-// The probcalc memo counters aggregate across evaluators into the engine
-// stats: each fresh exact query adds to the totals, so /v1/stats and /metrics
-// grow monotonically instead of losing the per-plan counters at teardown.
+// The probcalc circuit counters aggregate across plans into the engine
+// stats: each fresh exact query compiles one circuit and adds to the totals,
+// so /v1/stats and /metrics grow monotonically instead of losing the
+// per-plan counters at teardown.
 func TestStatsProbcalcMonotonic(t *testing.T) {
 	srv, _ := newTestServer(t)
 	putTakes(t, srv)
 
-	probcalcStats := func() (hits, misses, compiles, nodes float64) {
+	probcalcStats := func() (compiles, nodes float64) {
 		t.Helper()
 		status, body := doJSON(t, http.MethodGet, srv.URL+"/v1/stats", "")
 		if status != http.StatusOK {
@@ -186,9 +186,6 @@ func TestStatsProbcalcMonotonic(t *testing.T) {
 		var resp struct {
 			Engine struct {
 				Probcalc struct {
-					MemoHits        float64 `json:"memoHits"`
-					MemoMisses      float64 `json:"memoMisses"`
-					MemoHitRatio    float64 `json:"memoHitRatio"`
 					CircuitCompiles float64 `json:"circuitCompiles"`
 					CircuitNodes    float64 `json:"circuitNodes"`
 				} `json:"probcalc"`
@@ -198,42 +195,31 @@ func TestStatsProbcalcMonotonic(t *testing.T) {
 			t.Fatal(err)
 		}
 		p := resp.Engine.Probcalc
-		return p.MemoHits, p.MemoMisses, p.CircuitCompiles, p.CircuitNodes
+		return p.CircuitCompiles, p.CircuitNodes
 	}
 
-	var lastTotal float64
+	var lastCompiles, lastNodes float64
 	for i, query := range []string{
 		`{"query": "project[1](Takes)"}`,
-		`{"query": "select[$2 = 'phys'](Takes)"}`,
-		`{"query": "project[1](Takes) union project[1](select[$2 = 'chem'](Takes))"}`,
+		`{"query": "select[$2 = 'phys'](Takes)", "engine": "dtree"}`,
+		`{"query": "project[1](Takes) union project[1](select[$2 = 'chem'](Takes))", "engine": "circuit"}`,
 	} {
 		if status, body := doJSON(t, http.MethodPost, srv.URL+"/v1/query", query); status != http.StatusOK {
 			t.Fatalf("query = %d: %s", status, body)
 		}
-		hits, misses, _, _ := probcalcStats()
-		if total := hits + misses; total <= lastTotal {
-			t.Fatalf("query %d: probcalc memo totals did not grow (%v -> %v)", i, lastTotal, total)
-		} else {
-			lastTotal = total
+		compiles, nodes := probcalcStats()
+		if compiles != lastCompiles+1 || nodes <= lastNodes {
+			t.Fatalf("query %d: circuit totals did not grow by one compile (%v/%v -> %v/%v)", i, lastCompiles, lastNodes, compiles, nodes)
 		}
+		lastCompiles, lastNodes = compiles, nodes
 	}
 
-	// A shared-circuit execution feeds the compilation counters, and the
-	// Prometheus bridge exposes the same families.
-	if status, body := doJSON(t, http.MethodPost, srv.URL+"/v1/query",
-		`{"query": "Takes", "engine": "circuit"}`); status != http.StatusOK {
-		t.Fatalf("circuit query = %d: %s", status, body)
-	}
-	_, _, compiles, nodes := probcalcStats()
-	if compiles == 0 || nodes == 0 {
-		t.Fatalf("circuit execution not counted: compiles=%v nodes=%v", compiles, nodes)
-	}
+	// The Prometheus bridge exposes the same families.
 	metrics := scrapeMetrics(t, srv)
 	for _, want := range []string{
 		`uncertaindb_probcalc_circuit_compiles_total`,
 		`uncertaindb_probcalc_circuit_nodes_total`,
 		`uncertaindb_probcalc_circuit_shared_total`,
-		`uncertaindb_engine_auto_selections_total{engine="dtree"}`,
 		`uncertaindb_engine_auto_selections_total{engine="circuit"}`,
 		`uncertaindb_engine_auto_selections_total{engine="mc"}`,
 	} {
@@ -241,8 +227,8 @@ func TestStatsProbcalcMonotonic(t *testing.T) {
 			t.Errorf("metric %s missing from /metrics", want)
 		}
 	}
-	if metrics[`uncertaindb_probcalc_memo_hits_total`]+metrics[`uncertaindb_probcalc_memo_misses_total`] < lastTotal {
-		t.Errorf("Prometheus memo counters below /v1/stats totals")
+	if metrics[`uncertaindb_probcalc_circuit_compiles_total`] != lastCompiles {
+		t.Errorf("Prometheus circuit compiles %v, /v1/stats %v", metrics[`uncertaindb_probcalc_circuit_compiles_total`], lastCompiles)
 	}
 }
 

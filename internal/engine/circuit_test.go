@@ -12,6 +12,7 @@ import (
 	"uncertaindb/internal/pctable"
 	"uncertaindb/internal/probcalc"
 	"uncertaindb/internal/value"
+	"uncertaindb/internal/wal"
 )
 
 // sharedScript is a high-sharing answer: every row's lineage conjoins a
@@ -46,10 +47,11 @@ func chainScript(n int) string {
 	return b.String()
 }
 
-// TestCircuitEngineMatchesDTree runs the same queries under the circuit,
-// d-tree and enum engines. The d-tree and circuit engines run one compiler,
-// so they must agree to the bit; enumeration shares no decomposition with
-// them and is the independent reference, within float rounding.
+// TestCircuitEngineMatchesDTree runs the same queries under the circuit
+// and enum engines and under the dtree alias. Enumeration shares no
+// decomposition with the circuit and is the independent reference, within
+// float rounding; dtree names the circuit engine, so it must answer from the
+// circuit's cached plan.
 func TestCircuitEngineMatchesDTree(t *testing.T) {
 	e := newEngine(t, Options{}, takesScript, labsScript, sharedScript(24))
 	for _, queryText := range []string{
@@ -58,10 +60,6 @@ func TestCircuitEngineMatchesDTree(t *testing.T) {
 		"project[1](Takes) union project[1](select[$2 = 'chem'](Takes))",
 		"Shared",
 	} {
-		want, err := e.Execute(Request{Query: queryText, Engine: "dtree"})
-		if err != nil {
-			t.Fatal(err)
-		}
 		got, err := e.Execute(Request{Query: queryText, Engine: "circuit"})
 		if err != nil {
 			t.Fatal(err)
@@ -70,21 +68,25 @@ func TestCircuitEngineMatchesDTree(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		alias, err := e.Execute(Request{Query: queryText, Engine: "dtree"})
+		if err != nil {
+			t.Fatal(err)
+		}
 		if got.Effective != KindCircuit {
 			t.Fatalf("%s: effective engine %q, want circuit", queryText, got.Effective)
 		}
-		if len(got.Tuples) != len(want.Tuples) || len(enum.Tuples) != len(want.Tuples) {
-			t.Fatalf("%s: %d circuit and %d enum answers, want %d", queryText, len(got.Tuples), len(enum.Tuples), len(want.Tuples))
+		if alias.Kind != KindCircuit || alias.Effective != KindCircuit || !alias.CacheHit {
+			t.Fatalf("%s: dtree = kind %q, effective %q, cache hit %v; want the circuit's cached plan",
+				queryText, alias.Kind, alias.Effective, alias.CacheHit)
+		}
+		if len(got.Tuples) == 0 || len(enum.Tuples) != len(got.Tuples) {
+			t.Fatalf("%s: %d circuit and %d enum answers", queryText, len(got.Tuples), len(enum.Tuples))
 		}
 		for i := range got.Tuples {
-			g, w, n := got.Tuples[i], want.Tuples[i], enum.Tuples[i]
-			if g.Tuple.Key() != w.Tuple.Key() || g.P != w.P || g.Certain != w.Certain {
-				t.Fatalf("%s: answer %d = (%s, %v, %v), want (%s, %v, %v) bit for bit",
-					queryText, i, g.Tuple, g.P, g.Certain, w.Tuple, w.P, w.Certain)
-			}
-			if n.Tuple.Key() != w.Tuple.Key() || math.Abs(n.P-w.P) > 1e-12 || n.Certain != w.Certain {
+			g, n := got.Tuples[i], enum.Tuples[i]
+			if n.Tuple.Key() != g.Tuple.Key() || math.Abs(n.P-g.P) > 1e-12 || n.Certain != g.Certain {
 				t.Fatalf("%s: answer %d = (%s, %g, %v), enumeration gives (%s, %g, %v)",
-					queryText, i, w.Tuple, w.P, w.Certain, n.Tuple, n.P, n.Certain)
+					queryText, i, g.Tuple, g.P, g.Certain, n.Tuple, n.P, n.Certain)
 			}
 		}
 	}
@@ -114,11 +116,10 @@ func tangleTable(n int) *pctable.PCTable {
 	return pt
 }
 
-// TestAutoSelector checks the three regimes of engine=auto: few tuples pick
-// the per-tuple d-tree, many sharing tuples pick the circuit (even when the
-// sharing chains variables across tuples), and a lineage whose own variables
-// form one huge connected component picks Monte-Carlo — with the selection
-// reported.
+// TestAutoSelector checks the two regimes of engine=auto: small and large
+// answers alike pick the circuit (even when the sharing chains variables
+// across tuples), and a lineage whose own variables form one huge connected
+// component picks Monte-Carlo — with the selection reported.
 func TestAutoSelector(t *testing.T) {
 	e := newEngine(t, Options{}, takesScript, sharedScript(24), chainScript(46))
 	if _, err := e.PutTable("Tangle", tangleTable(46)); err != nil {
@@ -129,10 +130,10 @@ func TestAutoSelector(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Kind != KindAuto || res.Effective != KindDTree {
-		t.Fatalf("small answer: kind %q effective %q, want auto/dtree (selection: %+v)", res.Kind, res.Effective, res.Selection)
+	if res.Kind != KindAuto || res.Effective != KindCircuit {
+		t.Fatalf("small answer: kind %q effective %q, want auto/circuit (selection: %+v)", res.Kind, res.Effective, res.Selection)
 	}
-	if res.Selection == nil || res.Selection.Chosen != KindDTree || res.Selection.Reason == "" {
+	if res.Selection == nil || res.Selection.Chosen != KindCircuit || res.Selection.Reason == "" {
 		t.Fatalf("small answer: bad selection %+v", res.Selection)
 	}
 
@@ -143,24 +144,27 @@ func TestAutoSelector(t *testing.T) {
 	if res.Effective != KindCircuit {
 		t.Fatalf("shared answer: effective %q, want circuit (selection: %+v)", res.Effective, res.Selection)
 	}
-	if res.Selection.Tuples != 24 || res.Selection.SharingDegree <= 1 {
+	if res.Selection.Tuples != 24 || res.Selection.Vars != 25 {
 		t.Fatalf("shared answer: bad selection stats %+v", res.Selection)
 	}
-	// Auto answers must match the fixed engine it selected.
-	fixed, err := e.Execute(Request{Query: "Shared", Engine: "circuit"})
+	// Auto answers must match enumeration, the engine-independent reference.
+	enum, err := e.Execute(Request{Query: "Shared", Engine: "enum"})
 	if err != nil {
 		t.Fatal(err)
 	}
+	if len(res.Tuples) != len(enum.Tuples) {
+		t.Fatalf("auto: %d answers, enumeration %d", len(res.Tuples), len(enum.Tuples))
+	}
 	for i := range res.Tuples {
-		if math.Abs(res.Tuples[i].P-fixed.Tuples[i].P) > 1e-12 {
-			t.Fatalf("auto answer %d = %g, circuit = %g", i, res.Tuples[i].P, fixed.Tuples[i].P)
+		if math.Abs(res.Tuples[i].P-enum.Tuples[i].P) > 1e-12 {
+			t.Fatalf("auto answer %d = %g, enumeration = %g", i, res.Tuples[i].P, enum.Tuples[i].P)
 		}
 	}
 
 	// Chain shares variables ACROSS tuples (46 tuples over 47 variables) but
 	// each lineage's two conjuncts are variable-disjoint: per-marginal
-	// hardness is trivial, so the selector must amortize with the circuit,
-	// not flee to sampling.
+	// hardness is trivial, so the selector must stay exact, not flee to
+	// sampling.
 	res, err = e.Execute(Request{Query: "Chain", Engine: "auto"})
 	if err != nil {
 		t.Fatal(err)
@@ -184,7 +188,7 @@ func TestAutoSelector(t *testing.T) {
 	}
 
 	st := e.Stats()
-	if st.Auto.DTree == 0 || st.Auto.Circuit == 0 || st.Auto.MC == 0 {
+	if st.Auto.Circuit != 3 || st.Auto.MC != 1 {
 		t.Fatalf("auto selections not counted: %+v", st.Auto)
 	}
 }
@@ -196,10 +200,13 @@ func TestAutoSelector(t *testing.T) {
 // sampler over the overridden answer with the same seed, samples and
 // workers; an override restating every declared distribution must answer
 // like the plain request; and no override may pollute the cached base
-// marginals.
+// marginals. The same holds on maintained plans: after an insert patch and
+// then a delete, every what-if is served from the maintained plan, whose
+// circuit is compiled on the first what-if.
 func TestWhatIfDistributions(t *testing.T) {
 	e := newEngine(t, Options{Workers: 4}, takesScript)
 	const queryText = "project[1](Takes)"
+	kinds := []string{"circuit", "enum", "auto"}
 	reweight := map[string]map[string]float64{
 		"x": {"'math'": 0.6, "'phys'": 0.2, "'chem'": 0.2},
 		"t": {"0": 0.9, "1": 0.1},
@@ -212,22 +219,7 @@ func TestWhatIfDistributions(t *testing.T) {
 		"x": {"'math'": 0.3, "'phys'": 0.3, "'chem'": 0.4},
 		"t": {"0": 0.15, "1": 0.85},
 	}
-
-	// The engine's own answer for the query: same algebra options, same
-	// lineage syntax, so a sampler over it draws what the engine draws.
 	q, err := parser.ParseQuery(queryText)
-	if err != nil {
-		t.Fatal(err)
-	}
-	env, err := e.Catalog().Snapshot().Env([]string{"Takes"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	answer, err := pctable.EvalQueryEnvWithOptions(q, env, e.algebraOptions())
-	if err != nil {
-		t.Fatal(err)
-	}
-	cands, err := answer.Candidates()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -256,62 +248,110 @@ func TestWhatIfDistributions(t *testing.T) {
 		return res
 	}
 
-	base := execute(Request{Query: queryText, Engine: "dtree"})
-	for name, override := range map[string]map[string]map[string]float64{"reweight": reweight, "narrow": narrow} {
-		over, err := overrideTable(&plan{answer: answer}, override)
+	// whatIfs checks every override at the current catalog version. Every
+	// kind's plan is cached (compiled or maintained) before it runs.
+	whatIfs := func(stage string) {
+		t.Helper()
+		base := make(map[string]*Result, len(kinds))
+		for _, kind := range kinds {
+			base[kind] = execute(Request{Query: queryText, Engine: kind})
+			if stage != "compiled" && !base[kind].CacheHit {
+				t.Fatalf("%s/%s: base execution missed the maintained plan", stage, kind)
+			}
+		}
+
+		// The engine's own answer for the query: same algebra options, same
+		// lineage syntax, so a sampler over it draws what the engine draws.
+		env, err := e.Catalog().Snapshot().Env([]string{"Takes"})
 		if err != nil {
 			t.Fatal(err)
 		}
-		// Exact reference: big.Rat enumeration of each lineage, zeros
-		// dropped, certain at 1 within CertainEps.
-		var exact []TupleAnswer
-		for _, c := range cands {
-			r, err := probcalc.EnumProbabilityRat(c.Lineage, over)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if p, _ := r.Float64(); p != 0 {
-				exact = append(exact, TupleAnswer{Tuple: c.Tuple, P: p, Certain: p >= 1-pctable.CertainEps})
-			}
-		}
-		for _, kind := range []string{"dtree", "circuit", "enum", "auto"} {
-			res := execute(Request{Query: queryText, Engine: kind, Distributions: override})
-			check(name+"/"+kind, res.Tuples, exact, 1e-12)
-		}
-
-		// mc: bit-identical to a sampler over the overridden answer; every
-		// candidate kept, certain only for a lineage that is constant true.
-		const samples, seed, workers = 3000, 11, 3
-		sampler, err := pctable.NewSampler(over, seed)
+		answer, err := pctable.EvalQueryEnvWithOptions(q, env, e.algebraOptions())
 		if err != nil {
 			t.Fatal(err)
 		}
-		var sampled []TupleAnswer
-		for _, c := range cands {
-			p, se, err := sampler.EstimateConditionProbabilityParallel(c.Lineage, samples, workers)
+		cands, err := answer.Candidates()
+		if err != nil {
+			t.Fatal(err)
+		}
+		for name, override := range map[string]map[string]map[string]float64{"reweight": reweight, "narrow": narrow} {
+			name = stage + "/" + name
+			over, err := overrideTable(&plan{answer: answer}, override)
 			if err != nil {
 				t.Fatal(err)
 			}
-			_, isTrue := c.Lineage.(condition.TrueCond)
-			sampled = append(sampled, TupleAnswer{Tuple: c.Tuple, P: p, StdErr: se, Certain: isTrue})
+			// Exact reference: big.Rat enumeration of each lineage, zeros
+			// dropped, certain at 1 within CertainEps.
+			var exact []TupleAnswer
+			for _, c := range cands {
+				r, err := probcalc.EnumProbabilityRat(c.Lineage, over)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if p, _ := r.Float64(); p != 0 {
+					exact = append(exact, TupleAnswer{Tuple: c.Tuple, P: p, Certain: p >= 1-pctable.CertainEps})
+				}
+			}
+			for _, kind := range kinds {
+				res := execute(Request{Query: queryText, Engine: kind, Distributions: override})
+				if !res.CacheHit {
+					t.Fatalf("%s/%s: what-if missed the cached plan", name, kind)
+				}
+				check(name+"/"+kind, res.Tuples, exact, 1e-12)
+			}
+
+			// mc: bit-identical to a sampler over the overridden answer; every
+			// candidate kept, certain only for a lineage that is constant true.
+			const samples, seed, workers = 3000, 11, 3
+			sampler, err := pctable.NewSampler(over, seed)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var sampled []TupleAnswer
+			for _, c := range cands {
+				p, se, err := sampler.EstimateConditionProbabilityParallel(c.Lineage, samples, workers)
+				if err != nil {
+					t.Fatal(err)
+				}
+				_, isTrue := c.Lineage.(condition.TrueCond)
+				sampled = append(sampled, TupleAnswer{Tuple: c.Tuple, P: p, StdErr: se, Certain: isTrue})
+			}
+			res := execute(Request{Query: queryText, Engine: "mc", Samples: samples, Seed: seed, Workers: workers, Distributions: override})
+			check(name+"/mc", res.Tuples, sampled, 0)
 		}
-		res := execute(Request{Query: queryText, Engine: "mc", Samples: samples, Seed: seed, Workers: workers, Distributions: override})
-		check(name+"/mc", res.Tuples, sampled, 0)
+
+		// Restating every declared distribution is the plain request.
+		for _, kind := range kinds {
+			res := execute(Request{Query: queryText, Engine: kind, Distributions: restate})
+			check(stage+"/restate/"+kind, res.Tuples, base[kind].Tuples, 1e-12)
+		}
+
+		// The what-ifs above must not have perturbed the memoized base answers.
+		for _, kind := range kinds {
+			again := execute(Request{Query: queryText, Engine: kind})
+			if !again.CacheHit {
+				t.Fatalf("%s/%s: base re-execution missed the cache", stage, kind)
+			}
+			check(stage+"/base/"+kind, again.Tuples, base[kind].Tuples, 0)
+		}
 	}
 
-	// Restating every declared distribution is the plain request.
-	for _, kind := range []string{"dtree", "circuit", "enum", "auto"} {
-		plain := execute(Request{Query: queryText, Engine: kind})
-		res := execute(Request{Query: queryText, Engine: kind, Distributions: restate})
-		check("restate/"+kind, res.Tuples, plain.Tuples, 1e-12)
+	whatIfs("compiled")
+	if _, err := e.PatchTable("Takes", &wal.Patch{Upserts: []wal.PatchRow{
+		newRow(nil, "Dana", "math"),
+		{Terms: []condition.Term{condition.Const(value.Str("Eve")), condition.Var("x")}, Cond: condition.IsTrueVar("t")},
+	}}); err != nil {
+		t.Fatal(err)
 	}
-
-	// The what-ifs above must not have perturbed the memoized base answer.
-	again := execute(Request{Query: queryText, Engine: "dtree"})
-	if !again.CacheHit {
-		t.Fatalf("base re-execution missed the cache")
+	whatIfs("insert")
+	if _, err := e.PatchTable("Takes", &wal.Patch{Deletes: []wal.PatchRow{tableRow(t, e, "Takes", 0)}}); err != nil {
+		t.Fatal(err)
 	}
-	check("base", again.Tuples, base.Tuples, 0)
+	whatIfs("delete")
+	// Two patches, each maintaining one plan per kind plus the mc plan.
+	if st := e.Stats().Maintenance; st.PlansMaintained != 2*uint64(len(kinds)+1) || st.MarginalsRefreshed == 0 {
+		t.Fatalf("what-if plans were not maintained: %+v", st)
+	}
 }
 
 // TestWhatIfValidation: overrides referencing unknown variables, widening
@@ -351,24 +391,26 @@ func TestParseKindListsValidEngines(t *testing.T) {
 	}
 }
 
-// TestProbcalcStatsAggregate: the per-evaluator memo counters survive plan
-// teardown by accumulating into the engine stats, across distinct queries.
+// TestProbcalcStatsAggregate: the circuit counters survive plan teardown by
+// accumulating into the engine stats, across distinct queries — the default
+// engine and its dtree alias compile one circuit per plan.
 func TestProbcalcStatsAggregate(t *testing.T) {
 	e := newEngine(t, Options{}, takesScript)
-	var last uint64
+	var last ProbcalcStats
 	for i, queryText := range []string{
 		"project[1](Takes)",
 		"select[$2 = 'phys'](Takes)",
 		"project[1](Takes) union project[1](select[$2 = 'chem'](Takes))",
 	} {
-		if _, err := e.Execute(Request{Query: queryText, Engine: "dtree"}); err != nil {
-			t.Fatal(err)
+		for _, kind := range []string{"", "dtree"} {
+			if _, err := e.Execute(Request{Query: queryText, Engine: kind}); err != nil {
+				t.Fatal(err)
+			}
 		}
-		st := e.Stats()
-		total := st.Probcalc.MemoHits + st.Probcalc.MemoMisses
-		if total <= last {
-			t.Fatalf("query %d: memo totals did not grow (%d -> %d)", i, last, total)
+		st := e.Stats().Probcalc
+		if st.CircuitCompiles != last.CircuitCompiles+1 || st.CircuitNodes <= last.CircuitNodes {
+			t.Fatalf("query %d: circuit totals %+v after %+v, want one more compile", i, st, last)
 		}
-		last = total
+		last = st
 	}
 }

@@ -11,15 +11,17 @@
 // is LRU-bounded and publishes hit/miss/eviction/latency counters.
 //
 // Execution computes tuple marginals under a bounded worker pool with one of
-// four engines — dtree and circuit (internal/probcalc's one decomposition
-// compiler, driven per tuple or over the whole answer at once), enum
-// (brute-force valuation enumeration) or mc (Monte-Carlo estimation) — or
-// with auto, which picks dtree, circuit or mc per plan from its lineage
-// statistics. Every engine runs through one function, pctable.Marginals,
-// which owns the rules for dropping zero-probability candidates and flagging
-// certain answers. Exact marginals are computed once per plan and memoized;
+// three engines — circuit (the exact engine: internal/probcalc's compiler
+// turns the whole answer's lineage into one circuit, retained on the plan),
+// enum (brute-force valuation enumeration, the reference) or mc (Monte-Carlo
+// estimation) — or with auto, which picks circuit or mc per plan from its
+// lineage statistics. The name dtree is accepted as an alias of circuit.
+// Every engine runs through one function, pctable.Marginals, which owns the
+// rules for dropping zero-probability candidates and flagging certain
+// answers. Exact marginals are computed once per plan and memoized;
 // Monte-Carlo re-samples per request (deterministically for a fixed seed),
-// and what-if requests recompute under their overridden distributions.
+// and what-if requests re-evaluate the plan's circuit under their overridden
+// distributions.
 package engine
 
 import (
@@ -28,7 +30,9 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"maps"
 	"runtime"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -67,28 +71,29 @@ var (
 type Kind string
 
 const (
-	// KindDTree decomposes lineage conditions (internal/probcalc). Default.
-	KindDTree Kind = pctable.EngineDTree
 	// KindCircuit compiles the whole answer's lineage set into one shared
 	// arithmetic circuit (probcalc.CompileAnswer) and evaluates every
 	// marginal in a single bottom-up pass. The circuit is retained on the
 	// cached plan, so what-if re-evaluation skips decomposition entirely.
+	// Default; "dtree" names it too.
 	KindCircuit Kind = pctable.EngineCircuit
 	// KindEnum enumerates every valuation of the lineage variables.
 	KindEnum Kind = pctable.EngineEnum
 	// KindMC estimates marginals by Monte-Carlo sampling.
 	KindMC Kind = pctable.EngineMC
-	// KindAuto picks dtree, circuit or mc per answer from the lineage-set
+	// KindAuto picks circuit or mc per answer from the lineage-set
 	// statistics gathered at plan compilation (see Selection).
 	KindAuto Kind = "auto"
 )
 
-// ParseKind parses an engine name; the empty string selects KindDTree.
+// ParseKind parses an engine name. The empty string and "dtree" (the name
+// of the per-tuple decomposition the circuit compiler replaced) select
+// KindCircuit, so they share its cached plans.
 func ParseKind(s string) (Kind, error) {
 	switch s {
-	case "":
-		return KindDTree, nil
-	case string(KindDTree), string(KindCircuit), string(KindEnum), string(KindMC), string(KindAuto):
+	case "", "dtree":
+		return KindCircuit, nil
+	case string(KindCircuit), string(KindEnum), string(KindMC), string(KindAuto):
 		return Kind(s), nil
 	default:
 		return "", fmt.Errorf("%w: unknown engine %q (valid engines: auto, circuit, dtree, enum, mc)", ErrBadQuery, s)
@@ -149,10 +154,9 @@ type Stats struct {
 	// fallback — over every plan compilation since startup (cache hits
 	// reuse the compiled answer and add nothing).
 	Ops exec.OpStats `json:"ops"`
-	// Probcalc aggregates the probability-engine counters across every
-	// execution. The per-evaluator probcalc.Stats would otherwise be lost
-	// when an evaluator is dropped with its plan; these totals make the
-	// cross-query memo hit-ratio (and circuit sharing) observable.
+	// Probcalc aggregates the circuit-compilation counters across every
+	// execution; the per-circuit stats would otherwise be lost when a plan
+	// is dropped.
 	Probcalc ProbcalcStats `json:"probcalc"`
 	// Auto counts what the engine=auto selector chose, per target engine.
 	Auto AutoStats `json:"auto"`
@@ -162,16 +166,9 @@ type Stats struct {
 	Maintenance MaintenanceStats `json:"maintenance"`
 }
 
-// ProbcalcStats aggregates decomposition-memo and circuit-compilation
-// counters over every marginal computation since startup.
+// ProbcalcStats aggregates circuit-compilation counters over every marginal
+// computation since startup.
 type ProbcalcStats struct {
-	// MemoHits/MemoMisses total the d-tree decomposition memo across all
-	// evaluators the engine has run (fresh computations only; memoized plan
-	// marginals add nothing).
-	MemoHits   uint64 `json:"memoHits"`
-	MemoMisses uint64 `json:"memoMisses"`
-	// MemoHitRatio is MemoHits / (MemoHits + MemoMisses), 0 when idle.
-	MemoHitRatio float64 `json:"memoHitRatio"`
 	// CircuitCompiles counts shared-circuit compilations; CircuitNodes and
 	// CircuitShared total their DAG sizes and compile-time memo hits
 	// (subcircuits reused across answer tuples via hash-consed IDs).
@@ -182,7 +179,6 @@ type ProbcalcStats struct {
 
 // AutoStats counts engine=auto selector decisions by chosen engine.
 type AutoStats struct {
-	DTree   uint64 `json:"dtree"`
 	Circuit uint64 `json:"circuit"`
 	MC      uint64 `json:"mc"`
 }
@@ -191,7 +187,8 @@ type AutoStats struct {
 type Request struct {
 	// Query is the relational algebra query text (parser.ParseQuery syntax).
 	Query string
-	// Engine selects the marginal engine; empty means dtree.
+	// Engine selects the marginal engine (see ParseKind); empty means
+	// circuit.
 	Engine string
 	// Samples is the Monte-Carlo sample count (mc only; default 10000).
 	Samples int
@@ -211,8 +208,8 @@ type Request struct {
 	// literals (parser syntax: integer, 'string', true/false) to
 	// probabilities, which must form a distribution over a subset of the
 	// variable's declared support. What-if marginals are computed fresh per
-	// request and never cached; with the circuit engine the cached circuit
-	// is re-weighted without re-decomposing.
+	// request and never cached; the exact engine re-weights the plan's
+	// circuit without re-decomposing.
 	Distributions map[string]map[string]float64
 }
 
@@ -227,9 +224,6 @@ type Selection struct {
 	Tuples int `json:"tuples"`
 	// Vars is the number of distinct variables across all lineages.
 	Vars int `json:"vars"`
-	// SharingDegree is Σᵢ |vars(lineageᵢ)| / Vars: 1 means tuples share no
-	// variables; higher means cross-tuple sharing a circuit can exploit.
-	SharingDegree float64 `json:"sharingDegree"`
 	// MaxComponentVars is the variable count of the largest
 	// variable-connected component within any single lineage — the biggest
 	// exact subproblem one marginal poses. Variables shared across DIFFERENT
@@ -312,7 +306,7 @@ type plan struct {
 	varRefs    map[condition.Variable]int
 	groupIndex map[string]int
 
-	// Exact marginals (dtree/enum/circuit) are computed once on first
+	// Exact marginals (circuit/enum) are computed once on first
 	// execution and shared by every later hit. margDone is set (after the
 	// once completes successfully) so incremental maintenance knows the
 	// memoized marginals exist and may be carried forward.
@@ -321,12 +315,16 @@ type plan struct {
 	marginals []TupleAnswer
 	execErr   error
 
-	// The shared circuit is compiled once per plan (first circuit execution
-	// or what-if) and retained, so re-evaluation under overridden
-	// distributions never re-decomposes.
+	// The shared circuit is compiled once per plan (first exact execution or
+	// what-if) and retained, so re-evaluation under overridden distributions
+	// never re-decomposes.
 	circuitOnce sync.Once
 	circuit     *probcalc.Circuit
 	circuitErr  error
+
+	// maintOnce runs the plan's maintenance across the next patch of a
+	// table it reads once, for whichever asks first (maintainCached).
+	maintOnce sync.Once
 }
 
 // Engine is the concurrent query service core: a catalog plus a bounded
@@ -349,11 +347,14 @@ type Engine struct {
 	opMu     sync.Mutex
 	opTotals exec.OpStats // physical-operator counters over all compilations
 
-	// Probability-engine totals (fed on fresh computations; memoized plan
-	// marginals add nothing) and auto-selector decision counters.
-	memoHits, memoMisses                        atomic.Uint64
+	// Circuit-compilation totals and auto-selector decision counters.
 	circuitCompiles, circuitNodes, circuitShare atomic.Uint64
-	autoDTree, autoCircuit, autoMC              atomic.Uint64
+	autoCircuit, autoMC                         atomic.Uint64
+
+	// Patches being applied and maintained (see maintainFor).
+	gateMu   sync.Mutex
+	gateCond sync.Cond
+	gates    []*maintGate
 
 	// Incremental view maintenance counters (see MaintenanceStats).
 	mnt maintCounters
@@ -377,6 +378,7 @@ func New(cat *catalog.Catalog, opts Options) *Engine {
 		byTable:  make(map[string]map[string]bool),
 		obs:      opts.Obs,
 	}
+	e.gateCond.L = &e.gateMu
 	if opts.Obs != nil {
 		e.instrument(opts.Obs)
 	}
@@ -405,15 +407,11 @@ func (e *Engine) PutTable(name string, t *pctable.PCTable) (uint64, error) {
 // maintainer cannot handle fall back to invalidation with a typed reason
 // (see MaintenanceStats).
 func (e *Engine) PatchTable(name string, p *wal.Patch) (uint64, error) {
-	if e.cat.Snapshot().Get(name) == nil {
+	ent := e.cat.Snapshot().Get(name)
+	if ent == nil {
 		return 0, fmt.Errorf("%w: %q", ErrUnknownTable, name)
 	}
-	v, ap, err := e.cat.ApplyPatch(name, p)
-	if err != nil {
-		return 0, err
-	}
-	e.maintainTable(name, v, ap)
-	return v, nil
+	return e.applyPatch(name, ent.Version, func() (uint64, *wal.AppliedPatch, error) { return e.cat.ApplyPatch(name, p) })
 }
 
 // PutParsed is PutTable for a table parsed by internal/parser.
@@ -453,13 +451,15 @@ func (e *Engine) DropTable(name string) (bool, error) {
 // entry keeps the leader's per-table version, plans compiled or maintained
 // after the apply carry exactly the leader's cache keys.
 func (e *Engine) ApplyChange(rec *wal.Record) error {
-	ap, err := e.cat.ApplyRecord(rec)
-	if err != nil {
+	if rec.Kind == wal.KindPatch {
+		_, err := e.applyPatch(rec.Name, rec.Version-1, func() (uint64, *wal.AppliedPatch, error) {
+			ap, err := e.cat.ApplyRecord(rec)
+			return rec.Version, ap, err
+		})
 		return err
 	}
-	if rec.Kind == wal.KindPatch && ap != nil {
-		e.maintainTable(rec.Name, rec.Version, ap)
-		return nil
+	if _, err := e.cat.ApplyRecord(rec); err != nil {
+		return err
 	}
 	e.invalidateReplaced(rec.Name)
 	return nil
@@ -499,20 +499,11 @@ func (e *Engine) Stats() Stats {
 	s.Ops = e.opTotals
 	e.opMu.Unlock()
 	s.Probcalc = ProbcalcStats{
-		MemoHits:        e.memoHits.Load(),
-		MemoMisses:      e.memoMisses.Load(),
 		CircuitCompiles: e.circuitCompiles.Load(),
 		CircuitNodes:    e.circuitNodes.Load(),
 		CircuitShared:   e.circuitShare.Load(),
 	}
-	if total := s.Probcalc.MemoHits + s.Probcalc.MemoMisses; total > 0 {
-		s.Probcalc.MemoHitRatio = float64(s.Probcalc.MemoHits) / float64(total)
-	}
-	s.Auto = AutoStats{
-		DTree:   e.autoDTree.Load(),
-		Circuit: e.autoCircuit.Load(),
-		MC:      e.autoMC.Load(),
-	}
+	s.Auto = AutoStats{Circuit: e.autoCircuit.Load(), MC: e.autoMC.Load()}
 	s.Maintenance = e.mnt.snapshot()
 	return s
 }
@@ -553,35 +544,23 @@ func (ph *phases) materialize(parseEnd int64) obs.SpanRef {
 }
 
 // marginalAttrs describes a marginal computation on its span: the effective
-// engine, the auto-selector's inputs and decision, and — for freshly
-// computed exact marginals (st non-nil) — the decomposition or circuit shape.
-func marginalAttrs(sp obs.SpanRef, chosen Kind, sel *Selection, st *pctable.MarginalStats) {
+// engine, the auto-selector's inputs and decision, and — for marginals freshly
+// computed on a circuit (circ non-nil) — the circuit's shape.
+func marginalAttrs(sp obs.SpanRef, chosen Kind, sel *Selection, circ *probcalc.Circuit) {
 	sp.SetStr("engine", string(chosen))
 	if sel != nil {
 		sp.SetInt("selTuples", int64(sel.Tuples))
 		sp.SetInt("selVars", int64(sel.Vars))
-		sp.SetInt("selSharingPct", int64(sel.SharingDegree*100))
 		sp.SetInt("selMaxComponentVars", int64(sel.MaxComponentVars))
 		sp.SetStr("selReason", sel.Reason)
 	}
-	if st == nil {
+	if circ == nil {
 		return
 	}
-	switch chosen {
-	case KindDTree:
-		d := st.DTree
-		sp.SetInt("dtreeNodes", int64(d.ComponentSplits+d.ExclusiveSplits+d.ShannonExpansions+d.Enumerations))
-		sp.SetInt("memoHits", int64(d.MemoHits))
-		sp.SetInt("memoMisses", int64(d.MemoMisses))
-		sp.SetInt("memoEntries", int64(d.MemoEntries))
-	case KindCircuit:
-		if st.Circuit != nil {
-			cs := st.Circuit.Stats()
-			sp.SetInt("circuitNodes", int64(cs.Nodes))
-			sp.SetInt("circuitRoots", int64(cs.Roots))
-			sp.SetInt("circuitShared", int64(cs.SharedHits))
-		}
-	}
+	cs := circ.Stats()
+	sp.SetInt("circuitNodes", int64(cs.Nodes))
+	sp.SetInt("circuitRoots", int64(cs.Roots))
+	sp.SetInt("circuitShared", int64(cs.SharedHits))
 }
 
 // Execute runs one request: prepare (or fetch) the plan, then compute the
@@ -591,8 +570,8 @@ func marginalAttrs(sp obs.SpanRef, chosen Kind, sel *Selection, st *pctable.Marg
 // "query": a "snapshot" child for catalog snapshot acquisition, "parse"
 // (query text to validated algebra, including cache lookup and pool
 // admission), on a cache miss "compile" (with rewrite/build/pipeline children
-// from the operator core), "marginals" (d-tree decomposition shape as
-// attributes), and for analyze requests "analyze". Warm (cache-hit)
+// from the operator core), "marginals" (the circuit's shape as attributes),
+// and for analyze requests "analyze". Warm (cache-hit)
 // executions never record spans while running — see phases — so the warm
 // path pays only two extra clock readings and a histogram observation.
 func (e *Engine) Execute(req Request) (*Result, error) {
@@ -681,13 +660,10 @@ func (e *Engine) executeOn(snap *catalog.Snapshot, req Request, ph *phases) (*Re
 	if kind == KindAuto {
 		sel = &p.sel
 		chosen = p.sel.Chosen
-		switch chosen {
-		case KindCircuit:
-			e.autoCircuit.Add(1)
-		case KindMC:
+		if chosen == KindMC {
 			e.autoMC.Add(1)
-		default:
-			e.autoDTree.Add(1)
+		} else {
+			e.autoCircuit.Add(1)
 		}
 	}
 	override, err := overrideTable(p, req.Distributions)
@@ -699,25 +675,24 @@ func (e *Engine) executeOn(snap *catalog.Snapshot, req Request, ph *phases) (*Re
 	var margSpan obs.SpanRef
 	if ph.tr != nil {
 		// Cold path: the trace was materialized at compile start, so the
-		// marginals phase records live and its d-tree attributes can attach.
+		// marginals phase records live and its circuit attributes can attach.
 		margSpan = ph.root.ChildAt("marginals", start)
 	}
 	var (
 		tuples   []TupleAnswer
-		computed *pctable.MarginalStats
+		computed *probcalc.Circuit // the circuit fresh plan marginals were computed on
 	)
 	if override != nil || chosen == KindMC {
 		// What-if marginals (under the per-request override) and Monte-Carlo
 		// estimates are computed fresh per request, never memoized on the plan.
-		tuples, _, err = e.planMarginals(p, chosen, cmp.Or(override, p.answer), req)
+		tuples, err = e.planMarginals(p, chosen, cmp.Or(override, p.answer), req)
 	} else {
 		p.once.Do(func() {
-			var st pctable.MarginalStats
-			p.marginals, st, p.execErr = e.planMarginals(p, chosen, p.answer, req)
+			p.marginals, p.execErr = e.planMarginals(p, chosen, p.answer, req)
 			if p.execErr == nil {
 				p.margDone.Store(true)
 			}
-			computed = &st
+			computed = p.circuit
 		})
 		tuples, err = p.marginals, p.execErr
 	}
@@ -728,8 +703,8 @@ func (e *Engine) executeOn(snap *catalog.Snapshot, req Request, ph *phases) (*Re
 	execDur := time.Duration(end - start)
 	margSpan.EndDur(execDur)
 	// Effective engine, selector decision and — for fresh exact runs — the
-	// decomposition/circuit shape; warm hits reuse the memoized marginals
-	// and attach only the engine and selection.
+	// circuit shape; warm hits reuse the memoized marginals and attach only
+	// the engine and selection.
 	marginalAttrs(margSpan, chosen, sel, computed)
 	e.executions.Add(1)
 	e.execNanos.Add(uint64(execDur))
@@ -858,13 +833,17 @@ func (e *Engine) prepare(snap *catalog.Snapshot, queryText string, kind Kind, ph
 	}
 	key := planKey(queryText, kind, names, vers)
 
-	e.mu.Lock()
-	if el, ok := e.byKey[key]; ok {
-		e.lru.MoveToFront(el)
-		e.hits++
-		e.mu.Unlock()
-		return el.Value.(*plan), true, 0, nil
+	p := e.cached(key, true)
+	if p == nil {
+		// Look again after maintainFor: a patch in flight when the first
+		// lookup ran is maintained by the time it returns.
+		e.maintainFor(snap, queryText, kind, names, vers)
+		p = e.cached(key, true)
 	}
+	if p != nil {
+		return p, true, 0, nil
+	}
+	e.mu.Lock()
 	e.misses++
 	e.mu.Unlock()
 
@@ -872,7 +851,7 @@ func (e *Engine) prepare(snap *catalog.Snapshot, queryText string, kind Kind, ph
 	compileSpan := ph.materialize(start).ChildAt("compile", start)
 	opts := e.algebraOptions()
 	opts.Trace = compileSpan
-	p, err := compile(q, queryText, kind, names, vers, snap, key, opts)
+	p, err = compile(q, queryText, kind, names, vers, snap, key, opts)
 	if err != nil {
 		return nil, false, 0, err
 	}
@@ -906,6 +885,85 @@ func (e *Engine) prepare(snap *catalog.Snapshot, queryText string, kind Kind, ph
 	}
 	e.mu.Unlock()
 	return p, false, prepDur, nil
+}
+
+// cached returns the plan cached under key, or nil. With hit set, a found
+// plan moves to the LRU front and counts as a cache hit.
+func (e *Engine) cached(key string, hit bool) *plan {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	el, ok := e.byKey[key]
+	if !ok {
+		return nil
+	}
+	if hit {
+		e.lru.MoveToFront(el)
+		e.hits++
+	}
+	return el.Value.(*plan)
+}
+
+// maintGate is one patch in flight on table, whose version before the patch
+// was from; version and ap are set once the patch is applied. The catalog
+// publishes the patched version before the cached plans are re-keyed, and a
+// miss in that window must not compile a plan that swapPlan then discards.
+type maintGate struct {
+	table         string
+	from, version uint64
+	ap            *wal.AppliedPatch
+}
+
+// applyPatch runs apply, a catalog mutation that patches table and publishes
+// the patched version, under a maintGate, then maintains the cached plans
+// across the applied patch.
+func (e *Engine) applyPatch(table string, from uint64, apply func() (uint64, *wal.AppliedPatch, error)) (uint64, error) {
+	g := &maintGate{table: table, from: from}
+	e.gateMu.Lock()
+	e.gates = append(e.gates, g)
+	e.gateMu.Unlock()
+	defer func() {
+		e.gateMu.Lock()
+		e.gates = slices.DeleteFunc(e.gates, func(o *maintGate) bool { return o == g })
+		e.gateMu.Unlock()
+		e.gateCond.Broadcast()
+	}()
+	v, ap, err := apply()
+	if err != nil {
+		return 0, err
+	}
+	e.maintainTable(g, v, ap)
+	return v, nil
+}
+
+// maintainFor serves a plan-cache miss at versions vers that a patch still in
+// flight may have published: it maintains the query's cached plan across that
+// patch now, or waits while maintainTable does, so that a second lookup finds
+// the maintained plan. Misses at other tables or versions return at once.
+func (e *Engine) maintainFor(snap *catalog.Snapshot, queryText string, kind Kind, names []string, vers map[string]uint64) {
+	find := func() *maintGate {
+		for _, g := range e.gates {
+			if v, ok := vers[g.table]; ok && ((g.ap == nil && v > g.from) || (g.ap != nil && v == g.version)) {
+				return g
+			}
+		}
+		return nil
+	}
+	e.gateMu.Lock()
+	g := find()
+	for g != nil && g.ap == nil {
+		e.gateCond.Wait() // until the patch is applied or abandoned
+		g = find()
+	}
+	e.gateMu.Unlock()
+	if g == nil {
+		return
+	}
+	old := maps.Clone(vers)
+	old[g.table] = g.ap.OldVersion
+	oldKey := planKey(queryText, kind, names, old)
+	if p := e.cached(oldKey, false); p != nil {
+		e.maintainCached(oldKey, p, g, snap, obs.SpanRef{})
+	}
 }
 
 // invalidateTable drops every cached plan that reads the named table and
@@ -1028,17 +1086,11 @@ func compile(q ra.Query, queryText string, kind Kind, names []string, vers map[s
 	}, nil
 }
 
-// Auto-selector thresholds (see Selection). Beyond autoMCComponentVars
-// variables in one connected component of a SINGLE lineage, computing that
-// tuple's exact marginal risks exponential blowup and sampling scales; from
-// autoCircuitMinTuples tuples with cross-tuple sharing of at least
-// autoCircuitMinShare, one shared circuit amortizes decomposition across the
-// answer; otherwise the per-tuple d-tree's lower constant factors win.
-const (
-	autoMCComponentVars  = 44
-	autoCircuitMinTuples = 16
-	autoCircuitMinShare  = 1.25
-)
+// autoMCComponentVars is the auto-selector's threshold (see Selection):
+// beyond this many variables in one connected component of a SINGLE
+// lineage, computing that tuple's exact marginal risks exponential blowup
+// and sampling scales.
+const autoMCComponentVars = 44
 
 // selectEngine derives the lineage-set statistics of a compiled plan and
 // the engine=auto decision they imply. It runs once per plan compilation;
@@ -1047,11 +1099,9 @@ const (
 func selectEngine(candidates []pctable.Candidate) Selection {
 	in := condition.NewInterner()
 	allVars := make(map[condition.Variable]bool)
-	varTotal := 0
 	maxComp := 0
 	for _, c := range candidates {
 		vars := in.Vars(c.Lineage)
-		varTotal += len(vars)
 		for _, x := range vars {
 			allVars[x] = true
 		}
@@ -1064,19 +1114,11 @@ func selectEngine(candidates []pctable.Candidate) Selection {
 		Vars:             len(allVars),
 		MaxComponentVars: maxComp,
 	}
-	if sel.Vars > 0 {
-		sel.SharingDegree = float64(varTotal) / float64(sel.Vars)
-	}
-	switch {
-	case maxComp > autoMCComponentVars:
+	sel.Chosen = KindCircuit
+	sel.Reason = fmt.Sprintf("largest connected lineage component has %d variables (<= %d): exact circuit", maxComp, autoMCComponentVars)
+	if maxComp > autoMCComponentVars {
 		sel.Chosen = KindMC
 		sel.Reason = fmt.Sprintf("largest connected lineage component has %d variables (> %d): exact decomposition risks blowup, sampling scales", maxComp, autoMCComponentVars)
-	case sel.Tuples >= autoCircuitMinTuples && sel.SharingDegree >= autoCircuitMinShare:
-		sel.Chosen = KindCircuit
-		sel.Reason = fmt.Sprintf("%d tuples with sharing degree %.2f (>= %.2f): one shared circuit amortizes decomposition", sel.Tuples, sel.SharingDegree, autoCircuitMinShare)
-	default:
-		sel.Chosen = KindDTree
-		sel.Reason = fmt.Sprintf("%d tuples, sharing degree %.2f: per-tuple d-tree has the lowest constants", sel.Tuples, sel.SharingDegree)
 	}
 	return sel
 }
@@ -1138,55 +1180,40 @@ func maxLineageComponent(in *condition.Interner, c condition.Condition, total in
 // the answer's own distributions, so what-if requests re-weight it instead of
 // re-decomposing.
 func (e *Engine) planCircuit(p *plan) (*probcalc.Circuit, error) {
-	p.circuitOnce.Do(func() {
-		conds := make([]condition.Condition, len(p.candidates))
-		for i, c := range p.candidates {
-			conds[i] = c.Lineage
-		}
-		p.circuit, p.circuitErr = probcalc.CompileAnswer(conds, p.answer)
-		if p.circuitErr == nil {
-			e.countProbcalc(pctable.MarginalStats{Circuit: p.circuit, Compiled: true})
-		}
-	})
+	p.circuitOnce.Do(func() { p.circuit, p.circuitErr = e.compileCircuit(p.candidates, p.answer) })
 	return p.circuit, p.circuitErr
+}
+
+// compileCircuit compiles the candidates' lineages into one circuit over
+// dists and adds it to the engine's probcalc totals.
+func (e *Engine) compileCircuit(cands []pctable.Candidate, dists *pctable.PCTable) (*probcalc.Circuit, error) {
+	conds := make([]condition.Condition, len(cands))
+	for i, c := range cands {
+		conds[i] = c.Lineage
+	}
+	circ, err := probcalc.CompileAnswer(conds, dists)
+	if err != nil {
+		return nil, err
+	}
+	cs := circ.Stats()
+	e.circuitCompiles.Add(1)
+	e.circuitNodes.Add(uint64(cs.Nodes))
+	e.circuitShare.Add(uint64(cs.SharedHits))
+	return circ, nil
 }
 
 // planMarginals computes the plan's candidate marginals with engine kind
 // under dists — the plan's answer or its what-if view. The circuit engine
-// evaluates the plan's shared circuit.
-func (e *Engine) planMarginals(p *plan, kind Kind, dists *pctable.PCTable, req Request) ([]TupleAnswer, pctable.MarginalStats, error) {
+// evaluates the plan's shared circuit, compiled on first use.
+func (e *Engine) planMarginals(p *plan, kind Kind, dists *pctable.PCTable, req Request) ([]TupleAnswer, error) {
 	s := pctable.Strategy{Engine: string(kind), Samples: req.Samples, Seed: req.Seed, Workers: req.Workers}
 	if kind == KindCircuit {
 		var err error
 		if s.Circuit, err = e.planCircuit(p); err != nil {
-			return nil, pctable.MarginalStats{}, err
+			return nil, err
 		}
 	}
-	return e.marginals(dists, p.candidates, s)
-}
-
-// marginals is the engine's one call into pctable.Marginals; it feeds the
-// probcalc counters from the call's stats.
-func (e *Engine) marginals(dists *pctable.PCTable, cands []pctable.Candidate, s pctable.Strategy) ([]TupleAnswer, pctable.MarginalStats, error) {
-	out, st, err := pctable.Marginals(dists, cands, s)
-	if err != nil {
-		return nil, st, err
-	}
-	e.countProbcalc(st)
-	return out, st, nil
-}
-
-// countProbcalc adds one computation's d-tree memo counters and, when it
-// compiled a circuit, that circuit's size to the engine's probcalc totals.
-func (e *Engine) countProbcalc(st pctable.MarginalStats) {
-	e.memoHits.Add(uint64(st.DTree.MemoHits))
-	e.memoMisses.Add(uint64(st.DTree.MemoMisses))
-	if st.Compiled {
-		cs := st.Circuit.Stats()
-		e.circuitCompiles.Add(1)
-		e.circuitNodes.Add(uint64(cs.Nodes))
-		e.circuitShare.Add(uint64(cs.SharedHits))
-	}
+	return pctable.Marginals(dists, p.candidates, s)
 }
 
 // overrideTable builds the what-if view of the plan's answer from the

@@ -37,9 +37,10 @@ func newEngine(t *testing.T, opts Options, scripts ...string) *Engine {
 	return e
 }
 
-// The engine's marginals must equal pctable.AnswerTupleProbabilities on the
-// same input, for both exact engines, and the Monte-Carlo engine must agree
-// within a few standard errors.
+// The engine's marginals must equal the tuple marginals of the answer's
+// possible-worlds distribution (Mod, enumerated world by world — no lineage,
+// no decomposition) for both exact engines and the dtree alias, and the
+// Monte-Carlo engine must agree within a few standard errors.
 func TestExecuteMatchesDirectComputation(t *testing.T) {
 	e := newEngine(t, Options{Workers: 4}, takesScript)
 	const queryText = "project[1](select[$2 = 'phys'](Takes))"
@@ -52,12 +53,17 @@ func TestExecuteMatchesDirectComputation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	direct, err := pt.PCTable.AnswerTupleProbabilities(q)
+	answer, err := pt.PCTable.EvalQuery(q)
 	if err != nil {
 		t.Fatal(err)
 	}
+	worlds, err := answer.Mod()
+	if err != nil {
+		t.Fatal(err)
+	}
+	direct := worlds.TupleMarginals()
 
-	for _, kind := range []string{"dtree", "enum"} {
+	for _, kind := range []string{"circuit", "dtree", "enum"} {
 		res, err := e.Execute(Request{Query: queryText, Engine: kind})
 		if err != nil {
 			t.Fatal(err)

@@ -157,11 +157,12 @@ type maintained struct {
 	refreshed int    // marginals re-evaluated
 }
 
-// maintainTable updates every cached plan reading name after a row-level
-// patch bumped it to version. Plans that cannot be maintained are dropped
-// (forced recompile) with a typed reason; the rest are re-keyed in place so
-// the next execution at the new catalog version hits the cache.
-func (e *Engine) maintainTable(name string, version uint64, ap *wal.AppliedPatch) {
+// maintainTable updates every cached plan reading g's table after g's patch
+// bumped it to version. Plans that cannot be maintained are dropped (forced
+// recompile) with a typed reason; the rest are re-keyed in place so the next
+// execution at the new catalog version hits the cache.
+func (e *Engine) maintainTable(g *maintGate, version uint64, ap *wal.AppliedPatch) {
+	name := g.table
 	e.mnt.patches.Add(1)
 	start := obs.Nanotime()
 	tr := e.obs.StartTraceAt("maintain", start)
@@ -178,43 +179,21 @@ func (e *Engine) maintainTable(name string, version uint64, ap *wal.AppliedPatch
 	}
 	e.mu.Unlock()
 	sort.Strings(keys) // deterministic maintenance order
+	// Only now may missed queries maintain their own plans (maintainFor): one
+	// they re-key is absent below, not mistaken for a stale plan.
+	e.gateMu.Lock()
+	g.version, g.ap = version, ap
+	e.gateMu.Unlock()
+	e.gateCond.Broadcast()
 
 	var snap *catalog.Snapshot
 	if len(keys) > 0 {
 		snap = e.cat.Snapshot()
 	}
 	for _, key := range keys {
-		e.mu.Lock()
-		var p *plan
-		if el, ok := e.byKey[key]; ok {
-			p = el.Value.(*plan)
+		if p := e.cached(key, false); p != nil { // else evicted, or maintained by a query
+			e.maintainCached(key, p, g, snap, root)
 		}
-		e.mu.Unlock()
-		if p == nil {
-			continue // concurrently evicted
-		}
-		sp := root.Child("plan")
-		m, reason := e.maintainPlan(p, name, version, ap, snap)
-		if m == nil {
-			e.dropMaintained(key, reason)
-			sp.SetStr("outcome", "invalidate:"+reason)
-			sp.End()
-			continue
-		}
-		e.swapPlan(key, m.plan)
-		e.mnt.maintained.Add(1)
-		if m.mode == "append" {
-			e.mnt.appends.Add(1)
-		} else {
-			e.mnt.reevals.Add(1)
-		}
-		e.mnt.margReused.Add(uint64(m.reused))
-		e.mnt.margRefreshed.Add(uint64(m.refreshed))
-		sp.SetStr("outcome", m.mode)
-		sp.SetInt("deltaRows", int64(m.deltaRows))
-		sp.SetInt("marginalsReused", int64(m.reused))
-		sp.SetInt("marginalsRefreshed", int64(m.refreshed))
-		sp.End()
 	}
 
 	end := obs.Nanotime()
@@ -233,6 +212,36 @@ func (e *Engine) maintainTable(name string, version uint64, ap *wal.AppliedPatch
 		}
 	}
 	e.obs.FinishTrace(tr)
+}
+
+// maintainCached maintains p, cached under key, across g's patch and swaps
+// in its successor or drops it. It runs once per plan: the patch's
+// maintainTable and a query that missed at the patched version may both
+// ask, and whoever asks second waits for the first.
+func (e *Engine) maintainCached(key string, p *plan, g *maintGate, snap *catalog.Snapshot, root obs.SpanRef) {
+	p.maintOnce.Do(func() {
+		sp := root.Child("plan")
+		defer sp.End()
+		m, reason := e.maintainPlan(p, g.table, g.version, g.ap, snap)
+		if m == nil {
+			e.dropMaintained(key, reason)
+			sp.SetStr("outcome", "invalidate:"+reason)
+			return
+		}
+		e.swapPlan(key, m.plan)
+		e.mnt.maintained.Add(1)
+		if m.mode == "append" {
+			e.mnt.appends.Add(1)
+		} else {
+			e.mnt.reevals.Add(1)
+		}
+		e.mnt.margReused.Add(uint64(m.reused))
+		e.mnt.margRefreshed.Add(uint64(m.refreshed))
+		sp.SetStr("outcome", m.mode)
+		sp.SetInt("deltaRows", int64(m.deltaRows))
+		sp.SetInt("marginalsReused", int64(m.reused))
+		sp.SetInt("marginalsRefreshed", int64(m.refreshed))
+	})
 }
 
 // dropMaintained invalidates one plan by cache key, attributing the drop to
@@ -342,22 +351,11 @@ func (e *Engine) maintainPlan(p *plan, name string, version uint64, ap *wal.Appl
 // the non-monotone operators deltas cannot propagate through (an inserted
 // right-side tuple can retract answer tuples).
 func hasNonMonotone(q ra.Query) bool {
-	switch q := q.(type) {
+	switch q.(type) {
 	case ra.DiffQ, ra.IntersectQ:
 		return true
-	case ra.SelectQ:
-		return hasNonMonotone(q.Input)
-	case ra.ProjectQ:
-		return hasNonMonotone(q.Input)
-	case ra.CrossQ:
-		return hasNonMonotone(q.Left) || hasNonMonotone(q.Right)
-	case ra.JoinQ:
-		return hasNonMonotone(q.Left) || hasNonMonotone(q.Right)
-	case ra.UnionQ:
-		return hasNonMonotone(q.Left) || hasNonMonotone(q.Right)
-	default:
-		return false
 	}
+	return slices.ContainsFunc(children(q), hasNonMonotone)
 }
 
 // countBaseRefs counts occurrences of the named base relation in q.
@@ -727,7 +725,7 @@ func (e *Engine) rebuildPlan(p *plan, name string, version uint64, newAnswer *pc
 	if chosen == KindAuto {
 		chosen = p.sel.Chosen
 	}
-	if p.margDone.Load() && (chosen == KindDTree || chosen == KindEnum || chosen == KindCircuit) {
+	if p.margDone.Load() && chosen != KindMC {
 		marg, reused, fresh, err := e.refreshMarginals(p, newp, isAffected, chosen)
 		if err == nil {
 			newp.marginals = marg
@@ -762,7 +760,14 @@ func (e *Engine) refreshMarginals(old, newp *plan, isAffected map[string]bool, k
 	// A marginal is a pure function of (lineage, distributions), so
 	// evaluating the affected subset alone yields the values a full
 	// recompute would. fresh keeps candidate order and drops zeros.
-	fresh, _, err := e.marginals(newp.answer, affCands, pctable.Strategy{Engine: string(kind)})
+	s := pctable.Strategy{Engine: string(kind)}
+	if kind == KindCircuit && len(affCands) > 0 {
+		var err error
+		if s.Circuit, err = e.compileCircuit(affCands, newp.answer); err != nil {
+			return nil, 0, 0, err
+		}
+	}
+	fresh, err := pctable.Marginals(newp.answer, affCands, s)
 	if err != nil {
 		return nil, 0, 0, err
 	}

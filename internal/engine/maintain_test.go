@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"fmt"
 	"math"
 	"strings"
 	"testing"
@@ -97,7 +98,9 @@ func assertFreshEquivalent(t *testing.T, e *Engine, req Request, wantHit bool) *
 // TestPatchMaintainsPlans covers the delta-append and re-evaluation paths
 // over representative shapes: every cached plan must stay byte-identical to
 // a from-scratch recompile after each patch, and insert-only patches against
-// order-safe shapes must take the append path.
+// order-safe shapes must take the append path. The maintained exact
+// marginals must also match the maintained enumeration, and the dtree alias
+// must be served by the maintained circuit plan.
 func TestPatchMaintainsPlans(t *testing.T) {
 	queries := []struct {
 		query      string
@@ -111,7 +114,7 @@ func TestPatchMaintainsPlans(t *testing.T) {
 		{"project[1,4](Labs join[$1 = $2] Takes)", false},
 		{"project[1](Takes) union project[1](select[$2 = 'chem'](Takes))", false}, // two refs
 	}
-	kinds := []string{"dtree", "enum", "circuit", "auto"}
+	kinds := []string{"enum", "circuit", "auto"}
 	e := newEngine(t, Options{}, takesScript, labsScript)
 	for _, q := range queries {
 		for _, kind := range kinds {
@@ -147,9 +150,7 @@ func TestPatchMaintainsPlans(t *testing.T) {
 		t.Errorf("plansMaintained = %d, want %d", got, len(queries)*len(kinds))
 	}
 	for _, q := range queries {
-		for _, kind := range kinds {
-			assertFreshEquivalent(t, e, Request{Query: q.query, Engine: kind}, true)
-		}
+		assertMaintainedKinds(t, e, q.query, kinds)
 	}
 
 	// Patch 2: a delete — no shape is append-safe, every plan re-evaluates;
@@ -166,8 +167,7 @@ func TestPatchMaintainsPlans(t *testing.T) {
 		t.Errorf("reevaluations = %d, want %d", got, len(queries)*len(kinds))
 	}
 	for _, q := range queries {
-		for _, kind := range kinds {
-			res := assertFreshEquivalent(t, e, Request{Query: q.query, Engine: kind}, true)
+		for kind, res := range assertMaintainedKinds(t, e, q.query, kinds) {
 			for _, ta := range res.Tuples {
 				if strings.Contains(ta.Tuple.String(), "Alice") {
 					t.Errorf("%s [%s]: deleted row still produces %s", q.query, kind, ta.Tuple)
@@ -175,6 +175,44 @@ func TestPatchMaintainsPlans(t *testing.T) {
 			}
 		}
 	}
+}
+
+// assertMaintainedKinds runs assertFreshEquivalent for query under every
+// kind, which must include enum, and checks every kind's marginals against
+// enumeration's within float rounding. A dtree request must hit the
+// maintained circuit plan and answer with it bit for bit.
+func assertMaintainedKinds(t *testing.T, e *Engine, query string, kinds []string) map[string]*Result {
+	t.Helper()
+	out := make(map[string]*Result, len(kinds))
+	for _, kind := range kinds {
+		out[kind] = assertFreshEquivalent(t, e, Request{Query: query, Engine: kind}, true)
+	}
+	enum := out["enum"]
+	for kind, res := range out {
+		if len(res.Tuples) != len(enum.Tuples) {
+			t.Fatalf("%s [%s]: %d tuples, enumeration has %d", query, kind, len(res.Tuples), len(enum.Tuples))
+		}
+		for i, ta := range res.Tuples {
+			if w := enum.Tuples[i]; ta.Tuple.Key() != w.Tuple.Key() || math.Abs(ta.P-w.P) > 1e-12 || ta.Certain != w.Certain {
+				t.Errorf("%s [%s]: tuple %d = %+v, enumeration %+v", query, kind, i, ta, w)
+			}
+		}
+	}
+	if circuit, ok := out["circuit"]; ok {
+		alias, err := e.Execute(Request{Query: query, Engine: "dtree"})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !alias.CacheHit || alias.Kind != KindCircuit {
+			t.Errorf("%s [dtree]: kind %q, cache hit %v; want the maintained circuit plan", query, alias.Kind, alias.CacheHit)
+		}
+		for i := range alias.Tuples {
+			if math.Float64bits(alias.Tuples[i].P) != math.Float64bits(circuit.Tuples[i].P) {
+				t.Errorf("%s [dtree]: tuple %d P %v, circuit %v", query, i, alias.Tuples[i].P, circuit.Tuples[i].P)
+			}
+		}
+	}
+	return out
 }
 
 // TestPatchMarginalCarry checks that maintenance reuses memoized marginals
@@ -321,4 +359,52 @@ func TestPatchMaintainsMonteCarlo(t *testing.T) {
 		t.Fatal(err)
 	}
 	assertFreshEquivalent(t, e, req, true)
+}
+
+// TestPatchMissWaitsForMaintenance: the catalog publishes a patched version
+// before the engine has re-keyed the plans that read the table. A query that
+// looks its plan up in that window — here, the moment the change feed
+// delivers the patch — must hit the maintained plan (maintaining it itself or
+// waiting while the patch does), not compile a second one. Many cached plans
+// on the table keep the window wide: the watched plan's key sorts last, so
+// the patch maintains it last.
+func TestPatchMissWaitsForMaintenance(t *testing.T) {
+	e := newEngine(t, Options{}, takesScript)
+	for i := 0; i < 64; i++ {
+		if _, err := e.Execute(Request{Query: fmt.Sprintf("select[$1 != 'a%03d'](Takes)", i)}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	req := Request{Query: "select[$1 != 'zzz'](Takes)"}
+	if _, err := e.Execute(req); err != nil {
+		t.Fatal(err)
+	}
+	for round := 0; round < 5; round++ {
+		w, err := e.Catalog().Watch(e.Catalog().Version())
+		if err != nil {
+			t.Fatal(err)
+		}
+		done := make(chan error, 1)
+		go func() {
+			_, err := e.PatchTable("Takes", &wal.Patch{Upserts: []wal.PatchRow{newRow(nil, fmt.Sprintf("New%d", round), "math")}})
+			done <- err
+		}()
+		rec := <-w.C()
+		res, err := e.Execute(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !res.CacheHit || res.CatalogVersion != rec.Version {
+			t.Fatalf("round %d: query at v%d after the patch to v%d: cache hit %v, want the maintained plan",
+				round, res.CatalogVersion, rec.Version, res.CacheHit)
+		}
+		if err := <-done; err != nil {
+			t.Fatal(err)
+		}
+		w.Close()
+		assertFreshEquivalent(t, e, req, true)
+	}
+	if st := e.Stats().Maintenance; st.ForcedTableReplaced != 0 {
+		t.Fatalf("maintained plans were thrown away: %+v", st)
+	}
 }

@@ -69,27 +69,9 @@ func (e *Engine) instrument(o *obs.Observer) {
 		"Joins compiled to the nested-loop fallback.",
 		op(func() uint64 { return e.opTotals.NestedLoopJoins }))
 
-	// Probability-computation counters: d-tree memo effectiveness over every
-	// fresh (non-memoized) marginal computation.
-	reg.CounterFunc("uncertaindb_probcalc_memo_hits_total", "",
-		"D-tree decomposition subproblems answered from the memo cache.",
-		func() float64 { return float64(e.memoHits.Load()) })
-	reg.CounterFunc("uncertaindb_probcalc_memo_misses_total", "",
-		"D-tree decomposition subproblems that had to be decomposed.",
-		func() float64 { return float64(e.memoMisses.Load()) })
-	reg.GaugeFunc("uncertaindb_probcalc_memo_hit_ratio", "",
-		"Fraction of d-tree subproblems answered from the memo cache (0 when none ran).",
-		func() float64 {
-			h, m := e.memoHits.Load(), e.memoMisses.Load()
-			if h+m == 0 {
-				return 0
-			}
-			return float64(h) / float64(h+m)
-		})
-
 	// Shared-circuit compilation counters and auto-selector decisions.
 	reg.CounterFunc("uncertaindb_probcalc_circuit_compiles_total", "",
-		"Shared lineage circuits compiled (one per plan that executed with the circuit engine or a what-if).",
+		"Shared lineage circuits compiled (one per plan that computed exact marginals or a what-if, one per maintained plan whose marginals were refreshed).",
 		func() float64 { return float64(e.circuitCompiles.Load()) })
 	reg.CounterFunc("uncertaindb_probcalc_circuit_nodes_total", "",
 		"DAG nodes across all compiled lineage circuits.",
@@ -97,11 +79,8 @@ func (e *Engine) instrument(o *obs.Observer) {
 	reg.CounterFunc("uncertaindb_probcalc_circuit_shared_total", "",
 		"Compile-time memo hits across all circuit compilations (subcircuits reused via hash-consed condition IDs).",
 		func() float64 { return float64(e.circuitShare.Load()) })
-	autoHelp := "engine=auto selector decisions, by chosen engine."
-	reg.CounterFunc("uncertaindb_engine_auto_selections_total", obs.Labels("engine", "dtree"),
-		autoHelp, func() float64 { return float64(e.autoDTree.Load()) })
 	reg.CounterFunc("uncertaindb_engine_auto_selections_total", obs.Labels("engine", "circuit"),
-		"", func() float64 { return float64(e.autoCircuit.Load()) })
+		"engine=auto selector decisions, by chosen engine.", func() float64 { return float64(e.autoCircuit.Load()) })
 	reg.CounterFunc("uncertaindb_engine_auto_selections_total", obs.Labels("engine", "mc"),
 		"", func() float64 { return float64(e.autoMC.Load()) })
 

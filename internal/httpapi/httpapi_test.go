@@ -198,8 +198,8 @@ func TestQueryAutoReportsSelection(t *testing.T) {
 		t.Fatalf("status %d: %s", status, out["error"])
 	}
 	var effective string
-	if err := json.Unmarshal(out["effective"], &effective); err != nil || effective != "dtree" {
-		t.Fatalf("effective = %s, want \"dtree\"", out["effective"])
+	if err := json.Unmarshal(out["effective"], &effective); err != nil || effective != "circuit" {
+		t.Fatalf("effective = %s, want \"circuit\"", out["effective"])
 	}
 	var sel struct {
 		Tuples int    `json:"tuples"`
@@ -210,7 +210,7 @@ func TestQueryAutoReportsSelection(t *testing.T) {
 	if err := json.Unmarshal(out["selection"], &sel); err != nil {
 		t.Fatalf("no selection in auto response: %v", err)
 	}
-	if sel.Chosen != "dtree" || sel.Tuples == 0 || sel.Reason == "" {
+	if sel.Chosen != "circuit" || sel.Tuples == 0 || sel.Reason == "" {
 		t.Fatalf("bad selection %+v", sel)
 	}
 }

@@ -8,11 +8,11 @@ import (
 	"uncertaindb/internal/value"
 )
 
-// The engines Marginals computes with: d-tree decomposition, valuation
-// enumeration (ConditionProbabilityEnum), one shared arithmetic circuit over
-// all candidates, and Monte-Carlo sampling.
+// The engines Marginals computes with: one shared arithmetic circuit over
+// all candidates (the exact engine), valuation enumeration
+// (ConditionProbabilityEnum, the brute-force reference), and Monte-Carlo
+// sampling.
 const (
-	EngineDTree   = "dtree"
 	EngineEnum    = "enum"
 	EngineCircuit = "circuit"
 	EngineMC      = "mc"
@@ -24,7 +24,7 @@ const CertainEps = 1e-9
 
 // Strategy selects how Marginals computes each candidate's marginal.
 type Strategy struct {
-	Engine string // EngineDTree, EngineEnum, EngineCircuit or EngineMC
+	Engine string // EngineCircuit, EngineEnum or EngineMC
 	// Circuit is, for EngineCircuit, a circuit compiled over exactly the
 	// candidates' lineages in candidate order; nil compiles one.
 	Circuit *probcalc.Circuit
@@ -49,40 +49,21 @@ type TupleAnswer struct {
 	Certain bool
 }
 
-// MarginalStats describes the probability work of one Marginals call: the
-// d-tree evaluator's decomposition shape (EngineDTree), and the circuit the
-// marginals were evaluated on, with whether the call compiled it itself
-// (EngineCircuit).
-type MarginalStats struct {
-	DTree    probcalc.Stats
-	Circuit  *probcalc.Circuit
-	Compiled bool
-}
-
 // Marginals computes every candidate's marginal P[lineage] under t's
 // independent variable distributions (Theorem 9 with the §9 lineage reading)
 // and returns the answers in candidate order. t supplies only the
 // distributions: a query answer, or its what-if view from WithDists. The
-// d-tree engine shares one evaluator, and so its memo, across the candidates.
+// circuit engine compiles every candidate's lineage into one circuit, so
+// subformulas shared across candidates are decomposed once.
 //
 // Exact engines drop candidates whose marginal is 0 — candidate discovery
 // over-approximates, and a row pattern may have unsatisfiable lineage — and
 // report a tuple certain at P ≥ 1−CertainEps. Monte-Carlo keeps every
 // candidate and reports it certain only when its lineage is the constant
 // true.
-func Marginals(t *PCTable, cands []Candidate, s Strategy) ([]TupleAnswer, MarginalStats, error) {
-	var (
-		st   MarginalStats
-		ev   *probcalc.Evaluator
-		prob func(i int, c condition.Condition) (p, stderr float64, err error)
-	)
+func Marginals(t *PCTable, cands []Candidate, s Strategy) ([]TupleAnswer, error) {
+	var prob func(i int, c condition.Condition) (p, stderr float64, err error)
 	switch s.Engine {
-	case EngineDTree:
-		ev = probcalc.New(t)
-		prob = func(_ int, c condition.Condition) (float64, float64, error) {
-			p, err := ev.Probability(c)
-			return p, 0, err
-		}
 	case EngineEnum:
 		prob = func(_ int, c condition.Condition) (float64, float64, error) {
 			p, err := t.ConditionProbabilityEnum(c)
@@ -94,18 +75,16 @@ func Marginals(t *PCTable, cands []Candidate, s Strategy) ([]TupleAnswer, Margin
 			for i, c := range cands {
 				conds[i] = c.Lineage
 			}
-			circ, err := probcalc.CompileAnswer(conds, t)
-			if err != nil {
-				return nil, st, err
+			var err error
+			if s.Circuit, err = probcalc.CompileAnswer(conds, t); err != nil {
+				return nil, err
 			}
-			s.Circuit, st.Compiled = circ, true
 		}
-		st.Circuit = s.Circuit
 		var probs []float64
 		if s.Circuit != nil {
 			var err error
 			if probs, err = s.Circuit.EvalFloat(t); err != nil {
-				return nil, st, err
+				return nil, err
 			}
 		}
 		prob = func(i int, _ condition.Condition) (float64, float64, error) { return probs[i], 0, nil }
@@ -119,13 +98,13 @@ func Marginals(t *PCTable, cands []Candidate, s Strategy) ([]TupleAnswer, Margin
 		}
 		sampler, err := NewSampler(t, seed)
 		if err != nil {
-			return nil, st, err
+			return nil, err
 		}
 		prob = func(_ int, c condition.Condition) (float64, float64, error) {
 			return sampler.EstimateConditionProbabilityParallel(c, samples, workers)
 		}
 	default:
-		return nil, st, fmt.Errorf("pctable: unknown marginal engine %q", s.Engine)
+		return nil, fmt.Errorf("pctable: unknown marginal engine %q", s.Engine)
 	}
 
 	exact := s.Engine != EngineMC
@@ -133,7 +112,7 @@ func Marginals(t *PCTable, cands []Candidate, s Strategy) ([]TupleAnswer, Margin
 	for i, c := range cands {
 		p, se, err := prob(i, c.Lineage)
 		if err != nil {
-			return nil, st, err
+			return nil, err
 		}
 		if exact && p == 0 {
 			continue
@@ -144,8 +123,5 @@ func Marginals(t *PCTable, cands []Candidate, s Strategy) ([]TupleAnswer, Margin
 		}
 		out = append(out, TupleAnswer{Tuple: c.Tuple, P: p, StdErr: se, Certain: certain})
 	}
-	if ev != nil {
-		st.DTree = ev.Stats()
-	}
-	return out, st, nil
+	return out, nil
 }

@@ -406,7 +406,7 @@ func (t *PCTable) PossibleTuples() ([]value.Tuple, error) {
 // TupleProbabilities returns the marginal probability of every possible
 // tuple of the table: candidates and their lineage come from the rows
 // (Candidates) — not from enumerating possible worlds — and Marginals
-// computes the probabilities with the d-tree engine, dropping candidates
+// computes the probabilities with the circuit engine, dropping candidates
 // whose marginal is zero. The whole pipeline avoids anything exponential in
 // the total variable count.
 func (t *PCTable) TupleProbabilities() ([]TupleProb, error) {
@@ -414,7 +414,7 @@ func (t *PCTable) TupleProbabilities() ([]TupleProb, error) {
 	if err != nil {
 		return nil, err
 	}
-	answers, _, err := Marginals(t, candidates, Strategy{Engine: EngineDTree})
+	answers, err := Marginals(t, candidates, Strategy{Engine: EngineCircuit})
 	if err != nil {
 		return nil, err
 	}

@@ -180,16 +180,17 @@ type Marginal struct {
 }
 
 // Marginals computes the marginal probability of every possible answer
-// tuple with an exact engine: "dtree" (lineage decomposition, the default)
-// or "enum" (brute-force valuation enumeration). Candidates whose lineage is
+// tuple with an exact engine: "circuit" (every lineage compiled into one
+// decomposition circuit, the default; "dtree" is an alias) or "enum"
+// (brute-force valuation enumeration). Candidates whose lineage is
 // unsatisfiable are dropped.
 func (a *Answer) Marginals(eng string) ([]Marginal, error) {
 	switch eng {
-	case "":
-		eng = pctable.EngineDTree
-	case pctable.EngineDTree, pctable.EngineEnum:
+	case "", "dtree":
+		eng = pctable.EngineCircuit
+	case pctable.EngineCircuit, pctable.EngineEnum:
 	default:
-		return nil, fmt.Errorf("%w: unknown engine %q (want dtree or enum)", ErrBadQuery, eng)
+		return nil, fmt.Errorf("%w: unknown engine %q (want circuit, dtree or enum)", ErrBadQuery, eng)
 	}
 	return a.marginals(pctable.Strategy{Engine: eng})
 }
@@ -207,7 +208,7 @@ func (a *Answer) marginals(s pctable.Strategy) ([]Marginal, error) {
 	if err != nil {
 		return nil, err
 	}
-	answers, _, err := pctable.Marginals(a.pc, candidates, s)
+	answers, err := pctable.Marginals(a.pc, candidates, s)
 	if err != nil {
 		return nil, err
 	}

@@ -150,10 +150,11 @@ type Config struct {
 type Request struct {
 	// Query is the relational algebra query text.
 	Query string
-	// Engine selects the marginal engine: "dtree" (default, per-tuple
-	// decomposition), "circuit" (one shared circuit per answer), "enum"
-	// (brute-force enumeration), "mc" (Monte-Carlo), or "auto" (pick
-	// per answer from lineage statistics; see Selection on the Result).
+	// Engine selects the marginal engine: "circuit" (default, the exact
+	// engine: one decomposition circuit per answer, retained with the
+	// plan; "dtree" is an alias), "enum" (brute-force enumeration), "mc"
+	// (Monte-Carlo), or "auto" (circuit or mc per answer from lineage
+	// statistics; see Selection on the Result).
 	Engine string
 	// Samples is the Monte-Carlo sample count (mc only; default 10000).
 	Samples int
@@ -170,8 +171,8 @@ type Request struct {
 	// only (what-if): variable name → {value literal → probability}. Each
 	// override must form a probability distribution within the variable's
 	// declared support. What-if marginals are computed fresh per request
-	// and never cached; the circuit engine re-weights its cached circuit
-	// without re-decomposing, so prepared what-ifs are nearly free.
+	// and never cached; the exact engine re-weights the plan's cached
+	// circuit without re-decomposing, so prepared what-ifs are nearly free.
 	Distributions map[string]map[string]float64
 }
 

@@ -2,6 +2,7 @@ package uncertain_test
 
 import (
 	"errors"
+	"fmt"
 	"math"
 	"strings"
 	"testing"
@@ -138,7 +139,7 @@ func TestTableLevelMarginals(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	dtree, err := answer.Marginals("dtree")
+	exact, err := answer.Marginals("circuit")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -146,21 +147,31 @@ func TestTableLevelMarginals(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(dtree) != len(enum) || len(dtree) == 0 {
-		t.Fatalf("dtree %v vs enum %v", dtree, enum)
+	if len(exact) != len(enum) || len(exact) == 0 {
+		t.Fatalf("circuit %v vs enum %v", exact, enum)
 	}
-	for i := range dtree {
-		if dtree[i].Tuple.Key() != enum[i].Tuple.Key() || math.Abs(dtree[i].P-enum[i].P) > 1e-12 {
-			t.Errorf("marginal %d: %v vs %v", i, dtree[i], enum[i])
+	est, err := answer.Estimate(20000, 7, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range exact {
+		if exact[i].Tuple.Key() != enum[i].Tuple.Key() || math.Abs(exact[i].P-enum[i].P) > 1e-12 {
+			t.Errorf("marginal %d: %v vs %v", i, exact[i], enum[i])
 		}
-		est, err := answer.Estimate(20000, 7, 2)
+		for _, e := range est {
+			if e.Tuple.Key() == exact[i].Tuple.Key() && math.Abs(e.P-exact[i].P) > 5*e.StdErr+2e-2 {
+				t.Errorf("estimate %v too far from exact %v", e, exact[i])
+			}
+		}
+	}
+	// The default and the dtree alias are the circuit engine.
+	for _, name := range []string{"", "dtree"} {
+		alias, err := answer.Marginals(name)
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, e := range est {
-			if e.Tuple.Key() == dtree[i].Tuple.Key() && math.Abs(e.P-dtree[i].P) > 5*e.StdErr+2e-2 {
-				t.Errorf("estimate %v too far from exact %v", e, dtree[i])
-			}
+		if fmt.Sprint(alias) != fmt.Sprint(exact) {
+			t.Errorf("Marginals(%q) = %v, circuit %v", name, alias, exact)
 		}
 	}
 	if _, err := answer.Marginals("bogus"); !errors.Is(err, uncertain.ErrBadQuery) {
