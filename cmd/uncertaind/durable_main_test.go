@@ -10,7 +10,7 @@ import (
 	"testing"
 	"time"
 
-	"uncertaindb/internal/wal"
+	"uncertaindb/internal/parser"
 	"uncertaindb/pkg/uncertain"
 )
 
@@ -95,6 +95,33 @@ func TestRunDurableSurvivesSigterm(t *testing.T) {
 	}
 }
 
+// A table name travels in URLs, JSON bodies and log headers: one that is
+// not UTF-8 is refused, and a UTF-8 name beyond ASCII survives a restart
+// byte for byte.
+func TestDurableTableNamesSurviveRestart(t *testing.T) {
+	dir := t.TempDir()
+	base, _, shutdown := startDaemon(t, "-data-dir", dir)
+	raw := strings.Replace(takesScript, "table Takes", "table \xff", 1)
+	if status, body := doJSON(t, http.MethodPut, base+"/v1/tables/%FF", raw); status != http.StatusBadRequest {
+		t.Fatalf("PUT of a non-UTF-8 name: %d %s, want 400", status, body)
+	}
+	utf := strings.Replace(takesScript, "table Takes", "table Kurs€", 1)
+	if status, body := doJSON(t, http.MethodPut, base+"/v1/tables/Kurs%E2%82%AC", utf); status != http.StatusOK {
+		t.Fatalf("PUT Kurs€: %d %s", status, body)
+	}
+	_, before := doJSON(t, http.MethodGet, base+"/v1/tables", "")
+	shutdown()
+
+	base2, out2, shutdown2 := startDaemon(t, "-data-dir", dir)
+	defer shutdown2()
+	if !strings.Contains(out2.String(), "catalog version 1, 1 tables") {
+		t.Errorf("startup output missing the recovery banner:\n%s", out2.String())
+	}
+	if _, after := doJSON(t, http.MethodGet, base2+"/v1/tables", ""); string(after) != string(before) {
+		t.Fatalf("catalog changed across restart:\n%s\nvs\n%s", after, before)
+	}
+}
+
 func getChanges(t *testing.T, url string) (int, changesResponse) {
 	t.Helper()
 	status, body := doJSON(t, http.MethodGet, url, "")
@@ -122,9 +149,10 @@ func TestChangesEndpoint(t *testing.T) {
 	if resp.Changes[0].Kind != "put" || resp.Changes[1].Kind != "delete" || resp.Changes[2].Kind != "put" {
 		t.Fatalf("change kinds = %+v, want put, delete, put", resp.Changes)
 	}
-	// The base64 table payload round-trips through the canonical decoder.
-	if tab, err := wal.DecodeTable(resp.Changes[2].Table); err != nil || tab.String() != resp.Changes[2].Text {
-		t.Fatalf("change payload decode: %v (text match: %v)", err, err == nil)
+	// The table payload is the table's canonical script: it parses back and
+	// renders to the same bytes.
+	if pt, err := parser.ParseTableString(resp.Changes[2].Table); err != nil || parser.Script(pt.Name, pt.PCTable) != resp.Changes[2].Table {
+		t.Fatalf("change payload is not a canonical script (parse error %v):\n%s", err, resp.Changes[2].Table)
 	}
 	// Paging.
 	status, resp = getChanges(t, srv.URL+"/v1/changes?from=0&limit=2")

@@ -85,7 +85,7 @@ func TestPatchEndpoint(t *testing.T) {
 }
 
 // The change feed reports patches with kind "patch" and the canonical patch
-// encoding (base64 over the wire), which is what followers re-apply.
+// script, which is what followers re-apply.
 func TestPatchChangeFeed(t *testing.T) {
 	srv, _ := newTestServer(t)
 	putTakes(t, srv)
@@ -109,7 +109,7 @@ func TestPatchChangeFeed(t *testing.T) {
 		t.Fatalf("change = %+v, want patch v2 on Takes", ch)
 	}
 	if len(ch.Patch) == 0 {
-		t.Fatalf("patch change carries no patch bytes: %+v", ch)
+		t.Fatalf("patch change carries no patch script: %+v", ch)
 	}
 	if len(ch.Table) != 0 {
 		t.Fatalf("patch change must not ship the whole table: %d table bytes", len(ch.Table))

@@ -388,6 +388,9 @@ func (c *Catalog) ApplyPatch(name string, p *wal.Patch) (uint64, *wal.AppliedPat
 	if p == nil {
 		return 0, nil, fmt.Errorf("catalog: nil patch for table %q", name)
 	}
+	if err := parser.CheckPatchScriptable(p); err != nil {
+		return 0, nil, fmt.Errorf("catalog: patch of %s cannot be persisted: %w", name, err)
+	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	prev, ok := c.tables[name]
@@ -478,15 +481,17 @@ func (c *Catalog) LoadScript(r io.Reader) ([]string, error) {
 	return names, nil
 }
 
-// validate checks a (name, table) pair for registration and reports whether
-// the table is probabilistic. It never mutates anything, so LoadScript can
-// pre-validate a whole script before registering its first table.
+// validate checks a (name, table) pair for registration — the name and
+// variables must survive the table's script, the one form it is persisted
+// and replicated in — and reports whether the table is probabilistic. It
+// never mutates anything, so LoadScript can pre-validate a whole script
+// before registering its first table.
 func validate(name string, t *pctable.PCTable) (probabilistic bool, err error) {
-	if name == "" {
-		return false, fmt.Errorf("catalog: table name must be non-empty")
-	}
 	if t == nil {
 		return false, fmt.Errorf("catalog: table %s is nil", name)
+	}
+	if err := parser.CheckScriptable(name, t); err != nil {
+		return false, fmt.Errorf("catalog: table %s cannot be persisted: %w", name, err)
 	}
 	probabilistic = t.Validate() == nil
 	if !probabilistic && hasAnyDist(t) {

@@ -94,3 +94,34 @@ func TestApplyPatchErrors(t *testing.T) {
 		t.Fatalf("failed patch bumped the version to %d", got)
 	}
 }
+
+// Tables and patches are persisted and replicated as scripts, so a name or
+// variable a script cannot carry is refused up front rather than written
+// into a log record that recovery could not read back.
+func TestUnscriptableNamesRefused(t *testing.T) {
+	c := New()
+	bad := pctable.NewWithArity(1)
+	bad.AddRow([]condition.Term{condition.Var("two words")}, nil)
+	if _, err := c.Put("A", bad); err == nil {
+		t.Fatal("a variable named with a space must be refused")
+	}
+	ok := pctable.NewWithArity(1)
+	ok.AddConstRow(value.Ints(1), nil)
+	if _, err := c.Put("A B", ok); err == nil {
+		t.Fatal("a table name with a space must be refused")
+	}
+	if _, err := c.Put("A", ok); err != nil {
+		t.Fatal(err)
+	}
+	p := &wal.Patch{Deletes: []wal.PatchRow{{Terms: []condition.Term{condition.Var("true")}}}}
+	if _, _, err := c.ApplyPatch("A", p); err == nil {
+		t.Fatal("a patch variable named like a literal must be refused")
+	}
+	p = &wal.Patch{Upserts: []wal.PatchRow{{Terms: []condition.Term{condition.ConstInt(1)}, Cond: condition.EqVarConst("a b", value.Int(1))}}}
+	if _, _, err := c.ApplyPatch("A", p); err == nil {
+		t.Fatal("a condition variable with a space must be refused")
+	}
+	if c.Version() != 1 {
+		t.Fatalf("refused mutations moved the catalog to version %d", c.Version())
+	}
+}

@@ -292,7 +292,7 @@ type plan struct {
 	physical   string // rendered physical operator tree (exec.Explain)
 	ops        exec.OpStats
 	candidates []pctable.Candidate
-	sel        Selection // lineage-set statistics + auto-selector decision
+	sel        Selection // lineage-set statistics + auto-selector decision (auto plans only)
 
 	// Render state, built when the answer is rendered (renderAnswer): the
 	// text, the byte offset at which each row's line starts (plus the end of
@@ -966,13 +966,19 @@ func (e *Engine) maintainFor(snap *catalog.Snapshot, queryText string, kind Kind
 	}
 }
 
-// invalidateTable drops every cached plan that reads the named table and
-// returns how many were dropped.
+// invalidateTable drops every cached plan that reads the named table at a
+// version other than its current one (every plan, once it is dropped) and
+// returns how many were dropped. The catalog publishes a mutation before the
+// engine invalidates, so a plan a query compiled in between is fresh: it stays.
 func (e *Engine) invalidateTable(name string) int {
+	var current uint64
+	if ent := e.cat.Snapshot().Get(name); ent != nil {
+		current = ent.Version
+	}
 	e.mu.Lock()
 	before := e.invalidations
 	for key := range e.byTable[name] {
-		if el, ok := e.byKey[key]; ok {
+		if el, ok := e.byKey[key]; ok && el.Value.(*plan).tableVers[name] != current {
 			e.removeLocked(el, &e.invalidations)
 		}
 	}
@@ -1068,6 +1074,10 @@ func compile(q ra.Query, queryText string, kind Kind, names []string, vers map[s
 	}
 	refs := make(map[condition.Variable]int)
 	rendered, rowOff := renderAnswer(answer, refs, nil, nil)
+	var sel Selection // only auto plans read it
+	if kind == KindAuto {
+		sel = selectEngine(candidates)
+	}
 	return &plan{
 		key:        key,
 		queryText:  queryText,
@@ -1079,7 +1089,7 @@ func compile(q ra.Query, queryText string, kind Kind, names []string, vers map[s
 		physical:   physical,
 		ops:        ops,
 		candidates: candidates,
-		sel:        selectEngine(candidates),
+		sel:        sel,
 		rendered:   rendered,
 		rowOff:     rowOff,
 		varRefs:    refs,
@@ -1093,7 +1103,7 @@ func compile(q ra.Query, queryText string, kind Kind, names []string, vers map[s
 const autoMCComponentVars = 44
 
 // selectEngine derives the lineage-set statistics of a compiled plan and
-// the engine=auto decision they imply. It runs once per plan compilation;
+// the engine=auto decision they imply. It runs once per auto plan compilation;
 // the per-lineage variable sets are cached by hash-consed condition ID, so
 // answers whose tuples share structure pay each subcondition's walk once.
 func selectEngine(candidates []pctable.Candidate) Selection {

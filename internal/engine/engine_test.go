@@ -171,6 +171,65 @@ func TestCacheHitMissCounters(t *testing.T) {
 	}
 }
 
+// A put publishes the new table version before the engine invalidates the
+// plans over the old one. A query that runs in that window compiles a plan
+// at the new version; the invalidation must keep it, so the next execution
+// hits instead of compiling the same plan again.
+func TestPutInvalidationKeepsPlanAtNewVersion(t *testing.T) {
+	e := newEngine(t, Options{}, takesScript)
+	req := Request{Query: "project[1](Takes)"}
+	if _, err := e.Execute(req); err != nil {
+		t.Fatal(err)
+	}
+	pt, err := parser.ParseTableString(takesScript)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := e.Catalog().Put("Takes", pt.PCTable); err != nil {
+		t.Fatal(err)
+	}
+	if res, err := e.Execute(req); err != nil || res.CacheHit {
+		t.Fatalf("execution at the new version: hit=%v err=%v, want a fresh compile", res != nil && res.CacheHit, err)
+	}
+	e.invalidateReplaced("Takes")
+	res, err := e.Execute(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !res.CacheHit {
+		t.Fatal("invalidation dropped the plan compiled at the new version")
+	}
+	if s := e.Stats(); s.Entries != 1 || s.Invalidations != 1 {
+		t.Fatalf("stats = %+v, want the old plan invalidated and the new one kept", s)
+	}
+}
+
+// Only auto plans run the selector: a circuit plan carries a zero
+// Selection, an auto plan a filled one.
+func TestSelectionOnlyForAutoPlans(t *testing.T) {
+	e := newEngine(t, Options{}, takesScript)
+	for _, eng := range []string{"circuit", "auto"} {
+		if _, err := e.Execute(Request{Query: "project[1](Takes)", Engine: eng}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	for el := e.lru.Front(); el != nil; el = el.Next() {
+		p := el.Value.(*plan)
+		switch p.kind {
+		case KindCircuit:
+			if p.sel != (Selection{}) {
+				t.Errorf("circuit plan carries a selection: %+v", p.sel)
+			}
+		case KindAuto:
+			if p.sel.Tuples == 0 || p.sel.Reason == "" {
+				t.Errorf("auto plan has no selection: %+v", p.sel)
+			}
+		}
+	}
+}
+
 // Replacing a catalog table must evict exactly the plans that read it: the
 // dependent query recompiles against the new version (and reflects its
 // contents), while plans over other tables keep hitting.

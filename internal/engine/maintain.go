@@ -669,12 +669,14 @@ func (e *Engine) rebuildPlan(p *plan, name string, version uint64, newAnswer *pc
 	}
 	cands = append(cands, fresh[j:]...)
 
-	sel := selectEngine(cands)
-	if p.kind == KindAuto && sel.Chosen != p.sel.Chosen {
-		// The selector would pick a different engine for the maintained
-		// lineage set; memoized marginals computed under the old choice
-		// cannot be extended. Fall back to a recompile.
-		return nil, reasonSelectionChanged
+	var sel Selection
+	if p.kind == KindAuto {
+		if sel = selectEngine(cands); sel.Chosen != p.sel.Chosen {
+			// The selector would pick a different engine for the maintained
+			// lineage set; memoized marginals computed under the old choice
+			// cannot be extended. Fall back to a recompile.
+			return nil, reasonSelectionChanged
+		}
 	}
 
 	vers := maps.Clone(p.tableVers)

@@ -4,14 +4,18 @@
 // httptest servers. It is a thin translation layer over the pkg/uncertain
 // facade — no query or catalog logic lives here.
 //
-// Beyond the query/catalog surface, the handler serves the replication
-// protocol:
+// Tables travel in one form: the canonical table script of internal/parser.
+// PUT /v1/tables/{name} takes one, GET /v1/tables/{name} returns one in
+// "text" (a PUT of it reproduces the table), and the replication protocol
+// ships them:
 //
-//	GET /v1/snapshot     the catalog's canonical wal.EncodeState bytes, with
+//	GET /v1/snapshot     the catalog's canonical wal.EncodeState bytes (a
+//	                     header plus the catalog script of every table), with
 //	                     X-Catalog-Version and a whole-payload CRC in
 //	                     X-Snapshot-Crc32 — what a follower bootstraps from
-//	GET /v1/changes      the change feed followers tail (410 Gone once the
-//	                     requested versions are compacted away)
+//	GET /v1/changes      the change feed followers tail: each put carries the
+//	                     table's script, each patch the patch's script (410
+//	                     Gone once the requested versions are compacted away)
 //	GET /v1/replication  the follower's replication status (404 on a leader)
 //
 // On a follower (a DB opened with Config.Follow), mutations are refused
@@ -186,31 +190,9 @@ func handleSlowQueries(db *uncertain.DB, w http.ResponseWriter) {
 	})
 }
 
-// ChangeJSON is the JSON shape of one change-feed record. Table is the
-// base64 canonical encoding of the put table (wal.DecodeTable decodes it);
-// Text is a human-readable rendering; CommittedUnixNano is the commit
-// wall-clock time when this process still knows it (followers compute
-// replication lag from it).
-type ChangeJSON struct {
-	Version           uint64 `json:"version"`
-	Kind              string `json:"kind"`
-	Name              string `json:"name"`
-	Probabilistic     bool   `json:"probabilistic,omitempty"`
-	Table             []byte `json:"table,omitempty"` // encoding/json renders []byte as base64
-	Patch             []byte `json:"patch,omitempty"` // canonical patch encoding (kind "patch" only)
-	Text              string `json:"text,omitempty"`
-	CommittedUnixNano int64  `json:"committedUnixNano,omitempty"`
-}
-
-type ChangesResponse struct {
-	From           uint64 `json:"from"`
-	CatalogVersion uint64 `json:"catalogVersion"`
-	// WaitMs is the effective long-poll wait applied to this request after
-	// capping — clients asking for more learn the real bound instead of
-	// silently getting less.
-	WaitMs  int64        `json:"waitMs"`
-	Changes []ChangeJSON `json:"changes"`
-}
+// ChangesResponse is the JSON body of GET /v1/changes, the page a
+// follower's client decodes.
+type ChangesResponse = uncertain.ChangesPage
 
 // Change-feed request bounds: one response page and the longest admissible
 // long-poll. The wait cap must stay below the server's shutdown drain
@@ -262,20 +244,7 @@ func handleChanges(db *uncertain.DB, w http.ResponseWriter, r *http.Request) {
 		writeError(w, status, err)
 		return
 	}
-	resp := ChangesResponse{From: from, CatalogVersion: version, WaitMs: wait.Milliseconds(), Changes: make([]ChangeJSON, 0, len(changes))}
-	for _, ch := range changes {
-		resp.Changes = append(resp.Changes, ChangeJSON{
-			Version:           ch.Version,
-			Kind:              ch.Kind,
-			Name:              ch.Name,
-			Probabilistic:     ch.Probabilistic,
-			Table:             ch.Table,
-			Patch:             ch.Patch,
-			Text:              ch.Text,
-			CommittedUnixNano: ch.CommittedUnixNano,
-		})
-	}
-	writeJSON(w, http.StatusOK, resp)
+	writeJSON(w, http.StatusOK, ChangesResponse{From: from, CatalogVersion: version, WaitMs: wait.Milliseconds(), Changes: changes})
 }
 
 // parseUintParam parses an optional unsigned query parameter.
@@ -478,9 +447,11 @@ func handleListTables(db *uncertain.DB, w http.ResponseWriter) {
 	writeJSON(w, http.StatusOK, map[string]any{"catalogVersion": version, "tables": out})
 }
 
+// handleGetTable serves GET /v1/tables/{name}: the table's metadata and, in
+// "text", its canonical script — a body PUT /v1/tables/{name} accepts.
 func handleGetTable(db *uncertain.DB, w http.ResponseWriter, r *http.Request) {
 	name := r.PathValue("name")
-	info, text, ok := db.Table(name)
+	info, script, ok := db.Table(name)
 	if !ok {
 		writeError(w, http.StatusNotFound, fmt.Errorf("no table %q", name))
 		return
@@ -488,7 +459,7 @@ func handleGetTable(db *uncertain.DB, w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, struct {
 		TableInfo
 		Text string `json:"text"`
-	}{tableInfoJSON(info), text})
+	}{tableInfoJSON(info), script})
 }
 
 // queryRequest is the JSON body of POST /v1/query (and one element of a

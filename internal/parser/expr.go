@@ -100,7 +100,7 @@ func parseCondAtom(lx *lexer) (condition.Condition, error) {
 }
 
 func parseComparisonFrom(lx *lexer, first token) (condition.Condition, error) {
-	left, err := condTermFromToken(first)
+	left, err := tokenToTerm(first, "condition")
 	if err != nil {
 		return nil, err
 	}
@@ -108,7 +108,7 @@ func parseComparisonFrom(lx *lexer, first token) (condition.Condition, error) {
 	if op.kind != tokSymbol || (op.text != "=" && op.text != "!=" && op.text != "≠") {
 		return nil, fmt.Errorf("parser: expected = or != in condition, got %q", op.text)
 	}
-	right, err := condTermFromToken(lx.next())
+	right, err := tokenToTerm(lx.next(), "condition")
 	if err != nil {
 		return nil, err
 	}
@@ -116,16 +116,6 @@ func parseComparisonFrom(lx *lexer, first token) (condition.Condition, error) {
 		return condition.Eq(left, right), nil
 	}
 	return condition.Neq(left, right), nil
-}
-
-func condTermFromToken(t token) (condition.Term, error) {
-	if v, ok := parseValue(t); ok {
-		return condition.Const(v), nil
-	}
-	if t.kind == tokIdent {
-		return condition.Var(t.text), nil
-	}
-	return condition.Term{}, fmt.Errorf("parser: unexpected token %q in condition", t.text)
 }
 
 // ParseQuery parses a relational algebra expression. Grammar (case

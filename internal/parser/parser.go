@@ -11,11 +11,20 @@
 //	dist x = {'math':0.3, 'phys':0.3, 'chem':0.4}
 //	dist t = {0:0.15, 1:0.85}
 //
-// Cell and condition terms are integers, single-quoted strings, the boolean
-// literals true/false, or variable names. A "dist" directive implies the
-// corresponding "dom". A catalog script (ParseCatalog) is one or more such
-// table descriptions concatenated in a single stream, each starting with its
-// own "table" directive.
+// Cell and condition terms are integers, strings, the boolean literals
+// true/false, the null literal, or variable names. A string is written
+// between single quotes, or as a double-quoted Go string literal ("it's\n")
+// when it holds a quote, a line break or bytes that are not UTF-8.
+// Directives apply in order: a "dist" directive sets the variable's domain
+// to the distribution's support, and a later "dom" directive for the same
+// variable replaces that domain. A catalog script (ParseCatalog) is one or
+// more such table descriptions concatenated in a single stream, each
+// starting with its own "table" directive.
+//
+// Script, AppendScript and PatchScript write tables and patches back in this
+// syntax, canonically: parsing what they write rebuilds the same rows,
+// condition trees, domains and probabilities, bit for bit. It is the one
+// form in which tables are persisted, replicated and served.
 //
 // Query syntax (expression string):
 //
@@ -60,14 +69,39 @@ type lexer struct {
 	idx   int
 }
 
-// symbols recognised by the tokenizer, longest first. Unicode spellings are
-// canonicalised to their ASCII forms by canonicalSymbol.
-var symbols = []string{
-	"&&", "||", "!=", ">=", "<=", "∧", "∨", "¬", "≠", "=", "<", ">", "(", ")", "[", "]", "{", "}", ",", ":", "|", "$", "!",
+// unicodeSymbols are the operator spellings beyond ASCII; canonicalSymbol
+// maps them to their ASCII forms.
+var unicodeSymbols = []string{"∧", "∨", "¬", "≠"}
+
+// matchSymbol returns the longest symbol s starts with, or "".
+func matchSymbol(s string) string {
+	if s[0] >= utf8.RuneSelf {
+		return unicodeSymbol(s)
+	}
+	if len(s) >= 2 {
+		switch s[:2] {
+		case "&&", "||", "!=", ">=", "<=":
+			return s[:2]
+		}
+	}
+	if strings.IndexByte("=<>()[]{},:|$!", s[0]) >= 0 {
+		return s[:1]
+	}
+	return ""
 }
 
 func lex(input string) (*lexer, error) {
-	l := &lexer{input: input}
+	l := &lexer{}
+	if err := l.reset(input); err != nil {
+		return nil, err
+	}
+	return l, nil
+}
+
+// reset tokenizes input into the lexer, reusing its token buffer: a script
+// parser lexes every line with one lexer.
+func (l *lexer) reset(input string) error {
+	l.input, l.toks, l.idx = input, l.toks[:0], 0
 	i := 0
 	for i < len(input) {
 		c, size := utf8.DecodeRuneInString(input[i:])
@@ -84,10 +118,18 @@ func lex(input string) (*lexer, error) {
 				j++
 			}
 			if j >= len(input) {
-				return nil, fmt.Errorf("parser: unterminated string at offset %d", i)
+				return fmt.Errorf("parser: unterminated string at offset %d", i)
 			}
 			l.toks = append(l.toks, token{tokString, input[i+1 : j], i})
 			i = j + 1
+		case c == '"':
+			quoted, err := strconv.QuotedPrefix(input[i:])
+			if err != nil {
+				return fmt.Errorf("parser: bad quoted string at offset %d", i)
+			}
+			s, _ := strconv.Unquote(quoted)
+			l.toks = append(l.toks, token{tokString, s, i})
+			i += len(quoted)
 		case c == '-' || unicode.IsDigit(c):
 			j := i + 1
 			seenDot := false
@@ -106,11 +148,11 @@ func lex(input string) (*lexer, error) {
 			}
 			l.toks = append(l.toks, token{tokNumber, input[i:j], i})
 			i = j
-		case unicode.IsLetter(c) && !isSymbolPrefix(input[i:]) || c == '_':
+		case unicode.IsLetter(c) && unicodeSymbol(input[i:]) == "" || c == '_':
 			j := i + size
 			for j < len(input) {
 				r, rs := utf8.DecodeRuneInString(input[j:])
-				if !(unicode.IsLetter(r) || unicode.IsDigit(r) || r == '_') || isSymbolPrefix(input[j:]) {
+				if !(unicode.IsLetter(r) || unicode.IsDigit(r) || r == '_') || unicodeSymbol(input[j:]) != "" {
 					break
 				}
 				j += rs
@@ -118,34 +160,28 @@ func lex(input string) (*lexer, error) {
 			l.toks = append(l.toks, token{tokIdent, input[i:j], i})
 			i = j
 		default:
-			matched := false
-			for _, s := range symbols {
-				if strings.HasPrefix(input[i:], s) {
-					l.toks = append(l.toks, token{tokSymbol, canonicalSymbol(s), i})
-					i += len(s)
-					matched = true
-					break
-				}
+			sym := matchSymbol(input[i:])
+			if sym == "" {
+				return fmt.Errorf("parser: unexpected character %q at offset %d", c, i)
 			}
-			if !matched {
-				return nil, fmt.Errorf("parser: unexpected character %q at offset %d", c, i)
-			}
+			l.toks = append(l.toks, token{tokSymbol, canonicalSymbol(sym), i})
+			i += len(sym)
 		}
 	}
 	l.toks = append(l.toks, token{tokEOF, "", len(input)})
-	return l, nil
+	return nil
 }
 
-// isSymbolPrefix reports whether the input starts with one of the unicode
-// operator symbols, which unicode.IsLetter would otherwise misclassify as
-// identifier characters on some classifications.
-func isSymbolPrefix(s string) bool {
-	for _, sym := range []string{"∧", "∨", "¬", "≠"} {
+// unicodeSymbol returns the unicode operator symbol the input starts with,
+// or "". unicode.IsLetter would otherwise misclassify some of them as
+// identifier characters.
+func unicodeSymbol(s string) string {
+	for _, sym := range unicodeSymbols {
 		if strings.HasPrefix(s, sym) {
-			return true
+			return sym
 		}
 	}
-	return false
+	return ""
 }
 
 // canonicalSymbol maps unicode operator spellings to their ASCII canonical
@@ -202,7 +238,7 @@ func (l *lexer) acceptIdent(s string) bool {
 }
 
 // ParseValueLiteral parses one standalone value literal — an integer, a
-// quoted string, or true/false — the same literal syntax dist directives
+// quoted string, true/false or null — the same literal syntax dist directives
 // and query constants use. The what-if "distributions" override on
 // /v1/query keys its outcome values in this syntax.
 func ParseValueLiteral(s string) (value.Value, error) {
@@ -212,7 +248,7 @@ func ParseValueLiteral(s string) (value.Value, error) {
 	}
 	v, ok := parseValue(lx.next())
 	if !ok {
-		return value.Null, fmt.Errorf("parser: %q is not a value literal (want integer, 'string', true or false)", s)
+		return value.Null, fmt.Errorf("parser: %q is not a value literal (want integer, 'string', true, false or null)", s)
 	}
 	if t := lx.peek(); t.kind != tokEOF {
 		return value.Null, fmt.Errorf("parser: trailing input %q after value literal", t.text)
@@ -239,6 +275,9 @@ func parseValue(t token) (value.Value, bool) {
 		}
 		if strings.EqualFold(t.text, "false") {
 			return value.Bool(false), true
+		}
+		if strings.EqualFold(t.text, "null") {
+			return value.Null, true
 		}
 	}
 	return value.Null, false

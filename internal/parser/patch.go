@@ -1,13 +1,11 @@
 package parser
 
 import (
-	"bufio"
 	"fmt"
 	"io"
 	"strings"
 
-	"uncertaindb/internal/prob"
-	"uncertaindb/internal/wal"
+	"uncertaindb/internal/pctable"
 )
 
 // ParsePatch reads a patch script: row-level mutations of one table in the
@@ -24,53 +22,40 @@ import (
 // at apply time. Deletes match by row identity (exact terms and condition),
 // upserts append rows not already present, and dist attaches a distribution
 // to a variable that has none yet.
-func ParsePatch(r io.Reader) (*wal.Patch, error) {
-	scanner := bufio.NewScanner(r)
-	p := &wal.Patch{}
-	lineNum := 0
-	for scanner.Scan() {
-		lineNum++
-		line := strings.TrimSpace(scanner.Text())
-		if line == "" || strings.HasPrefix(line, "#") {
-			continue
-		}
-		fields := strings.Fields(line)
-		rest := strings.TrimSpace(line[len(fields[0]):])
-		switch strings.ToLower(fields[0]) {
-		case "delete":
-			terms, cond, err := parseRow(rest, -1)
+func ParsePatch(r io.Reader) (*pctable.Patch, error) {
+	p := &pctable.Patch{}
+	lx := &lexer{}
+	err := eachDirective(r, func(_ int, word, rest string) error {
+		switch strings.ToLower(word) {
+		case "delete", "upsert":
+			terms, cond, err := parseRow(lx, rest, -1)
 			if err != nil {
-				return nil, fmt.Errorf("parser: line %d: %v", lineNum, err)
+				return err
 			}
-			p.Deletes = append(p.Deletes, wal.PatchRow{Terms: terms, Cond: cond})
-		case "upsert":
-			terms, cond, err := parseRow(rest, -1)
-			if err != nil {
-				return nil, fmt.Errorf("parser: line %d: %v", lineNum, err)
+			if row := (pctable.PatchRow{Terms: terms, Cond: cond}); strings.EqualFold(word, "delete") {
+				p.Deletes = append(p.Deletes, row)
+			} else {
+				p.Upserts = append(p.Upserts, row)
 			}
-			p.Upserts = append(p.Upserts, wal.PatchRow{Terms: terms, Cond: cond})
 		case "dist":
-			varName, dist, err := parseDist(rest)
+			varName, space, err := parseDist(lx, rest)
 			if err != nil {
-				return nil, fmt.Errorf("parser: line %d: %v", lineNum, err)
+				return err
 			}
-			space, err := prob.NewValueSpace(dist)
-			if err != nil {
-				return nil, fmt.Errorf("parser: line %d: %v", lineNum, err)
-			}
-			p.Dists = append(p.Dists, wal.DistPatch{Var: varName, Dist: space})
+			p.Dists = append(p.Dists, pctable.DistPatch{Var: varName, Dist: space})
 		default:
-			return nil, fmt.Errorf("parser: line %d: unknown patch directive %q (want delete, upsert, or dist)", lineNum, fields[0])
+			return fmt.Errorf("unknown patch directive %q (want delete, upsert, or dist)", word)
 		}
+		return nil
+	})
+	if err == nil && len(p.Deletes)+len(p.Upserts)+len(p.Dists) == 0 {
+		err = fmt.Errorf("parser: empty patch (no delete, upsert, or dist directives)")
 	}
-	if err := scanner.Err(); err != nil {
+	if err != nil {
 		return nil, err
-	}
-	if len(p.Deletes)+len(p.Upserts)+len(p.Dists) == 0 {
-		return nil, fmt.Errorf("parser: empty patch (no delete, upsert, or dist directives)")
 	}
 	return p, nil
 }
 
 // ParsePatchString is ParsePatch over a string.
-func ParsePatchString(s string) (*wal.Patch, error) { return ParsePatch(strings.NewReader(s)) }
+func ParsePatchString(s string) (*pctable.Patch, error) { return ParsePatch(strings.NewReader(s)) }

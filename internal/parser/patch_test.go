@@ -7,11 +7,10 @@ import (
 
 	"uncertaindb/internal/condition"
 	"uncertaindb/internal/value"
-	"uncertaindb/internal/wal"
 )
 
 // ParsePatch reads the table-script row/dist syntax under delete/upsert/dist
-// directives and produces a wal.Patch whose canonical encoding round-trips.
+// directives and produces a patch whose canonical rendering round-trips.
 func TestParsePatch(t *testing.T) {
 	p, err := ParsePatchString(`
 # replace Alice's phys row, add two rows, give d a distribution
@@ -47,15 +46,8 @@ dist d = {0:0.25, 1:0.75}
 		t.Fatalf("dist mass = %g, want 1", total)
 	}
 
-	// Canonical encoding is a fixed point through decode.
-	enc := wal.EncodePatch(p)
-	p2, err := wal.DecodePatch(enc)
-	if err != nil {
-		t.Fatalf("decoding parsed patch: %v", err)
-	}
-	if got := wal.EncodePatch(p2); string(got) != string(enc) {
-		t.Fatalf("encode∘decode not a fixed point on parsed patch")
-	}
+	// The canonical rendering parses back to the same patch.
+	checkPatchRoundTrip(t, p)
 }
 
 func TestParsePatchErrors(t *testing.T) {

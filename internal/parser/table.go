@@ -6,10 +6,12 @@ import (
 	"io"
 	"strconv"
 	"strings"
+	"unicode"
 
 	"uncertaindb/internal/condition"
 	"uncertaindb/internal/ctable"
 	"uncertaindb/internal/pctable"
+	"uncertaindb/internal/prob"
 	"uncertaindb/internal/value"
 )
 
@@ -25,79 +27,23 @@ type ParsedTable struct {
 	HasDistributions bool
 }
 
+// MaxLineBytes bounds one line of a table, catalog or patch script. It is
+// the bound the WAL puts on one record, so every row a log record or a
+// snapshot carries parses back.
+const MaxLineBytes = 64 << 20
+
 // ParseTable reads a table description from r (see the package comment for
-// the syntax) and returns the parsed table.
+// the syntax) and returns the parsed table. A script declaring more than one
+// table is an error; use ParseCatalog for those.
 func ParseTable(r io.Reader) (*ParsedTable, error) {
-	scanner := bufio.NewScanner(r)
-	var (
-		name    string
-		arity   = -1
-		tab     *ctable.CTable
-		dists   = map[string]map[value.Value]float64{}
-		lineNum int
-	)
-	for scanner.Scan() {
-		lineNum++
-		line := strings.TrimSpace(scanner.Text())
-		if line == "" || strings.HasPrefix(line, "#") {
-			continue
-		}
-		fields := strings.Fields(line)
-		switch strings.ToLower(fields[0]) {
-		case "table":
-			if len(fields) != 4 || strings.ToLower(fields[2]) != "arity" {
-				return nil, fmt.Errorf("parser: line %d: expected \"table <name> arity <n>\"", lineNum)
-			}
-			n, err := strconv.Atoi(fields[3])
-			if err != nil || n <= 0 {
-				return nil, fmt.Errorf("parser: line %d: bad arity %q", lineNum, fields[3])
-			}
-			name = fields[1]
-			arity = n
-			tab = ctable.New(n)
-		case "row":
-			if tab == nil {
-				return nil, fmt.Errorf("parser: line %d: row before table declaration", lineNum)
-			}
-			rest := strings.TrimSpace(line[len(fields[0]):])
-			terms, cond, err := parseRow(rest, arity)
-			if err != nil {
-				return nil, fmt.Errorf("parser: line %d: %v", lineNum, err)
-			}
-			tab.AddRow(terms, cond)
-		case "dom":
-			if tab == nil {
-				return nil, fmt.Errorf("parser: line %d: dom before table declaration", lineNum)
-			}
-			varName, dom, err := parseDom(strings.TrimSpace(line[len(fields[0]):]))
-			if err != nil {
-				return nil, fmt.Errorf("parser: line %d: %v", lineNum, err)
-			}
-			tab.SetDomain(varName, dom)
-		case "dist":
-			if tab == nil {
-				return nil, fmt.Errorf("parser: line %d: dist before table declaration", lineNum)
-			}
-			varName, dist, err := parseDist(strings.TrimSpace(line[len(fields[0]):]))
-			if err != nil {
-				return nil, fmt.Errorf("parser: line %d: %v", lineNum, err)
-			}
-			dists[varName] = dist
-		default:
-			return nil, fmt.Errorf("parser: line %d: unknown directive %q", lineNum, fields[0])
-		}
+	tables, _, err := parseScript(r)
+	if err == nil && len(tables) != 1 {
+		err = fmt.Errorf("parser: script declares %d tables, want one", len(tables))
 	}
-	if err := scanner.Err(); err != nil {
+	if err != nil {
 		return nil, err
 	}
-	if tab == nil {
-		return nil, fmt.Errorf("parser: no table declaration found")
-	}
-	pt := pctable.New(tab)
-	for varName, dist := range dists {
-		pt.SetDist(varName, dist)
-	}
-	return &ParsedTable{Name: name, CTable: tab, PCTable: pt, HasDistributions: len(dists) > 0}, nil
+	return tables[0], nil
 }
 
 // ParseTableString is ParseTable over a string.
@@ -109,51 +55,11 @@ func ParseTableString(s string) (*ParsedTable, error) { return ParseTable(string
 // declaration order. Duplicate table names are an error, as is any content
 // before the first table directive.
 func ParseCatalog(r io.Reader) ([]*ParsedTable, error) {
-	scanner := bufio.NewScanner(r)
-	type block struct {
-		firstLine int
-		lines     []string
+	tables, block, err := parseScript(r)
+	if err != nil && block > 0 {
+		err = fmt.Errorf("parser: table block starting at line %d: %w", block, err)
 	}
-	var (
-		blocks  []block
-		lineNum int
-	)
-	for scanner.Scan() {
-		lineNum++
-		raw := scanner.Text()
-		line := strings.TrimSpace(raw)
-		if line == "" || strings.HasPrefix(line, "#") {
-			continue
-		}
-		if strings.EqualFold(strings.Fields(line)[0], "table") {
-			blocks = append(blocks, block{firstLine: lineNum})
-		}
-		if len(blocks) == 0 {
-			return nil, fmt.Errorf("parser: line %d: directive before the first table declaration", lineNum)
-		}
-		b := &blocks[len(blocks)-1]
-		b.lines = append(b.lines, raw)
-	}
-	if err := scanner.Err(); err != nil {
-		return nil, err
-	}
-	if len(blocks) == 0 {
-		return nil, fmt.Errorf("parser: no table declaration found")
-	}
-	out := make([]*ParsedTable, 0, len(blocks))
-	seen := make(map[string]bool)
-	for _, b := range blocks {
-		pt, err := ParseTableString(strings.Join(b.lines, "\n"))
-		if err != nil {
-			return nil, fmt.Errorf("parser: table block starting at line %d: %w", b.firstLine, err)
-		}
-		if seen[pt.Name] {
-			return nil, fmt.Errorf("parser: table block starting at line %d: duplicate table name %q", b.firstLine, pt.Name)
-		}
-		seen[pt.Name] = true
-		out = append(out, pt)
-	}
-	return out, nil
+	return tables, err
 }
 
 // ParseCatalogString is ParseCatalog over a string.
@@ -161,151 +67,207 @@ func ParseCatalogString(s string) ([]*ParsedTable, error) {
 	return ParseCatalog(strings.NewReader(s))
 }
 
-// parseRow parses "t1, t2, ..., tn [| condition]".
-func parseRow(s string, arity int) ([]condition.Term, condition.Condition, error) {
-	cellPart := s
-	condPart := ""
-	if i := strings.Index(s, "|"); i >= 0 {
-		cellPart, condPart = s[:i], s[i+1:]
+// parseScript reads the tables of a table or catalog script in one pass. On
+// error, block is the line of the failing table's "table" directive (0 when
+// the error lies outside any table).
+func parseScript(r io.Reader) (tables []*ParsedTable, block int, err error) {
+	lx := &lexer{}
+	seen := map[string]bool{}
+	err = eachDirective(r, func(line int, word, rest string) error {
+		if !strings.EqualFold(word, "table") {
+			if len(tables) == 0 {
+				return fmt.Errorf("%s before the first table declaration", word)
+			}
+			return tables[len(tables)-1].directive(lx, word, rest)
+		}
+		block = line
+		fields := strings.Fields(rest)
+		if len(fields) != 3 || !strings.EqualFold(fields[1], "arity") {
+			return fmt.Errorf("expected \"table <name> arity <n>\"")
+		}
+		n, err := strconv.Atoi(fields[2])
+		if err != nil || n <= 0 {
+			return fmt.Errorf("bad arity %q", fields[2])
+		}
+		if seen[fields[0]] {
+			return fmt.Errorf("duplicate table name %q", fields[0])
+		}
+		seen[fields[0]] = true
+		tab := ctable.New(n)
+		tables = append(tables, &ParsedTable{Name: fields[0], CTable: tab, PCTable: pctable.New(tab)})
+		return nil
+	})
+	if err == nil && len(tables) == 0 {
+		err = fmt.Errorf("parser: no table declaration found")
 	}
-	lx, err := lex(cellPart)
 	if err != nil {
+		return nil, block, err
+	}
+	return tables, 0, nil
+}
+
+// eachDirective calls f with the line number, the directive word and the
+// rest of every line of r that is not blank or a "#" comment, and prefixes
+// the first error f returns with its line.
+func eachDirective(r io.Reader, f func(line int, word, rest string) error) error {
+	sc := bufio.NewScanner(r)
+	sc.Buffer(nil, MaxLineBytes)
+	for n := 1; sc.Scan(); n++ {
+		line := strings.TrimSpace(sc.Text())
+		if line == "" || line[0] == '#' {
+			continue
+		}
+		word, rest := line, ""
+		if i := strings.IndexFunc(line, unicode.IsSpace); i >= 0 {
+			word, rest = line[:i], strings.TrimSpace(line[i:])
+		}
+		if err := f(n, word, rest); err != nil {
+			return fmt.Errorf("parser: line %d: %w", n, err)
+		}
+	}
+	return sc.Err()
+}
+
+// directive applies one row, dom or dist directive to the table, lexing
+// with lx.
+func (pt *ParsedTable) directive(lx *lexer, word, rest string) error {
+	switch strings.ToLower(word) {
+	case "row":
+		terms, cond, err := parseRow(lx, rest, pt.CTable.Arity())
+		if err != nil {
+			return err
+		}
+		pt.CTable.AddRow(terms, cond)
+	case "dom":
+		varName, vals, _, err := parseValueList(lx, rest, "domain", false)
+		if err != nil {
+			return err
+		}
+		pt.CTable.SetDomain(varName, value.NewDomain(vals...))
+	case "dist":
+		varName, space, err := parseDist(lx, rest)
+		if err != nil {
+			return err
+		}
+		pt.PCTable.SetSpace(varName, space)
+		pt.HasDistributions = true
+	default:
+		return fmt.Errorf("unknown directive %q", word)
+	}
+	return nil
+}
+
+// parseRow parses "t1, t2, ..., tn [| condition]". A negative arity accepts
+// any number of cells.
+func parseRow(lx *lexer, s string, arity int) ([]condition.Term, condition.Condition, error) {
+	if err := lx.reset(s); err != nil {
 		return nil, nil, err
 	}
-	var terms []condition.Term
+	if t := lx.peek(); t.kind == tokEOF || (t.kind == tokSymbol && t.text == "|") {
+		return nil, nil, fmt.Errorf("row has no cells")
+	}
+	terms := make([]condition.Term, 0, min(max(arity, 1), 64))
 	for {
-		t := lx.next()
-		if t.kind == tokEOF {
-			break
-		}
-		term, err := tokenToTerm(t)
+		term, err := tokenToTerm(lx.next(), "row")
 		if err != nil {
 			return nil, nil, err
 		}
 		terms = append(terms, term)
-		if lx.peek().kind == tokEOF {
+		if !lx.acceptSymbol(",") {
 			break
 		}
-		if err := lx.expectSymbol(","); err != nil {
+	}
+	var cond condition.Condition
+	if lx.acceptSymbol("|") && lx.peek().kind != tokEOF {
+		var err error
+		if cond, err = parseCondOr(lx); err != nil {
 			return nil, nil, err
 		}
+	}
+	if t := lx.peek(); t.kind != tokEOF {
+		return nil, nil, fmt.Errorf("unexpected %q in row", t.text)
 	}
 	if arity >= 0 && len(terms) != arity {
 		return nil, nil, fmt.Errorf("row has %d cells, table arity is %d", len(terms), arity)
 	}
-	if len(terms) == 0 {
-		return nil, nil, fmt.Errorf("row has no cells")
-	}
-	var cond condition.Condition
-	if strings.TrimSpace(condPart) != "" {
-		cond, err = ParseCondition(condPart)
-		if err != nil {
-			return nil, nil, err
-		}
-	}
 	return terms, cond, nil
 }
 
-func tokenToTerm(t token) (condition.Term, error) {
+// tokenToTerm reads a cell or condition operand: a value literal or a
+// variable.
+func tokenToTerm(t token, where string) (condition.Term, error) {
 	if v, ok := parseValue(t); ok {
 		return condition.Const(v), nil
 	}
 	if t.kind == tokIdent {
 		return condition.Var(t.text), nil
 	}
-	return condition.Term{}, fmt.Errorf("unexpected token %q in row", t.text)
+	return condition.Term{}, fmt.Errorf("parser: unexpected token %q in %s", t.text, where)
 }
 
-// parseDom parses "x = {v1, v2, ...}".
-func parseDom(s string) (string, *value.Domain, error) {
-	lx, err := lex(s)
+// parseDist parses "x = {v1:p1, v2:p2, ...}" into a probability space.
+func parseDist(lx *lexer, s string) (string, *prob.Space, error) {
+	name, vals, ps, err := parseValueList(lx, s, "distribution", true)
 	if err != nil {
 		return "", nil, err
 	}
-	nameTok := lx.next()
-	if nameTok.kind != tokIdent {
-		return "", nil, fmt.Errorf("expected variable name, got %q", nameTok.text)
+	dist := make(map[value.Value]float64, len(vals))
+	for i, v := range vals {
+		dist[v] = ps[i]
+	}
+	space, err := prob.NewValueSpace(dist)
+	return name, space, err
+}
+
+// parseValueList parses "x = {v1, v2, ...}", or "x = {v1:p1, v2:p2, ...}"
+// with probs set, into the variable name, the values and their
+// probabilities.
+func parseValueList(lx *lexer, s, what string, probs bool) (string, []value.Value, []float64, error) {
+	if err := lx.reset(s); err != nil {
+		return "", nil, nil, err
+	}
+	name := lx.next()
+	if name.kind != tokIdent {
+		return "", nil, nil, fmt.Errorf("expected variable name, got %q", name.text)
 	}
 	if err := lx.expectSymbol("="); err != nil {
-		return "", nil, err
+		return "", nil, nil, err
 	}
 	if err := lx.expectSymbol("{"); err != nil {
-		return "", nil, err
+		return "", nil, nil, err
 	}
 	var vals []value.Value
-	for {
-		t := lx.next()
-		if t.kind == tokSymbol && t.text == "}" {
-			break
+	var ps []float64
+	for !lx.acceptSymbol("}") {
+		if len(vals) > 0 {
+			if err := lx.expectSymbol(","); err != nil {
+				return "", nil, nil, err
+			}
+			if lx.acceptSymbol("}") {
+				break
+			}
 		}
+		t := lx.next()
 		v, ok := parseValue(t)
 		if !ok {
-			return "", nil, fmt.Errorf("expected value in domain, got %q", t.text)
+			return "", nil, nil, fmt.Errorf("expected value in %s, got %q", what, t.text)
 		}
 		vals = append(vals, v)
-		if lx.acceptSymbol(",") {
-			continue
+		if probs {
+			if err := lx.expectSymbol(":"); err != nil {
+				return "", nil, nil, err
+			}
+			p, err := parseProbability(lx)
+			if err != nil {
+				return "", nil, nil, err
+			}
+			ps = append(ps, p)
 		}
-		if err := lx.expectSymbol("}"); err != nil {
-			return "", nil, err
-		}
-		break
 	}
 	if len(vals) == 0 {
-		return "", nil, fmt.Errorf("empty domain for %s", nameTok.text)
+		return "", nil, nil, fmt.Errorf("empty %s for %s", what, name.text)
 	}
-	return nameTok.text, value.NewDomain(vals...), nil
-}
-
-// parseDist parses "x = {v1:p1, v2:p2, ...}".
-func parseDist(s string) (string, map[value.Value]float64, error) {
-	lx, err := lex(s)
-	if err != nil {
-		return "", nil, err
-	}
-	nameTok := lx.next()
-	if nameTok.kind != tokIdent {
-		return "", nil, fmt.Errorf("expected variable name, got %q", nameTok.text)
-	}
-	if err := lx.expectSymbol("="); err != nil {
-		return "", nil, err
-	}
-	if err := lx.expectSymbol("{"); err != nil {
-		return "", nil, err
-	}
-	dist := map[value.Value]float64{}
-	for {
-		t := lx.next()
-		if t.kind == tokSymbol && t.text == "}" {
-			break
-		}
-		v, ok := parseValue(t)
-		if !ok {
-			return "", nil, fmt.Errorf("expected value in distribution, got %q", t.text)
-		}
-		if err := lx.expectSymbol(":"); err != nil {
-			return "", nil, err
-		}
-		// Probability: integer part, optionally ". digits" (the lexer splits
-		// on '.' being unknown — accept "<int>" or "<int>.<int>" forms by
-		// reading the raw text around the current token).
-		p, err := parseProbability(lx)
-		if err != nil {
-			return "", nil, err
-		}
-		dist[v] = p
-		if lx.acceptSymbol(",") {
-			continue
-		}
-		if err := lx.expectSymbol("}"); err != nil {
-			return "", nil, err
-		}
-		break
-	}
-	if len(dist) == 0 {
-		return "", nil, fmt.Errorf("empty distribution for %s", nameTok.text)
-	}
-	return nameTok.text, dist, nil
+	return name.text, vals, ps, nil
 }
 
 // parseProbability reads a probability literal such as "0.3" or "1".

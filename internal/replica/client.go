@@ -72,55 +72,42 @@ func NewClient(base string, hc *http.Client) *Client {
 // Base returns the leader base URL.
 func (c *Client) Base() string { return c.base }
 
-// Change is one change-feed record as shipped over HTTP. Table is the
-// canonical encoding of the put table (wal.DecodeTable decodes it);
-// CommittedUnixNano is the leader's wall-clock commit time (0 when the
-// leader no longer knows it, e.g. records replayed from its WAL after a
-// restart).
+// Change is one change-feed record as shipped over HTTP. Table is the put
+// table's canonical script and Patch the patch's script (internal/parser
+// reads both); CommittedUnixNano is the leader's wall-clock commit time (0
+// when the leader no longer knows it, e.g. records replayed from its WAL
+// after a restart, or applied by replication) — replication lag is computed
+// from it.
 type Change struct {
 	Version           uint64 `json:"version"`
 	Kind              string `json:"kind"`
 	Name              string `json:"name"`
 	Probabilistic     bool   `json:"probabilistic,omitempty"`
-	Table             []byte `json:"table,omitempty"`
-	Patch             []byte `json:"patch,omitempty"`
-	Text              string `json:"text,omitempty"`
+	Table             string `json:"table,omitempty"`
+	Patch             string `json:"patch,omitempty"`
 	CommittedUnixNano int64  `json:"committedUnixNano,omitempty"`
 }
 
-// Record decodes the change into the wal.Record the catalog apply path
-// consumes.
+// Record parses the change into the wal.Record the catalog apply path
+// consumes. A change is a log record split into fields, so it is read back
+// by the log's own decoder.
 func (ch *Change) Record() (*wal.Record, error) {
-	rec := &wal.Record{Version: ch.Version, Name: ch.Name, Probabilistic: ch.Probabilistic}
-	switch ch.Kind {
-	case "put":
-		rec.Kind = wal.KindPut
-		tab, err := wal.DecodeTable(ch.Table)
-		if err != nil {
-			return nil, fmt.Errorf("replica: change v%d (%s): %w", ch.Version, ch.Name, err)
-		}
-		rec.Table = tab
-	case "delete":
-		rec.Kind = wal.KindDelete
-	case "patch":
-		rec.Kind = wal.KindPatch
-		p, err := wal.DecodePatch(ch.Patch)
-		if err != nil {
-			return nil, fmt.Errorf("replica: change v%d (%s): %w", ch.Version, ch.Name, err)
-		}
-		rec.Patch = p
-	default:
-		return nil, fmt.Errorf("replica: change v%d has unknown kind %q", ch.Version, ch.Kind)
+	rec, err := wal.DecodeRecord(fmt.Appendf(nil, "%s %d %s %t\n%s%s", ch.Kind, ch.Version, ch.Name, ch.Probabilistic, ch.Table, ch.Patch))
+	if err != nil {
+		return nil, fmt.Errorf("replica: change v%d %s of %s: %w", ch.Version, ch.Kind, ch.Name, err)
 	}
 	return rec, nil
 }
 
 // ChangesPage is one /v1/changes response.
 type ChangesPage struct {
-	From           uint64   `json:"from"`
-	CatalogVersion uint64   `json:"catalogVersion"`
-	WaitMs         int64    `json:"waitMs"`
-	Changes        []Change `json:"changes"`
+	From           uint64 `json:"from"`
+	CatalogVersion uint64 `json:"catalogVersion"`
+	// WaitMs is the effective long-poll wait applied to this request after
+	// capping — clients asking for more learn the real bound instead of
+	// silently getting less.
+	WaitMs  int64    `json:"waitMs"`
+	Changes []Change `json:"changes"`
 }
 
 // Changes fetches the leader's mutations after version from, long-polling up
@@ -169,9 +156,9 @@ func (c *Client) Changes(ctx context.Context, from uint64, limit int, wait time.
 }
 
 // Snapshot fetches the leader's full catalog state from /v1/snapshot: the
-// canonical wal.EncodeState bytes, verified against the whole-payload CRC
-// the leader stamps in X-Snapshot-Crc32 before decoding. The returned state
-// owns its tables.
+// canonical wal.EncodeState bytes (a header plus the catalog script of every
+// table), verified against the whole-payload CRC the leader stamps in
+// X-Snapshot-Crc32 before parsing. The returned state owns its tables.
 func (c *Client) Snapshot(ctx context.Context) (*wal.State, error) {
 	ctx, cancel := context.WithTimeout(ctx, c.timeout)
 	defer cancel()

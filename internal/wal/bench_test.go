@@ -36,14 +36,15 @@ func BenchmarkWALAppend(b *testing.B) {
 	b.Run("compact64", func(b *testing.B) { benchAppend(b, Options{SnapshotEvery: 64}) })
 }
 
-// BenchmarkEncodeTable isolates the canonical-encoding cost from the I/O.
+// BenchmarkEncodeTable isolates the cost of rendering a put record (the
+// table's canonical script) from the I/O.
 func BenchmarkEncodeTable(b *testing.B) {
 	for i := 0; i < 3; i++ {
-		tab := testTable(i)
+		rec := &Record{Kind: KindPut, Version: 1, Name: "Bench", Table: testTable(i)}
 		b.Run(fmt.Sprintf("shape%d", i), func(b *testing.B) {
 			b.ReportAllocs()
 			for n := 0; n < b.N; n++ {
-				EncodeTable(tab)
+				EncodeRecord(rec)
 			}
 		})
 	}

@@ -1,44 +1,65 @@
 // Package wal implements durability for the catalog: an append-only,
 // checksummed, length-prefixed log of catalog mutations, periodic compacted
-// snapshots with a deterministic canonical encoding of tables, and crash
-// recovery that loads the latest valid snapshot and replays the WAL tail,
-// discarding a torn final record.
+// snapshots, and crash recovery that loads the latest valid snapshot and
+// replays the WAL tail, discarding a torn final record.
+//
+// Tables and patches are persisted in one form only: the canonical table and
+// patch scripts of internal/parser, the same text PUT and PATCH accept. A
+// log record is one text header line ("put <version> <name> <probabilistic>",
+// "patch ..." or "delete <version> <name>") followed, for a put, by the
+// table's script and, for a patch, by the patch's script. A snapshot is a
+// header line ("snapshot <version> <tables>"), one line per table ("<name>
+// <version> <probabilistic>") and the catalog script of every table in name
+// order, between a binary magic and a closing CRC-32.
 //
 // The house invariant of this codebase is byte-identical determinism at
-// every layer, and persistence is held to the same bar: encoding a catalog
-// state is a pure function of the state — table names sorted, variables
-// sorted, domain values and distribution outcomes in the canonical value
-// order, float64 probabilities as exact bit patterns — so snapshot → recover
-// → re-snapshot reproduces the exact bytes, and replaying any valid prefix
-// of the log reproduces the exact catalog observed at that version. The
-// crash-injection and golden-replay tests in this package assert both.
+// every layer, and persistence is held to the same bar: the scripts are a
+// pure function of the state — table names sorted, variables sorted, domain
+// values and distribution outcomes in the canonical value order,
+// probabilities in the shortest decimal that parses back to the same
+// float64 — so snapshot → recover → re-snapshot reproduces the exact bytes,
+// and replaying any valid prefix of the log reproduces the exact catalog
+// observed at that version. The crash-injection and golden-replay tests in
+// this package assert both.
 //
 // Layout of a data directory (Store):
 //
 //	wal.log               framed mutation records since the last snapshot
 //	snap-<version>.snap   canonical catalog snapshot at <version>
 //
-// Every decoder in this package is total: arbitrary bytes never panic, they
+// The log and every snapshot start with a magic whose last byte is the
+// format version. A directory written in another format version is refused
+// with ErrFormat and left untouched. Within the current format, the first
+// record whose frame is incomplete, fails its CRC, does not parse, or does
+// not extend the version chain is the torn tail: it and everything after it
+// are discarded (and truncated from the log when the store opens). Every
+// decoder in this package is total: arbitrary bytes never panic, they
 // produce an error (FuzzWALDecode locks this down).
 package wal
 
 import (
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"math"
+	"slices"
 	"sort"
+	"strconv"
+	"strings"
 
-	"uncertaindb/internal/condition"
+	"uncertaindb/internal/parser"
 	"uncertaindb/internal/pctable"
-	"uncertaindb/internal/prob"
-	"uncertaindb/internal/value"
 )
 
 // ErrCorrupt reports bytes that are not a valid encoding. Recovery treats a
 // corrupt record as the torn tail of the log: it and everything after it are
 // discarded.
 var ErrCorrupt = errors.New("wal: corrupt encoding")
+
+// ErrFormat reports a log or snapshot written in another format version.
+// Open refuses such a directory rather than read it as corrupt and recover
+// an older state from it; its files are left as they are.
+var ErrFormat = errors.New("wal: unsupported format version")
 
 // ErrCompacted reports a change-feed request for versions that predate the
 // oldest retained record; the consumer must re-sync from a snapshot (list
@@ -117,28 +138,20 @@ func (s *State) Apply(rec *Record) error {
 	if rec.Version != s.Version+1 {
 		return fmt.Errorf("%w: record version %d does not extend state version %d", ErrCorrupt, rec.Version, s.Version)
 	}
+	i := sort.Search(len(s.Tables), func(i int) bool { return s.Tables[i].Name >= rec.Name })
+	found := i < len(s.Tables) && s.Tables[i].Name == rec.Name
+	if !found && rec.Kind != KindPut {
+		return fmt.Errorf("%w: %s of unknown table %q at version %d", ErrCorrupt, rec.Kind, rec.Name, rec.Version)
+	}
 	switch rec.Kind {
 	case KindPut:
-		ts := TableState{Name: rec.Name, Version: rec.Version, Probabilistic: rec.Probabilistic, Table: rec.Table}
-		i := sort.Search(len(s.Tables), func(i int) bool { return s.Tables[i].Name >= rec.Name })
-		if i < len(s.Tables) && s.Tables[i].Name == rec.Name {
-			s.Tables[i] = ts
-		} else {
-			s.Tables = append(s.Tables, TableState{})
-			copy(s.Tables[i+1:], s.Tables[i:])
-			s.Tables[i] = ts
+		if !found {
+			s.Tables = slices.Insert(s.Tables, i, TableState{})
 		}
+		s.Tables[i] = TableState{Name: rec.Name, Version: rec.Version, Probabilistic: rec.Probabilistic, Table: rec.Table}
 	case KindDelete:
-		i := sort.Search(len(s.Tables), func(i int) bool { return s.Tables[i].Name >= rec.Name })
-		if i >= len(s.Tables) || s.Tables[i].Name != rec.Name {
-			return fmt.Errorf("%w: delete of unknown table %q at version %d", ErrCorrupt, rec.Name, rec.Version)
-		}
-		s.Tables = append(s.Tables[:i], s.Tables[i+1:]...)
+		s.Tables = slices.Delete(s.Tables, i, i+1)
 	case KindPatch:
-		i := sort.Search(len(s.Tables), func(i int) bool { return s.Tables[i].Name >= rec.Name })
-		if i >= len(s.Tables) || s.Tables[i].Name != rec.Name {
-			return fmt.Errorf("%w: patch of unknown table %q at version %d", ErrCorrupt, rec.Name, rec.Version)
-		}
 		if rec.Patch == nil {
 			return fmt.Errorf("%w: patch record for %q has no payload", ErrCorrupt, rec.Name)
 		}
@@ -154,607 +167,167 @@ func (s *State) Apply(rec *Record) error {
 	return nil
 }
 
-// Decoding limits. They bound allocations driven by attacker-controlled
-// counts; real catalogs sit far below them.
-const (
-	maxArity      = 1 << 16
-	maxNameLen    = 1 << 20
-	maxCondDepth  = 1 << 12
-	maxCondArity  = 1 << 20
-	maxTableCount = 1 << 20
-)
-
-// ---- primitive append/decode helpers ----
-
-func appendUvarint(b []byte, x uint64) []byte { return binary.AppendUvarint(b, x) }
-
-func appendString(b []byte, s string) []byte {
-	b = appendUvarint(b, uint64(len(s)))
-	return append(b, s...)
-}
-
-func appendBool(b []byte, v bool) []byte {
-	if v {
-		return append(b, 1)
-	}
-	return append(b, 0)
-}
-
-// decoder walks an encoded byte slice with sticky error handling. Every
-// accessor is bounds-checked, so arbitrary input produces ErrCorrupt rather
-// than a panic.
-type decoder struct {
-	b   []byte
-	off int
-	err error
-}
-
-func (d *decoder) fail(format string, args ...any) {
-	if d.err == nil {
-		d.err = fmt.Errorf("%w: %s (offset %d)", ErrCorrupt, fmt.Sprintf(format, args...), d.off)
-	}
-}
-
-func (d *decoder) byte() byte {
-	if d.err != nil {
-		return 0
-	}
-	if d.off >= len(d.b) {
-		d.fail("unexpected end of input")
-		return 0
-	}
-	c := d.b[d.off]
-	d.off++
-	return c
-}
-
-func (d *decoder) uvarint() uint64 {
-	if d.err != nil {
-		return 0
-	}
-	x, n := binary.Uvarint(d.b[d.off:])
-	if n <= 0 {
-		d.fail("bad uvarint")
-		return 0
-	}
-	d.off += n
-	return x
-}
-
-func (d *decoder) bytes(n int) []byte {
-	if d.err != nil {
-		return nil
-	}
-	if n < 0 || d.off+n > len(d.b) || d.off+n < d.off {
-		d.fail("%d bytes wanted, %d left", n, len(d.b)-d.off)
-		return nil
-	}
-	out := d.b[d.off : d.off+n]
-	d.off += n
-	return out
-}
-
-func (d *decoder) string(max int) string {
-	n := d.uvarint()
-	if d.err != nil {
-		return ""
-	}
-	if n > uint64(max) {
-		d.fail("string length %d exceeds limit %d", n, max)
-		return ""
-	}
-	return string(d.bytes(int(n)))
-}
-
-func (d *decoder) bool() bool { return d.byte() != 0 }
-
-func (d *decoder) float64() float64 {
-	raw := d.bytes(8)
-	if d.err != nil {
-		return 0
-	}
-	return math.Float64frombits(binary.LittleEndian.Uint64(raw))
-}
-
-func (d *decoder) done() error {
-	if d.err != nil {
-		return d.err
-	}
-	if d.off != len(d.b) {
-		return fmt.Errorf("%w: %d trailing bytes", ErrCorrupt, len(d.b)-d.off)
-	}
-	return nil
-}
-
-// ---- values ----
-
-const (
-	valNull byte = 0
-	valInt  byte = 1
-	valStr  byte = 2
-	valBool byte = 3
-)
-
-func appendValue(b []byte, v value.Value) []byte {
-	switch v.Kind() {
-	case value.KindInt:
-		b = append(b, valInt)
-		return binary.AppendVarint(b, v.AsInt())
-	case value.KindString:
-		b = append(b, valStr)
-		return appendString(b, v.AsString())
-	case value.KindBool:
-		b = append(b, valBool)
-		return appendBool(b, v.AsBool())
-	default:
-		return append(b, valNull)
-	}
-}
-
-func (d *decoder) value() value.Value {
-	switch tag := d.byte(); tag {
-	case valNull:
-		return value.Null
-	case valInt:
-		if d.err != nil {
-			return value.Null
-		}
-		x, n := binary.Varint(d.b[d.off:])
-		if n <= 0 {
-			d.fail("bad varint")
-			return value.Null
-		}
-		d.off += n
-		return value.Int(x)
-	case valStr:
-		return value.Str(d.string(maxNameLen))
-	case valBool:
-		return value.Bool(d.bool())
-	default:
-		d.fail("unknown value tag %d", tag)
-		return value.Null
-	}
-}
-
-// ---- terms and conditions ----
-
-func appendTerm(b []byte, t condition.Term) []byte {
-	if t.IsVar {
-		b = append(b, 1)
-		return appendString(b, string(t.Var))
-	}
-	b = append(b, 0)
-	return appendValue(b, t.Const)
-}
-
-func (d *decoder) term() condition.Term {
-	switch tag := d.byte(); tag {
-	case 1:
-		return condition.Var(d.string(maxNameLen))
-	case 0:
-		return condition.Const(d.value())
-	default:
-		d.fail("unknown term tag %d", tag)
-		return condition.Term{}
-	}
-}
-
-const (
-	condTrue  byte = 0
-	condFalse byte = 1
-	condCmp   byte = 2
-	condAnd   byte = 3
-	condOr    byte = 4
-	condNot   byte = 5
-)
-
-// appendCondition encodes the condition tree exactly as structured — no
-// re-association, no sorting — so decode reconstructs the identical tree and
-// renderings (catalog exports, plan text) are byte-stable across recovery.
-func appendCondition(b []byte, c condition.Condition) []byte {
-	switch c := c.(type) {
-	case nil:
-		return append(b, condTrue)
-	case condition.TrueCond:
-		return append(b, condTrue)
-	case condition.FalseCond:
-		return append(b, condFalse)
-	case condition.Cmp:
-		b = append(b, condCmp)
-		b = appendTerm(b, c.Left)
-		b = appendBool(b, c.Neq)
-		return appendTerm(b, c.Right)
-	case condition.AndCond:
-		b = append(b, condAnd)
-		b = appendUvarint(b, uint64(len(c.Conds)))
-		for _, sub := range c.Conds {
-			b = appendCondition(b, sub)
-		}
-		return b
-	case condition.OrCond:
-		b = append(b, condOr)
-		b = appendUvarint(b, uint64(len(c.Conds)))
-		for _, sub := range c.Conds {
-			b = appendCondition(b, sub)
-		}
-		return b
-	case condition.NotCond:
-		b = append(b, condNot)
-		return appendCondition(b, c.Cond)
-	default:
-		// The condition grammar is closed; anything else is a programming
-		// error worth surfacing loudly at encode time, not a decode hazard.
-		panic(fmt.Sprintf("wal: cannot encode condition of type %T", c))
-	}
-}
-
-func (d *decoder) condition(depth int) condition.Condition {
-	if depth > maxCondDepth {
-		d.fail("condition nesting exceeds %d", maxCondDepth)
-		return condition.False()
-	}
-	switch tag := d.byte(); tag {
-	case condTrue:
-		return condition.TrueCond{}
-	case condFalse:
-		return condition.FalseCond{}
-	case condCmp:
-		left := d.term()
-		neq := d.bool()
-		right := d.term()
-		return condition.Cmp{Left: left, Neq: neq, Right: right}
-	case condAnd, condOr:
-		n := d.uvarint()
-		if n > maxCondArity {
-			d.fail("condition arity %d exceeds %d", n, maxCondArity)
-			return condition.False()
-		}
-		conds := make([]condition.Condition, 0, min(int(n), 64))
-		for i := uint64(0); i < n && d.err == nil; i++ {
-			conds = append(conds, d.condition(depth+1))
-		}
-		if tag == condAnd {
-			return condition.AndCond{Conds: conds}
-		}
-		return condition.OrCond{Conds: conds}
-	case condNot:
-		return condition.NotCond{Cond: d.condition(depth + 1)}
-	default:
-		d.fail("unknown condition tag %d", tag)
-		return condition.False()
-	}
-}
-
-// ---- tables ----
-
-// AppendTable appends the canonical encoding of a pc-table: arity, rows in
-// table order (term/condition trees preserved exactly), declared variable
-// domains sorted by variable name with values in canonical order, and
-// distributions sorted by variable name with outcomes in canonical value
-// order and probabilities as exact float64 bit patterns.
-func AppendTable(b []byte, t *pctable.PCTable) []byte {
-	tab := t.Table()
-	b = appendUvarint(b, uint64(tab.Arity()))
-	rows := tab.Rows()
-	b = appendUvarint(b, uint64(len(rows)))
-	for _, r := range rows {
-		for _, term := range r.Terms {
-			b = appendTerm(b, term)
-		}
-		b = appendCondition(b, r.Cond)
-	}
-
-	type domEntry struct {
-		name string
-		dom  *value.Domain
-	}
-	var doms []domEntry
-	tab.EachDomain(func(x condition.Variable, dom *value.Domain) {
-		doms = append(doms, domEntry{string(x), dom})
-	})
-	sort.Slice(doms, func(i, j int) bool { return doms[i].name < doms[j].name })
-	b = appendUvarint(b, uint64(len(doms)))
-	for _, de := range doms {
-		b = appendString(b, de.name)
-		vals := de.dom.Values()
-		b = appendUvarint(b, uint64(len(vals)))
-		for _, v := range vals {
-			b = appendValue(b, v)
-		}
-	}
-
-	// Every declared distribution, including those of variables no row
-	// mentions yet: a later patch row may use one.
-	var distVars []string
-	t.EachDist(func(x condition.Variable, _ *prob.Space) {
-		distVars = append(distVars, string(x))
-	})
-	sort.Strings(distVars)
-	b = appendUvarint(b, uint64(len(distVars)))
-	for _, name := range distVars {
-		space := t.Dist(condition.Variable(name))
-		b = appendString(b, name)
-		outcomes := space.Outcomes()
-		b = appendUvarint(b, uint64(len(outcomes)))
-		for _, o := range outcomes {
-			b = appendValue(b, o.ValuePayload())
-			var raw [8]byte
-			binary.LittleEndian.PutUint64(raw[:], math.Float64bits(o.P))
-			b = append(b, raw[:]...)
-		}
-	}
-	return b
-}
-
-// EncodeTable is AppendTable into a fresh buffer.
-func EncodeTable(t *pctable.PCTable) []byte { return AppendTable(nil, t) }
-
-// table decodes a pc-table (the AppendTable encoding) from the decoder.
-func (d *decoder) table() *pctable.PCTable {
-	arity := d.uvarint()
-	if d.err != nil {
-		return nil
-	}
-	if arity == 0 || arity > maxArity {
-		d.fail("bad arity %d", arity)
-		return nil
-	}
-	t := pctable.NewWithArity(int(arity))
-	numRows := d.uvarint()
-	for i := uint64(0); i < numRows && d.err == nil; i++ {
-		terms := make([]condition.Term, arity)
-		for j := range terms {
-			terms[j] = d.term()
-		}
-		cond := d.condition(0)
-		if d.err != nil {
-			return nil
-		}
-		t.AddRow(terms, cond)
-	}
-
-	// Distributions before domains: SetDist overwrites the domain with the
-	// support, and re-applying every encoded domain afterwards restores the
-	// exact declared domains regardless of how they were set originally.
-	type domEntry struct {
-		name string
-		vals []value.Value
-	}
-	numDoms := d.uvarint()
-	if numDoms > maxTableCount {
-		d.fail("domain count %d exceeds %d", numDoms, maxTableCount)
-		return nil
-	}
-	doms := make([]domEntry, 0, min(int(numDoms), 64))
-	for i := uint64(0); i < numDoms && d.err == nil; i++ {
-		name := d.string(maxNameLen)
-		n := d.uvarint()
-		if n == 0 || n > maxTableCount {
-			d.fail("bad domain size %d for %s", n, name)
-			return nil
-		}
-		vals := make([]value.Value, 0, min(int(n), 64))
-		for j := uint64(0); j < n && d.err == nil; j++ {
-			vals = append(vals, d.value())
-		}
-		doms = append(doms, domEntry{name, vals})
-	}
-
-	numDists := d.uvarint()
-	if numDists > maxTableCount {
-		d.fail("distribution count %d exceeds %d", numDists, maxTableCount)
-		return nil
-	}
-	for i := uint64(0); i < numDists && d.err == nil; i++ {
-		name := d.string(maxNameLen)
-		n := d.uvarint()
-		if n == 0 || n > maxTableCount {
-			d.fail("bad distribution size %d for %s", n, name)
-			return nil
-		}
-		dist := make(map[value.Value]float64, min(int(n), 64))
-		for j := uint64(0); j < n && d.err == nil; j++ {
-			v := d.value()
-			p := d.float64()
-			if _, dup := dist[v]; dup {
-				d.fail("duplicate outcome %s in distribution of %s", v, name)
-				return nil
-			}
-			dist[v] = p
-		}
-		if d.err != nil {
-			return nil
-		}
-		// SetDist panics on an invalid distribution; validate with the
-		// non-panicking constructor first so corrupt bytes stay errors.
-		if _, err := prob.NewValueSpace(dist); err != nil {
-			d.fail("invalid distribution for %s: %v", name, err)
-			return nil
-		}
-		t.SetDist(name, dist)
-	}
-
-	for _, de := range doms {
-		if d.err != nil {
-			return nil
-		}
-		t.Table().SetDomain(de.name, value.NewDomain(de.vals...))
-	}
-	if d.err != nil {
-		return nil
-	}
-	return t
-}
-
-// DecodeTable decodes a canonical table encoding. Arbitrary input yields an
-// error, never a panic.
-func DecodeTable(b []byte) (*pctable.PCTable, error) {
-	d := &decoder{b: b}
-	t := d.table()
-	if err := d.done(); err != nil {
-		return nil, err
-	}
-	return t, nil
-}
-
 // ---- records ----
 
-// EncodeRecord encodes one mutation record (the payload of a log frame).
+// EncodeRecord encodes one mutation record (the payload of a log frame): the
+// header line, then the put table's script or the patch's script.
 func EncodeRecord(rec *Record) []byte {
-	b := make([]byte, 0, 64)
-	b = append(b, byte(rec.Kind))
-	b = appendUvarint(b, rec.Version)
-	b = appendString(b, rec.Name)
 	switch rec.Kind {
 	case KindPut:
-		b = appendBool(b, rec.Probabilistic)
-		table := AppendTable(nil, rec.Table)
-		b = appendUvarint(b, uint64(len(table)))
-		b = append(b, table...)
+		return parser.AppendScript(fmt.Appendf(nil, "put %d %s %t\n", rec.Version, rec.Name, rec.Probabilistic), rec.Name, rec.Table)
 	case KindPatch:
-		b = appendBool(b, rec.Probabilistic)
-		patch := EncodePatch(rec.Patch)
-		b = appendUvarint(b, uint64(len(patch)))
-		b = append(b, patch...)
+		return append(fmt.Appendf(nil, "patch %d %s %t\n", rec.Version, rec.Name, rec.Probabilistic), parser.PatchScript(rec.Patch)...)
+	default:
+		return fmt.Appendf(nil, "%s %d %s\n", rec.Kind, rec.Version, rec.Name)
 	}
-	return b
 }
 
 // DecodeRecord decodes one mutation record. Arbitrary input yields an error,
 // never a panic.
 func DecodeRecord(b []byte) (*Record, error) {
-	d := &decoder{b: b}
 	rec := &Record{}
-	kind := d.byte()
-	rec.Kind = Kind(kind)
-	rec.Version = d.uvarint()
-	rec.Name = d.string(maxNameLen)
-	switch rec.Kind {
-	case KindPut:
-		rec.Probabilistic = d.bool()
-		n := d.uvarint()
-		if d.err == nil && n > uint64(len(d.b)-d.off) {
-			d.fail("table length %d exceeds remaining %d", n, len(d.b)-d.off)
-		}
-		raw := d.bytes(int(n))
-		if d.err == nil {
-			t, err := DecodeTable(raw)
-			if err != nil {
-				return nil, err
-			}
-			rec.Table = t
-		}
-	case KindPatch:
-		rec.Probabilistic = d.bool()
-		n := d.uvarint()
-		if d.err == nil && n > uint64(len(d.b)-d.off) {
-			d.fail("patch length %d exceeds remaining %d", n, len(d.b)-d.off)
-		}
-		raw := d.bytes(int(n))
-		if d.err == nil {
-			p, err := DecodePatch(raw)
-			if err != nil {
-				return nil, err
-			}
-			rec.Patch = p
-		}
-	case KindDelete:
-	default:
-		d.fail("unknown record kind %d", kind)
-	}
-	if err := d.done(); err != nil {
+	var kind string
+	n, body, err := scanLine(b, &kind, &rec.Version, &rec.Name, &rec.Probabilistic)
+	switch {
+	case err != nil:
 		return nil, err
-	}
-	if rec.Name == "" {
-		return nil, fmt.Errorf("%w: record with empty table name", ErrCorrupt)
-	}
-	if rec.Version == 0 {
+	case rec.Version == 0:
 		return nil, fmt.Errorf("%w: record with version 0", ErrCorrupt)
+	case kind == "delete" && n >= 3 && len(body) == 0:
+		// A change-feed delete also carries the (false) probabilistic flag.
+		rec.Kind = KindDelete
+	case kind == "patch" && n == 4:
+		rec.Kind = KindPatch
+		if rec.Patch, err = DecodePatch(body); err != nil {
+			return nil, err
+		}
+	case kind == "put" && n == 4:
+		rec.Kind = KindPut
+		pt, err := parser.ParseTableString(string(body))
+		if err == nil && pt.Name != rec.Name {
+			err = fmt.Errorf("record for %q carries table %q", rec.Name, pt.Name)
+		}
+		if err != nil {
+			return nil, fmt.Errorf("%w: %v", ErrCorrupt, err)
+		}
+		rec.Table = pt.PCTable
+	default:
+		return nil, fmt.Errorf("%w: bad record header", ErrCorrupt)
 	}
 	return rec, nil
+}
+
+// scanLine splits the first line off b and parses its space-separated
+// fields byte for byte into args (*string, *uint64 or *bool). It
+// returns how many fields the line has and the bytes after the line; more
+// fields than args, or a field that does not parse, is corrupt.
+func scanLine(b []byte, args ...any) (n int, rest []byte, err error) {
+	line, rest, ok := bytes.Cut(b, []byte{'\n'})
+	fields := strings.Fields(string(line))
+	if !ok || len(fields) > len(args) {
+		return 0, nil, fmt.Errorf("%w: bad header line", ErrCorrupt)
+	}
+	for i, f := range fields {
+		switch p := args[i].(type) {
+		case *string:
+			*p = f
+		case *uint64:
+			*p, err = strconv.ParseUint(f, 10, 64)
+		case *bool:
+			*p, err = strconv.ParseBool(f)
+		}
+		if err != nil {
+			return 0, nil, fmt.Errorf("%w: header field %q: %v", ErrCorrupt, f, err)
+		}
+	}
+	return len(fields), rest, nil
+}
+
+// checkMagic reports whether data starts with magic: ErrFormat when only the
+// trailing format-version byte differs, ErrCorrupt for anything else.
+func checkMagic(data, magic []byte, what string) error {
+	n := len(magic)
+	switch {
+	case len(data) >= n && bytes.Equal(data[:n], magic):
+		return nil
+	case len(data) >= n && bytes.Equal(data[:n-1], magic[:n-1]):
+		return fmt.Errorf("%w: %s format version %d, this build reads %d", ErrFormat, what, data[n-1], magic[n-1])
+	default:
+		return fmt.Errorf("%w: bad %s magic", ErrCorrupt, what)
+	}
 }
 
 // ---- snapshots ----
 
 // snapMagic heads every snapshot file; the trailing byte is the format
 // version.
-var snapMagic = []byte{'U', 'S', 'N', 'P', 0, 0, 0, 1}
+var snapMagic = []byte{'U', 'S', 'N', 'P', 0, 0, 0, 2}
 
-// EncodeState encodes a whole catalog state as a canonical snapshot:
-// magic, catalog version, table count, then each table sorted by name
-// (name, entry version, probabilistic, canonical table bytes), and a closing
-// CRC32 of everything before it. Encoding is a pure function of the state:
-// equal states encode to equal bytes.
+// EncodeState encodes a whole catalog state as a canonical snapshot: magic,
+// the header line "snapshot <version> <tables>", one line "<name> <version>
+// <probabilistic>" per table sorted by name, the catalog script of the same
+// tables in the same order, and a closing CRC32 of everything before it.
+// Encoding is a pure function of the state: equal states encode to equal
+// bytes.
 func EncodeState(st *State) []byte {
 	tables := append([]TableState(nil), st.Tables...)
 	sort.Slice(tables, func(i, j int) bool { return tables[i].Name < tables[j].Name })
-	b := append([]byte(nil), snapMagic...)
-	b = appendUvarint(b, st.Version)
-	b = appendUvarint(b, uint64(len(tables)))
+	b := fmt.Appendf(append([]byte(nil), snapMagic...), "snapshot %d %d\n", st.Version, len(tables))
 	for _, ts := range tables {
-		b = appendString(b, ts.Name)
-		b = appendUvarint(b, ts.Version)
-		b = appendBool(b, ts.Probabilistic)
-		table := AppendTable(nil, ts.Table)
-		b = appendUvarint(b, uint64(len(table)))
-		b = append(b, table...)
+		b = fmt.Appendf(b, "%s %d %t\n", ts.Name, ts.Version, ts.Probabilistic)
 	}
-	var crc [4]byte
-	binary.LittleEndian.PutUint32(crc[:], checksum(b))
-	return append(b, crc[:]...)
+	for _, ts := range tables {
+		b = parser.AppendScript(b, ts.Name, ts.Table)
+	}
+	return binary.LittleEndian.AppendUint32(b, Checksum(b))
 }
 
 // DecodeState decodes a snapshot. Arbitrary input yields an error, never a
-// panic; a snapshot whose closing checksum does not match is corrupt as a
-// whole (snapshots are written atomically, there is no valid prefix to
-// salvage).
+// panic; a snapshot in another format version is ErrFormat, and one whose
+// closing checksum does not match is corrupt as a whole (snapshots are
+// written atomically, there is no valid prefix to salvage).
 func DecodeState(b []byte) (*State, error) {
+	if err := checkMagic(b, snapMagic, "snapshot"); err != nil {
+		return nil, err
+	}
 	if len(b) < len(snapMagic)+4 {
 		return nil, fmt.Errorf("%w: snapshot too short (%d bytes)", ErrCorrupt, len(b))
 	}
 	body, tail := b[:len(b)-4], b[len(b)-4:]
-	if got, want := binary.LittleEndian.Uint32(tail), checksum(body); got != want {
+	if got, want := binary.LittleEndian.Uint32(tail), Checksum(body); got != want {
 		return nil, fmt.Errorf("%w: snapshot checksum %08x, want %08x", ErrCorrupt, got, want)
 	}
-	d := &decoder{b: body}
-	magic := d.bytes(len(snapMagic))
-	if d.err == nil && string(magic) != string(snapMagic) {
-		return nil, fmt.Errorf("%w: bad snapshot magic", ErrCorrupt)
+	st := &State{}
+	var word string
+	var count uint64
+	n, rest, err := scanLine(body[len(snapMagic):], &word, &st.Version, &count)
+	if err == nil && (n != 3 || word != "snapshot" || count > uint64(len(rest))) {
+		err = fmt.Errorf("%w: bad snapshot header", ErrCorrupt)
 	}
-	st := &State{Version: d.uvarint()}
-	count := d.uvarint()
-	if count > maxTableCount {
-		return nil, fmt.Errorf("%w: table count %d exceeds %d", ErrCorrupt, count, maxTableCount)
-	}
-	prevName := ""
-	for i := uint64(0); i < count && d.err == nil; i++ {
-		ts := TableState{Name: d.string(maxNameLen)}
-		ts.Version = d.uvarint()
-		ts.Probabilistic = d.bool()
-		n := d.uvarint()
-		if d.err == nil && n > uint64(len(d.b)-d.off) {
-			d.fail("table length %d exceeds remaining %d", n, len(d.b)-d.off)
+	for i := uint64(0); i < count && err == nil; i++ {
+		ts := TableState{}
+		if n, rest, err = scanLine(rest, &ts.Name, &ts.Version, &ts.Probabilistic); err == nil && (n != 3 || ts.Version > st.Version || i > 0 && ts.Name <= st.Tables[i-1].Name) {
+			err = fmt.Errorf("%w: bad or unsorted snapshot table line %d", ErrCorrupt, i+1)
 		}
-		raw := d.bytes(int(n))
-		if d.err != nil {
-			break
-		}
-		table, err := DecodeTable(raw)
-		if err != nil {
-			return nil, err
-		}
-		ts.Table = table
-		if i > 0 && ts.Name <= prevName {
-			return nil, fmt.Errorf("%w: snapshot tables not sorted (%q after %q)", ErrCorrupt, ts.Name, prevName)
-		}
-		if ts.Version > st.Version {
-			return nil, fmt.Errorf("%w: table %q version %d exceeds catalog version %d", ErrCorrupt, ts.Name, ts.Version, st.Version)
-		}
-		prevName = ts.Name
 		st.Tables = append(st.Tables, ts)
 	}
-	if err := d.done(); err != nil {
+	if err != nil {
 		return nil, err
+	}
+	if count == 0 && len(rest) == 0 {
+		return st, nil
+	}
+	parsed, err := parser.ParseCatalogString(string(rest))
+	if err == nil && uint64(len(parsed)) != count {
+		err = fmt.Errorf("snapshot lists %d tables but carries %d", count, len(parsed))
+	}
+	for i := uint64(0); i < count && err == nil; i++ {
+		if st.Tables[i].Table = parsed[i].PCTable; parsed[i].Name != st.Tables[i].Name {
+			err = fmt.Errorf("snapshot lists table %q but carries %q", st.Tables[i].Name, parsed[i].Name)
+		}
+	}
+	if err != nil {
+		return nil, fmt.Errorf("%w: %v", ErrCorrupt, err)
 	}
 	return st, nil
 }

@@ -5,11 +5,11 @@ import (
 	"testing"
 )
 
-// FuzzWALDecode locks down the totality of every decoder in the package:
-// arbitrary bytes never panic, anything that decodes re-encodes to a fixed
-// point (encode ∘ decode is idempotent — the canonical-form property the
-// golden tests rely on), and a log scan never claims more bytes than it was
-// given.
+// FuzzWALDecode locks down the totality of the record, snapshot and log
+// decoders, and through them the script parser: arbitrary bytes never
+// panic, anything that decodes re-encodes to a fixed point (encode ∘ decode
+// is idempotent — the canonical-form property the golden tests rely on), and
+// a log scan never claims more bytes than it was given.
 func FuzzWALDecode(f *testing.F) {
 	recs, exports := testHistory(f, 6)
 	f.Add([]byte{})
@@ -46,16 +46,6 @@ func FuzzWALDecode(f *testing.F) {
 			}
 			if e2 := EncodeState(st2); !bytes.Equal(e1, e2) {
 				t.Fatal("encode ∘ decode is not a fixed point for states")
-			}
-		}
-		if tab, err := DecodeTable(data); err == nil {
-			e1 := EncodeTable(tab)
-			tab2, err := DecodeTable(e1)
-			if err != nil {
-				t.Fatalf("re-encoded table does not decode: %v", err)
-			}
-			if e2 := EncodeTable(tab2); !bytes.Equal(e1, e2) {
-				t.Fatal("encode ∘ decode is not a fixed point for tables")
 			}
 		}
 		scanned, validLen, err := ScanRecords(data)

@@ -2,21 +2,23 @@ package wal
 
 import (
 	"encoding/binary"
-	"fmt"
 	"hash/crc32"
 	"os"
+
+	"uncertaindb/internal/parser"
 )
 
 // logMagic heads every log file; the trailing byte is the format version.
-var logMagic = []byte{'U', 'W', 'A', 'L', 0, 0, 0, 1}
+var logMagic = []byte{'U', 'W', 'A', 'L', 0, 0, 0, 2}
 
 // frameHeaderSize is the per-record framing overhead: a little-endian uint32
 // payload length followed by a little-endian uint32 CRC32 of the payload.
 const frameHeaderSize = 8
 
 // maxFrameSize bounds one record's payload; it exists so a corrupt length
-// prefix cannot drive a giant allocation.
-const maxFrameSize = 64 << 20
+// prefix cannot drive a giant allocation. It equals the parser's line bound,
+// so any row a frame holds parses back.
+const maxFrameSize = parser.MaxLineBytes
 
 // Checksum is the checksum every durable and wire artifact of this package
 // shares: log frames, snapshot files, and the replication snapshot payload
@@ -24,44 +26,31 @@ const maxFrameSize = 64 << 20
 // what "intact" means without a second algorithm.
 func Checksum(b []byte) uint32 { return crc32.ChecksumIEEE(b) }
 
-// checksum is the unexported spelling used by the framing internals.
-func checksum(b []byte) uint32 { return Checksum(b) }
-
 // AppendFrame appends one framed record payload: length, CRC, payload.
 func AppendFrame(b, payload []byte) []byte {
 	var hdr [frameHeaderSize]byte
 	binary.LittleEndian.PutUint32(hdr[0:4], uint32(len(payload)))
-	binary.LittleEndian.PutUint32(hdr[4:8], checksum(payload))
+	binary.LittleEndian.PutUint32(hdr[4:8], Checksum(payload))
 	b = append(b, hdr[:]...)
 	return append(b, payload...)
-}
-
-// EncodeLog renders a whole log: the magic header followed by every record
-// framed in order. It is the exact byte sequence Log.Append produces, shared
-// with the golden and crash-injection tests.
-func EncodeLog(recs []*Record) []byte {
-	b := append([]byte(nil), logMagic...)
-	for _, rec := range recs {
-		b = AppendFrame(b, EncodeRecord(rec))
-	}
-	return b
 }
 
 // ScanRecords walks the framed records of a log byte image and returns every
 // record of the longest valid prefix, together with the byte length of that
 // prefix. A record is valid when its frame is complete, its CRC matches, its
-// payload decodes, and its version extends the previous record's by exactly
+// payload parses, and its version extends the previous record's by exactly
 // one; the first invalid record is treated as the torn tail — it and
-// everything after it are excluded. ScanRecords never panics and never
-// returns a partially applied record.
+// everything after it are excluded. A log of another format version is
+// ErrFormat. ScanRecords never panics and never returns a partially applied
+// record.
 func ScanRecords(data []byte) (recs []*Record, validLen int, err error) {
 	if len(data) < len(logMagic) {
 		// A file shorter than the header is the torn beginning of a fresh
 		// log: nothing recoverable, nothing wrong.
 		return nil, 0, nil
 	}
-	if string(data[:len(logMagic)]) != string(logMagic) {
-		return nil, 0, fmt.Errorf("%w: bad log magic", ErrCorrupt)
+	if err := checkMagic(data, logMagic, "log"); err != nil {
+		return nil, 0, err
 	}
 	off := len(logMagic)
 	var prevVersion uint64
@@ -75,7 +64,7 @@ func ScanRecords(data []byte) (recs []*Record, validLen int, err error) {
 			return recs, off, nil // torn payload
 		}
 		payload := data[off+frameHeaderSize : off+frameHeaderSize+int(n)]
-		if checksum(payload) != sum {
+		if Checksum(payload) != sum {
 			return recs, off, nil // corrupt payload
 		}
 		rec, decErr := DecodeRecord(payload)

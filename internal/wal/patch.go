@@ -3,56 +3,26 @@ package wal
 import (
 	"encoding/binary"
 	"fmt"
-	"math"
-	"sort"
 
 	"uncertaindb/internal/condition"
 	"uncertaindb/internal/ctable"
+	"uncertaindb/internal/parser"
 	"uncertaindb/internal/pctable"
 	"uncertaindb/internal/prob"
 	"uncertaindb/internal/value"
 )
 
-// PatchRow is one row of a patch: the terms and condition of a c-table row.
-// Row identity is the canonical encoding of both (RowKey) — two rows are the
-// same row exactly when their term/condition trees encode to the same bytes,
-// the same syntactic identity the rest of the system uses for byte-identical
-// determinism.
-type PatchRow struct {
-	Terms []condition.Term
-	Cond  condition.Condition
-}
-
-// DistPatch attaches a distribution to a variable that has none yet. A patch
-// may only add distributions: changing an existing one would silently
-// invalidate every memoized marginal computed against it, so that requires a
-// full table replacement (KindPut).
-type DistPatch struct {
-	Var  string
-	Dist *prob.Space
-}
-
-// Patch is a row-level mutation of one table: deletes and upserts keyed by
-// row identity, plus distributions for new variables. Application order is
-// deletes first (every row whose identity matches any delete key is removed;
-// survivors keep their relative order), then upserts in patch order (a row
-// whose identity is already present is a no-op, otherwise it is appended at
-// the tail), then distributions. The order makes "replace row r" expressible
-// as delete r + upsert r', and keeps an insert-only patch a pure tail append
-// — the shape the engine's delta propagation exploits.
-type Patch struct {
-	Deletes []PatchRow
-	Upserts []PatchRow
-	Dists   []DistPatch
-}
-
-// InsertOnly reports whether the patch can only append rows: no deletes and
-// no distribution changes.
-func (p *Patch) InsertOnly() bool { return len(p.Deletes) == 0 && len(p.Dists) == 0 }
+// The patch types live in pctable, below the parser that reads and writes
+// them; these aliases keep the names the WAL and its callers use.
+type (
+	Patch     = pctable.Patch
+	PatchRow  = pctable.PatchRow
+	DistPatch = pctable.DistPatch
+)
 
 // AppendRowKey appends the canonical identity bytes of a row: term count,
-// terms, condition — the exact trees, no simplification. The same bytes
-// also serve as the row's wire encoding inside a patch.
+// terms, condition — the exact trees, no simplification. The bytes are
+// compared in memory and never persisted.
 func AppendRowKey(b []byte, terms []condition.Term, cond condition.Condition) []byte {
 	b = appendUvarint(b, uint64(len(terms)))
 	for _, t := range terms {
@@ -79,121 +49,112 @@ func TermsKey(terms []condition.Term) string {
 	return string(b)
 }
 
-// EncodePatch encodes a patch canonically: deletes, upserts (rows in patch
-// order — order is semantic), then distributions sorted by variable name with
-// outcomes in canonical value order and probabilities as exact float64 bit
-// patterns. Equal patches encode to equal bytes.
-func EncodePatch(p *Patch) []byte {
-	b := make([]byte, 0, 64)
-	b = appendUvarint(b, uint64(len(p.Deletes)))
-	for _, r := range p.Deletes {
-		b = AppendRowKey(b, r.Terms, r.Cond)
-	}
-	b = appendUvarint(b, uint64(len(p.Upserts)))
-	for _, r := range p.Upserts {
-		b = AppendRowKey(b, r.Terms, r.Cond)
-	}
-	dists := append([]DistPatch(nil), p.Dists...)
-	sort.SliceStable(dists, func(i, j int) bool { return dists[i].Var < dists[j].Var })
-	b = appendUvarint(b, uint64(len(dists)))
-	for _, dp := range dists {
-		b = appendString(b, dp.Var)
-		outcomes := dp.Dist.Outcomes()
-		b = appendUvarint(b, uint64(len(outcomes)))
-		for _, o := range outcomes {
-			b = appendValue(b, o.ValuePayload())
-			var raw [8]byte
-			binary.LittleEndian.PutUint64(raw[:], math.Float64bits(o.P))
-			b = append(b, raw[:]...)
-		}
-	}
-	return b
+// ---- row identity encoding ----
+
+func appendUvarint(b []byte, x uint64) []byte { return binary.AppendUvarint(b, x) }
+
+func appendString(b []byte, s string) []byte {
+	b = appendUvarint(b, uint64(len(s)))
+	return append(b, s...)
 }
 
-func (d *decoder) patchRows(what string) []PatchRow {
-	n := d.uvarint()
-	if n > maxTableCount {
-		d.fail("%s count %d exceeds %d", what, n, maxTableCount)
-		return nil
+func appendBool(b []byte, v bool) []byte {
+	if v {
+		return append(b, 1)
 	}
-	rows := make([]PatchRow, 0, min(int(n), 64))
-	for i := uint64(0); i < n && d.err == nil; i++ {
-		arity := d.uvarint()
-		if d.err != nil {
-			return nil
-		}
-		if arity == 0 || arity > maxArity {
-			d.fail("bad %s row arity %d", what, arity)
-			return nil
-		}
-		terms := make([]condition.Term, arity)
-		for j := range terms {
-			terms[j] = d.term()
-		}
-		cond := d.condition(0)
-		if d.err != nil {
-			return nil
-		}
-		rows = append(rows, PatchRow{Terms: terms, Cond: cond})
-	}
-	return rows
+	return append(b, 0)
 }
 
-func (d *decoder) patch() *Patch {
-	p := &Patch{}
-	p.Deletes = d.patchRows("patch delete")
-	p.Upserts = d.patchRows("patch upsert")
-	n := d.uvarint()
-	if n > maxTableCount {
-		d.fail("patch distribution count %d exceeds %d", n, maxTableCount)
-		return nil
+const (
+	valNull byte = 0
+	valInt  byte = 1
+	valStr  byte = 2
+	valBool byte = 3
+)
+
+func appendValue(b []byte, v value.Value) []byte {
+	switch v.Kind() {
+	case value.KindInt:
+		b = append(b, valInt)
+		return binary.AppendVarint(b, v.AsInt())
+	case value.KindString:
+		b = append(b, valStr)
+		return appendString(b, v.AsString())
+	case value.KindBool:
+		b = append(b, valBool)
+		return appendBool(b, v.AsBool())
+	default:
+		return append(b, valNull)
 	}
-	prev := ""
-	for i := uint64(0); i < n && d.err == nil; i++ {
-		name := d.string(maxNameLen)
-		size := d.uvarint()
-		if size == 0 || size > maxTableCount {
-			d.fail("bad patch distribution size %d for %s", size, name)
-			return nil
-		}
-		dist := make(map[value.Value]float64, min(int(size), 64))
-		for j := uint64(0); j < size && d.err == nil; j++ {
-			v := d.value()
-			pr := d.float64()
-			if _, dup := dist[v]; dup {
-				d.fail("duplicate outcome %s in patch distribution of %s", v, name)
-				return nil
-			}
-			dist[v] = pr
-		}
-		if d.err != nil {
-			return nil
-		}
-		space, err := prob.NewValueSpace(dist)
-		if err != nil {
-			d.fail("invalid patch distribution for %s: %v", name, err)
-			return nil
-		}
-		if i > 0 && name <= prev {
-			d.fail("patch distributions not sorted (%q after %q)", name, prev)
-			return nil
-		}
-		prev = name
-		p.Dists = append(p.Dists, DistPatch{Var: name, Dist: space})
-	}
-	if d.err != nil {
-		return nil
-	}
-	return p
 }
 
-// DecodePatch decodes a patch encoding. Arbitrary input yields an error,
-// never a panic.
+func appendTerm(b []byte, t condition.Term) []byte {
+	if t.IsVar {
+		b = append(b, 1)
+		return appendString(b, string(t.Var))
+	}
+	b = append(b, 0)
+	return appendValue(b, t.Const)
+}
+
+const (
+	condTrue  byte = 0
+	condFalse byte = 1
+	condCmp   byte = 2
+	condAnd   byte = 3
+	condOr    byte = 4
+	condNot   byte = 5
+)
+
+// appendCondition encodes the condition tree exactly as structured — no
+// re-association, no sorting — so two rows share a key only when their trees
+// are identical.
+func appendCondition(b []byte, c condition.Condition) []byte {
+	switch c := c.(type) {
+	case nil:
+		return append(b, condTrue)
+	case condition.TrueCond:
+		return append(b, condTrue)
+	case condition.FalseCond:
+		return append(b, condFalse)
+	case condition.Cmp:
+		b = append(b, condCmp)
+		b = appendTerm(b, c.Left)
+		b = appendBool(b, c.Neq)
+		return appendTerm(b, c.Right)
+	case condition.AndCond:
+		b = append(b, condAnd)
+		b = appendUvarint(b, uint64(len(c.Conds)))
+		for _, sub := range c.Conds {
+			b = appendCondition(b, sub)
+		}
+		return b
+	case condition.OrCond:
+		b = append(b, condOr)
+		b = appendUvarint(b, uint64(len(c.Conds)))
+		for _, sub := range c.Conds {
+			b = appendCondition(b, sub)
+		}
+		return b
+	case condition.NotCond:
+		b = append(b, condNot)
+		return appendCondition(b, c.Cond)
+	default:
+		// The condition grammar is closed; anything else is a programming
+		// error worth surfacing loudly.
+		panic(fmt.Sprintf("wal: cannot encode condition of type %T", c))
+	}
+}
+
+// DecodePatch decodes a patch script (parser.PatchScript renders one; the
+// empty script is the empty patch). Arbitrary bytes yield an error, not a panic.
 func DecodePatch(b []byte) (*Patch, error) {
-	d := &decoder{b: b}
-	p := d.patch()
-	if err := d.done(); err != nil {
-		return nil, err
+	if len(b) == 0 {
+		return &Patch{}, nil
+	}
+	p, err := parser.ParsePatchString(string(b))
+	if err != nil {
+		return nil, fmt.Errorf("%w: %v", ErrCorrupt, err)
 	}
 	return p, nil
 }
@@ -355,8 +316,8 @@ func ApplyPatchToTableKeyed(old *pctable.PCTable, p *Patch, keys *RowKeySet) (*A
 		ap.AddedDists = append(ap.AddedDists, dp.Var)
 	}
 
-	// Declared domains win over distribution supports, mirroring the snapshot
-	// decoder: re-apply the old table's exact domains last.
+	// Declared domains win over distribution supports, as in a table script
+	// (dom lines follow dist lines): re-apply the old table's domains last.
 	old.EachDomain(func(x condition.Variable, dom *value.Domain) {
 		out.Table().SetDomain(string(x), dom)
 	})

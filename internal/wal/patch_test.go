@@ -2,14 +2,16 @@ package wal
 
 import (
 	"bytes"
-	"strings"
 	"testing"
 
 	"uncertaindb/internal/condition"
+	"uncertaindb/internal/parser"
 	"uncertaindb/internal/pctable"
 	"uncertaindb/internal/prob"
 	"uncertaindb/internal/value"
 )
+
+func encodePatch(p *Patch) []byte { return []byte(parser.PatchScript(p)) }
 
 func constRow(vals ...int64) PatchRow {
 	terms := make([]condition.Term, len(vals))
@@ -138,7 +140,7 @@ func TestPatchRecordRoundTrip(t *testing.T) {
 		if dec.Patch == nil {
 			t.Fatalf("patch record v%d decoded without payload", rec.Version)
 		}
-		if !bytes.Equal(EncodePatch(dec.Patch), EncodePatch(rec.Patch)) {
+		if !bytes.Equal(encodePatch(dec.Patch), encodePatch(rec.Patch)) {
 			t.Fatalf("patch record v%d: payload drifted across encode∘decode", rec.Version)
 		}
 	}
@@ -156,30 +158,33 @@ func TestDecodePatchRejectsGarbage(t *testing.T) {
 			t.Errorf("case %d: DecodePatch accepted garbage", i)
 		}
 	}
-	// Unsorted distributions are non-canonical and rejected.
+	// The renderer sorts distributions; decoding does not depend on their
+	// order, so an unsorted script decodes to the same patch.
 	two := prob.MustNewValueSpace(map[value.Value]float64{value.Int(1): 1})
 	p := &Patch{Dists: []DistPatch{{Var: "b", Dist: two}, {Var: "a", Dist: two}}}
-	enc := EncodePatch(p) // encoder sorts
+	enc := encodePatch(p)
 	dec, err := DecodePatch(enc)
 	if err != nil || len(dec.Dists) != 2 || dec.Dists[0].Var != "a" {
 		t.Fatalf("sorted dists should decode: %v %+v", err, dec)
 	}
-	if !strings.Contains(string(enc), "a") {
-		t.Fatal("sanity: encoding carries variable names")
+	unsorted, err := DecodePatch([]byte("dist b={1:1}\ndist a={1:1}\n"))
+	if err != nil || !bytes.Equal(encodePatch(unsorted), enc) {
+		t.Fatalf("unsorted dists decode differently: %v %q vs %q", err, encodePatch(unsorted), enc)
 	}
 }
 
-// FuzzPatchDecode locks down the patch decoder: arbitrary bytes never panic,
-// anything that decodes re-encodes to a fixed point (encode ∘ decode is
-// idempotent), and a patch that decodes applies totally — table application
-// errors cleanly rather than panicking.
+// FuzzPatchDecode locks down the patch decoder (the patch-script parser):
+// arbitrary bytes never panic, anything that decodes re-encodes to a fixed
+// point (encode ∘ decode is idempotent), and a patch that decodes applies
+// totally — table application errors cleanly rather than panicking — to a
+// table whose snapshot round-trips.
 func FuzzPatchDecode(f *testing.F) {
 	recs, _ := testHistory(f, 12)
 	f.Add([]byte{})
 	f.Add([]byte{0, 0, 0})
 	for _, rec := range recs {
 		if rec.Kind == KindPatch {
-			f.Add(EncodePatch(rec.Patch))
+			f.Add(encodePatch(rec.Patch))
 			f.Add(EncodeRecord(rec))
 		}
 	}
@@ -189,12 +194,12 @@ func FuzzPatchDecode(f *testing.F) {
 		if err != nil {
 			return
 		}
-		e1 := EncodePatch(p)
+		e1 := encodePatch(p)
 		p2, err := DecodePatch(e1)
 		if err != nil {
 			t.Fatalf("re-encoded patch does not decode: %v", err)
 		}
-		if e2 := EncodePatch(p2); !bytes.Equal(e1, e2) {
+		if e2 := encodePatch(p2); !bytes.Equal(e1, e2) {
 			t.Fatal("encode ∘ decode is not a fixed point for patches")
 		}
 		// Application is total: arity mismatches and dist conflicts are
@@ -204,9 +209,14 @@ func FuzzPatchDecode(f *testing.F) {
 		if err != nil {
 			return
 		}
-		enc := EncodeTable(ap.New)
-		if _, err := DecodeTable(enc); err != nil {
+		st := &State{Version: 1, Tables: []TableState{{Name: "T", Version: 1, Table: ap.New}}}
+		enc := EncodeState(st)
+		st2, err := DecodeState(enc)
+		if err != nil {
 			t.Fatalf("patched table does not round-trip: %v", err)
+		}
+		if !bytes.Equal(EncodeState(st2), enc) {
+			t.Fatal("patched table is not a fixed point of encode ∘ decode")
 		}
 	})
 }

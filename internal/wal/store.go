@@ -1,6 +1,7 @@
 package wal
 
 import (
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -82,7 +83,9 @@ func (s *Store) Instrument(reg *obs.Registry) {
 //
 // Recovery never panics on corrupt files: an unreadable snapshot falls back
 // to the previous one (or the empty state), and the log is truncated to its
-// longest valid prefix.
+// longest valid prefix. A log or snapshot in another format version is not
+// corrupt but unreadable by this build: Open returns ErrFormat and changes no
+// file.
 func Open(dir string, opts Options) (*Store, *State, []*Record, error) {
 	opts = opts.withDefaults()
 	if err := os.MkdirAll(dir, 0o755); err != nil {
@@ -117,6 +120,7 @@ func Open(dir string, opts Options) (*Store, *State, []*Record, error) {
 
 // loadLatestSnapshot returns the newest decodable snapshot state and its
 // version, or the empty state when none exists (or none survives decoding).
+// A snapshot in another format version stops the search with ErrFormat.
 func loadLatestSnapshot(dir string) (*State, uint64, error) {
 	entries, err := os.ReadDir(dir)
 	if err != nil {
@@ -128,15 +132,9 @@ func loadLatestSnapshot(dir string) (*State, uint64, error) {
 	}
 	var snaps []snap
 	for _, e := range entries {
-		name := e.Name()
-		if !strings.HasPrefix(name, snapPrefix) || !strings.HasSuffix(name, snapSuffix) {
-			continue
+		if v, ok := snapVersion(e.Name()); ok {
+			snaps = append(snaps, snap{v, e.Name()})
 		}
-		v, err := strconv.ParseUint(strings.TrimSuffix(strings.TrimPrefix(name, snapPrefix), snapSuffix), 16, 64)
-		if err != nil {
-			continue
-		}
-		snaps = append(snaps, snap{v, name})
 	}
 	sort.Slice(snaps, func(i, j int) bool { return snaps[i].version > snaps[j].version })
 	for _, sn := range snaps {
@@ -145,12 +143,23 @@ func loadLatestSnapshot(dir string) (*State, uint64, error) {
 			continue
 		}
 		st, err := DecodeState(data)
+		if errors.Is(err, ErrFormat) {
+			return nil, 0, fmt.Errorf("%s: %w", sn.name, err)
+		}
 		if err != nil {
 			continue // corrupt snapshot: fall back to the previous one
 		}
 		return st, st.Version, nil
 	}
 	return &State{}, 0, nil
+}
+
+// snapVersion returns the version a snapshot file name carries.
+func snapVersion(name string) (uint64, bool) {
+	hex, prefixed := strings.CutPrefix(name, snapPrefix)
+	hex, suffixed := strings.CutSuffix(hex, snapSuffix)
+	v, err := strconv.ParseUint(hex, 16, 64)
+	return v, prefixed && suffixed && err == nil
 }
 
 // Append durably records one mutation. The state callback must return the
@@ -240,15 +249,9 @@ func (s *Store) removeSnapshotsBeforeLocked(version uint64) {
 		return
 	}
 	for _, e := range entries {
-		name := e.Name()
-		if !strings.HasPrefix(name, snapPrefix) || !strings.HasSuffix(name, snapSuffix) {
-			continue
+		if v, ok := snapVersion(e.Name()); ok && v < version {
+			os.Remove(filepath.Join(s.dir, e.Name()))
 		}
-		v, err := strconv.ParseUint(strings.TrimSuffix(strings.TrimPrefix(name, snapPrefix), snapSuffix), 16, 64)
-		if err != nil || v >= version {
-			continue
-		}
-		os.Remove(filepath.Join(s.dir, name))
 	}
 }
 

@@ -15,11 +15,11 @@ import (
 )
 
 // testTable builds a deterministic pc-table whose shape varies with i,
-// exercising every corner of the canonical encoding: string constants the
-// table-script lexer cannot even represent (quotes, newlines), negative ints,
-// bools, nulls, variable terms, nested And/Or/Not/Cmp condition trees,
-// declared domains wider than a distribution's support, and float
-// probabilities with non-terminating binary expansions.
+// exercising every corner of the canonical encoding: string constants only
+// the quoted string form can carry (quotes, newlines), negative ints, bools,
+// nulls, variable terms, nested And/Or/Not/Cmp condition trees, declared
+// domains wider than a distribution's support, and float probabilities with
+// non-terminating binary expansions.
 func testTable(i int) *pctable.PCTable {
 	switch i % 3 {
 	case 0:
@@ -135,6 +135,16 @@ func hasTable(st *State, name string) bool {
 	return false
 }
 
+// EncodeLog renders a whole log: the magic header followed by every record
+// framed in order — the exact byte sequence Log.Append produces.
+func EncodeLog(recs []*Record) []byte {
+	b := append([]byte(nil), logMagic...)
+	for _, rec := range recs {
+		b = AppendFrame(b, EncodeRecord(rec))
+	}
+	return b
+}
+
 // replayState rebuilds the state at the given version by replaying the
 // record prefix from scratch.
 func replayState(t testing.TB, recs []*Record, version uint64) *State {
@@ -173,6 +183,27 @@ func TestRecordRoundTrip(t *testing.T) {
 					rec.Version, dec.Table, rec.Table)
 			}
 		}
+	}
+}
+
+// Header lines are split byte for byte: a table name that is not UTF-8
+// (which the catalog refuses, but the log layer must not mangle) decodes to
+// the same bytes in a record and in a snapshot.
+func TestHeaderNamesByteExact(t *testing.T) {
+	for _, name := range []string{"T\xff\xfe", "Ω€", "T\uFFFD"} {
+		rec := &Record{Kind: KindPut, Version: 1, Name: name, Probabilistic: true, Table: testTable(0)}
+		dec, err := DecodeRecord(EncodeRecord(rec))
+		if err != nil || dec.Name != name {
+			t.Fatalf("record for %q: decoded %+v, %v", name, dec, err)
+		}
+		st := &State{Version: 1, Tables: []TableState{{Name: name, Version: 1, Probabilistic: true, Table: testTable(0)}}}
+		got, err := DecodeState(EncodeState(st))
+		if err != nil || got.Tables[0].Name != name {
+			t.Fatalf("snapshot of %q: decoded %+v, %v", name, got, err)
+		}
+	}
+	if _, err := DecodeRecord([]byte("delete 2 T true extra\n")); !errors.Is(err, ErrCorrupt) {
+		t.Fatalf("header with a trailing field: %v, want ErrCorrupt", err)
 	}
 }
 
@@ -473,14 +504,68 @@ func TestDecodeRejectsGarbage(t *testing.T) {
 		if _, err := DecodeState(data); err == nil {
 			t.Errorf("case %d: DecodeState accepted garbage", i)
 		}
-		if _, err := DecodeTable(data); err == nil {
-			t.Errorf("case %d: DecodeTable accepted garbage", i)
-		}
 	}
 	// A log with a corrupted magic is an explicit error, not a silent reset.
 	badLog := append([]byte(nil), EncodeLog(nil)...)
 	badLog[0] ^= 0xff
 	if _, _, err := ScanRecords(badLog); !errors.Is(err, ErrCorrupt) {
 		t.Errorf("bad log magic: err = %v, want ErrCorrupt", err)
+	}
+}
+
+// A directory written in an earlier format version is refused with
+// ErrFormat, not read as corrupt — that would silently fall back to an older
+// snapshot or the empty state — and its files stay byte-for-byte as they
+// were. The fixtures are the golden log and last snapshot of format 1.
+func TestOpenRefusesOtherFormat(t *testing.T) {
+	oldLog, err := os.ReadFile(filepath.Join("testdata", "format1", "workload.wal"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	oldSnap, err := os.ReadFile(filepath.Join("testdata", "format1", "snap-08.golden"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := ScanRecords(oldLog); !errors.Is(err, ErrFormat) {
+		t.Fatalf("ScanRecords of a format-1 log: err = %v, want ErrFormat", err)
+	}
+	if _, err := DecodeState(oldSnap); !errors.Is(err, ErrFormat) {
+		t.Fatalf("DecodeState of a format-1 snapshot: err = %v, want ErrFormat", err)
+	}
+	snapName := fmt.Sprintf("snap-%016x.snap", 8)
+	cases := map[string]map[string][]byte{
+		"log":                  {"wal.log": oldLog},
+		"snapshot":             {snapName: oldSnap},
+		"log and snapshot":     {"wal.log": oldLog, snapName: oldSnap},
+		"snapshot, new log":    {"wal.log": EncodeLog(nil), snapName: oldSnap},
+		"log, newer snapshot":  {"wal.log": oldLog, fmt.Sprintf("snap-%016x.snap", 9): EncodeState(&State{Version: 9})},
+		"old beside corrupted": {snapName: oldSnap, fmt.Sprintf("snap-%016x.snap", 9): []byte("USNP\x00\x00\x00\x02garbage")},
+	}
+	for name, files := range cases {
+		dir := t.TempDir()
+		for f, data := range files {
+			if err := os.WriteFile(filepath.Join(dir, f), data, 0o644); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if store, _, _, err := Open(dir, Options{}); !errors.Is(err, ErrFormat) {
+			if store != nil {
+				store.Close()
+			}
+			t.Errorf("%s: Open err = %v, want ErrFormat", name, err)
+			continue
+		}
+		entries, err := os.ReadDir(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(entries) != len(files) {
+			t.Errorf("%s: %d files after Open, want %d", name, len(entries), len(files))
+		}
+		for f, want := range files {
+			if got, err := os.ReadFile(filepath.Join(dir, f)); err != nil || !bytes.Equal(got, want) {
+				t.Errorf("%s: Open changed %s", name, f)
+			}
+		}
 	}
 }

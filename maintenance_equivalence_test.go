@@ -353,7 +353,7 @@ func TestPatchStreamEquivalence(t *testing.T) {
 
 				// Patched catalog state is byte-identical to the shadow.
 				ent := leader.Catalog().Snapshot().Get("R")
-				if got, want := wal.EncodeTable(ent.Table), wal.EncodeTable(shadow["R"]); string(got) != string(want) {
+				if got, want := parser.Script("R", ent.Table), parser.Script("R", shadow["R"]); got != want {
 					t.Fatalf("step %d: catalog R (%d bytes) differs from shadow (%d bytes)", step, len(got), len(want))
 				}
 

@@ -9,7 +9,7 @@ import (
 	"testing"
 	"time"
 
-	"uncertaindb/internal/wal"
+	"uncertaindb/internal/parser"
 	"uncertaindb/pkg/uncertain"
 )
 
@@ -157,14 +157,14 @@ func TestChangesFeed(t *testing.T) {
 	if changes[2].Kind != "delete" || changes[2].Name != "S" || len(changes[2].Table) != 0 {
 		t.Fatalf("changes[2] = %+v, want a bare delete of S", changes[2])
 	}
-	// The put payload is the canonical table encoding: a replica can decode
+	// The put payload is the table's canonical script: a replica can parse
 	// and re-render it exactly.
-	tab, err := wal.DecodeTable(changes[0].Table)
+	pt, err := parser.ParseTableString(changes[0].Table)
 	if err != nil {
-		t.Fatalf("change payload does not decode: %v", err)
+		t.Fatalf("change payload does not parse: %v", err)
 	}
-	if tab.String() != changes[0].Text {
-		t.Fatalf("decoded payload renders differently from the Text field:\n%s\nvs\n%s", tab, changes[0].Text)
+	if got := parser.Script(pt.Name, pt.PCTable); got != changes[0].Table {
+		t.Fatalf("parsed payload renders differently:\n%s\nvs\n%s", got, changes[0].Table)
 	}
 
 	// A limited page returns a prefix; the next page continues it.

@@ -107,18 +107,5 @@ func (f *Feed) Changes(ctx context.Context, from uint64, limit int, wait time.Du
 	if err != nil {
 		return nil, 0, err
 	}
-	out := make([]Change, 0, len(page.Changes))
-	for _, ch := range page.Changes {
-		out = append(out, Change{
-			Version:           ch.Version,
-			Kind:              ch.Kind,
-			Name:              ch.Name,
-			Probabilistic:     ch.Probabilistic,
-			Table:             ch.Table,
-			Patch:             ch.Patch,
-			Text:              ch.Text,
-			CommittedUnixNano: ch.CommittedUnixNano,
-		})
-	}
-	return out, page.CatalogVersion, nil
+	return page.Changes, page.CatalogVersion, nil
 }

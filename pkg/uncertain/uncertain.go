@@ -290,35 +290,22 @@ func (db *DB) Close() error {
 	return db.store.Close()
 }
 
-// Change is one catalog mutation, as exposed by the change feed. For a put,
-// Table carries the canonical encoding of the table (wal.DecodeTable
-// decodes it; replicas apply it byte-faithfully) and Text a human-readable
-// rendering. For a patch, Patch carries the canonical encoding of the
-// row-level mutation (wal.DecodePatch) — replicas re-apply it against their
-// own copy of the table and land on byte-identical rows.
-type Change struct {
-	Version       uint64
-	Kind          string // "put", "delete", or "patch"
-	Name          string
-	Probabilistic bool
-	Table         []byte
-	Patch         []byte
-	Text          string
-	// CommittedUnixNano is the wall-clock commit time of the mutation, when
-	// this process still knows it (0 for records replayed from the WAL after
-	// a restart, or applied by replication). Replication lag metrics are
-	// computed from it.
-	CommittedUnixNano int64
-}
+// Change is one catalog mutation, as exposed by the change feed: for a
+// put, Table is the table's canonical script (a PUT body); for a patch,
+// Patch is the patch's canonical script (a PATCH body). Replicas parse and
+// apply them to land on byte-identical tables.
+type Change = replica.Change
+
+// ChangesPage is one page of the change feed as GET /v1/changes serves it.
+type ChangesPage = replica.ChangesPage
 
 func (db *DB) changeOf(rec *wal.Record) Change {
 	ch := Change{Version: rec.Version, Kind: rec.Kind.String(), Name: rec.Name, Probabilistic: rec.Probabilistic}
 	if rec.Table != nil {
-		ch.Table = wal.EncodeTable(rec.Table)
-		ch.Text = rec.Table.String()
+		ch.Table = parser.Script(rec.Name, rec.Table)
 	}
 	if rec.Patch != nil {
-		ch.Patch = wal.EncodePatch(rec.Patch)
+		ch.Patch = parser.PatchScript(rec.Patch)
 	}
 	if t, ok := db.eng.Catalog().CommitTime(rec.Version); ok {
 		ch.CommittedUnixNano = t
@@ -338,7 +325,7 @@ func (db *DB) Changes(ctx context.Context, from uint64, limit int, wait time.Dur
 		return nil, db.eng.Catalog().Version(), err
 	}
 	defer w.Close()
-	var out []Change
+	out := []Change{} // an empty page is [], not null, on the wire
 	full := func() bool { return limit > 0 && len(out) >= limit }
 	drain := func() {
 		for !full() {
@@ -460,13 +447,14 @@ func (db *DB) Tables() (version uint64, infos []TableInfo) {
 	return snap.Version(), infos
 }
 
-// Table returns one table's metadata and rendering, and whether it exists.
-func (db *DB) Table(name string) (info TableInfo, text string, ok bool) {
+// Table returns one table's metadata and canonical script, and whether it
+// exists. The script is a PUT body: putting it back reproduces the table.
+func (db *DB) Table(name string) (info TableInfo, script string, ok bool) {
 	e := db.eng.Catalog().Snapshot().Get(name)
 	if e == nil {
 		return TableInfo{}, "", false
 	}
-	return entryInfo(e), e.Table.String(), true
+	return entryInfo(e), parser.Script(name, e.Table), true
 }
 
 // Query prepares (or fetches from the plan cache) and executes one query.
