@@ -872,8 +872,8 @@ func histogramQuantileBound(page, name string, q float64) (float64, bool) {
 
 // incrementalMaintenance measures E21: the latency of keeping a cached
 // answer current through a 1-row patch of a 10k-row table — delta-apply
-// (PatchTable maintaining the plan in place, then a warm cache-hit
-// execution) — against a full from-scratch recompile of the same query over
+// (PatchTable, then the cache-hit execution that catches the plan up in
+// place) — against a full from-scratch recompile of the same query over
 // the same catalog, plus the recompile-avoided ratio the maintenance
 // counters report. The patches alternate between rows that match the cached
 // query's predicate and rows that do not, so both the

@@ -20,8 +20,9 @@
 //	PUT    /v1/tables/{name}   register or replace a table (body: table script)
 //	PATCH  /v1/tables/{name}   row-level mutation (body: patch script of
 //	                           delete/upsert/dist directives); cached plans
-//	                           reading the table are incrementally maintained,
-//	                           not invalidated, wherever the query shape allows
+//	                           reading the table are not invalidated: the next
+//	                           query reading one catches it up incrementally,
+//	                           wherever the query shape allows
 //	GET    /v1/tables          list catalog tables
 //	GET    /v1/tables/{name}   one table's metadata and rendering
 //	DELETE /v1/tables/{name}   drop a table

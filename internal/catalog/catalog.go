@@ -6,8 +6,9 @@
 // Snapshot, an immutable view with a consistent version, so an in-flight
 // query keeps seeing the catalog as it was when the query started while
 // tables are added or replaced concurrently. Per-entry versions let a plan
-// cache key compiled artifacts by exactly the tables a query reads, so
-// replacing one table invalidates only the plans that depend on it.
+// cache tell whether a compiled artifact is current for exactly the tables a
+// query reads, and an entry's change versions (DistsVersion, RewriteVersion)
+// tell it how a stale artifact can be brought up to date.
 //
 // The catalog is also the mutation source of the durability layer
 // (internal/wal): a Sink attached with SetSink receives every mutation as a
@@ -73,6 +74,37 @@ type Entry struct {
 	Probabilistic bool
 	// Version is the catalog version at which this entry was installed.
 	Version uint64
+	// DistsVersion is the version at which the table's distribution set
+	// last changed: its put, or the last patch that added a distribution.
+	DistsVersion uint64
+	// RewriteVersion is the version at which the table last changed other
+	// than by a pure tail append: its put, or the last patch that removed a
+	// row or added a distribution. Every patch after it only appended rows,
+	// so the rows of the entry at any version from RewriteVersion on are a
+	// prefix of this entry's rows.
+	RewriteVersion uint64
+	// Patches counts the patches applied to the table since its put (since
+	// recovery or resync for a recovered entry).
+	Patches uint64
+}
+
+// newEntry is a wholesale-installed entry (put, recovery, resync): both
+// change versions are its own.
+func newEntry(name string, t *pctable.PCTable, probabilistic bool, version uint64) *Entry {
+	return &Entry{Name: name, Table: t, Probabilistic: probabilistic, Version: version, DistsVersion: version, RewriteVersion: version}
+}
+
+// patched is the successor of e after ap was applied at version.
+func (e *Entry) patched(ap *wal.AppliedPatch, probabilistic bool, version uint64) *Entry {
+	next := &Entry{Name: e.Name, Table: ap.New, Probabilistic: probabilistic, Version: version,
+		DistsVersion: e.DistsVersion, RewriteVersion: e.RewriteVersion, Patches: e.Patches + 1}
+	if len(ap.AddedDists) > 0 {
+		next.DistsVersion = version
+	}
+	if !ap.InsertOnly() {
+		next.RewriteVersion = version
+	}
+	return next
 }
 
 // changelogCap is the default bound of the in-memory change window kept for
@@ -158,7 +190,7 @@ func NewFromState(st *wal.State, tail []*wal.Record) *Catalog {
 	c := New()
 	c.version = st.Version
 	for _, ts := range st.Tables {
-		c.tables[ts.Name] = &Entry{Name: ts.Name, Table: ts.Table, Probabilistic: ts.Probabilistic, Version: ts.Version}
+		c.tables[ts.Name] = newEntry(ts.Name, ts.Table, ts.Probabilistic, ts.Version)
 	}
 	if n := len(tail); n > c.windowCap {
 		tail = tail[n-c.windowCap:]
@@ -257,8 +289,7 @@ func (c *Catalog) CommitTime(version uint64) (int64, bool) {
 // followable leader.
 //
 // It returns the applied row-level difference for KindPatch records (nil for
-// puts and deletes); a follower's engine consumes it to maintain its cached
-// plans incrementally, exactly as the leader did.
+// puts and deletes).
 func (c *Catalog) ApplyRecord(rec *wal.Record) (*wal.AppliedPatch, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -272,7 +303,7 @@ func (c *Catalog) ApplyRecord(rec *wal.Record) (*wal.AppliedPatch, error) {
 		}
 		prev, existed := c.tables[rec.Name]
 		c.version = rec.Version
-		c.tables[rec.Name] = &Entry{Name: rec.Name, Table: rec.Table, Probabilistic: rec.Probabilistic, Version: rec.Version}
+		c.tables[rec.Name] = newEntry(rec.Name, rec.Table, rec.Probabilistic, rec.Version)
 		delete(c.rowKeys, rec.Name)
 		return nil, c.commitLocked(rec, 0, func() {
 			c.version = rec.Version - 1
@@ -306,9 +337,8 @@ func (c *Catalog) ApplyRecord(rec *wal.Record) (*wal.AppliedPatch, error) {
 			delete(c.rowKeys, rec.Name) // may have been partially extended
 			return nil, err
 		}
-		ap.OldVersion = prev.Version
 		c.version = rec.Version
-		c.tables[rec.Name] = &Entry{Name: rec.Name, Table: ap.New, Probabilistic: rec.Probabilistic, Version: rec.Version}
+		c.tables[rec.Name] = prev.patched(ap, rec.Probabilistic, rec.Version)
 		c.rowKeys[rec.Name] = keys
 		return ap, c.commitLocked(rec, 0, func() {
 			c.version = rec.Version - 1
@@ -334,7 +364,7 @@ func (c *Catalog) ResetToState(st *wal.State) {
 	c.tables = make(map[string]*Entry, len(st.Tables))
 	c.rowKeys = make(map[string]*wal.RowKeySet)
 	for _, ts := range st.Tables {
-		c.tables[ts.Name] = &Entry{Name: ts.Name, Table: ts.Table, Probabilistic: ts.Probabilistic, Version: ts.Version}
+		c.tables[ts.Name] = newEntry(ts.Name, ts.Table, ts.Probabilistic, ts.Version)
 	}
 	c.changelog = c.changelog[:0]
 	c.changeTimes = c.changeTimes[:0]
@@ -361,7 +391,7 @@ func (c *Catalog) Put(name string, t *pctable.PCTable) (uint64, error) {
 	defer c.mu.Unlock()
 	prev, existed := c.tables[name]
 	c.version++
-	c.tables[name] = &Entry{Name: name, Table: cp, Probabilistic: probabilistic, Version: c.version}
+	c.tables[name] = newEntry(name, cp, probabilistic, c.version)
 	delete(c.rowKeys, name)
 	rec := &wal.Record{Kind: wal.KindPut, Version: c.version, Name: name, Probabilistic: probabilistic, Table: cp}
 	if err := c.commitLocked(rec, time.Now().UnixNano(), func() {
@@ -402,14 +432,13 @@ func (c *Catalog) ApplyPatch(name string, p *wal.Patch) (uint64, *wal.AppliedPat
 		delete(c.rowKeys, name) // may have been partially extended
 		return 0, nil, err
 	}
-	ap.OldVersion = prev.Version
 	probabilistic, err := validatePatched(name, prev, ap)
 	if err != nil {
 		delete(c.rowKeys, name)
 		return 0, nil, err
 	}
 	c.version++
-	c.tables[name] = &Entry{Name: name, Table: ap.New, Probabilistic: probabilistic, Version: c.version}
+	c.tables[name] = prev.patched(ap, probabilistic, c.version)
 	c.rowKeys[name] = keys
 	rec := &wal.Record{Kind: wal.KindPatch, Version: c.version, Name: name, Probabilistic: probabilistic, Patch: p}
 	if err := c.commitLocked(rec, time.Now().UnixNano(), func() {

@@ -1,6 +1,7 @@
 package catalog
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
@@ -123,5 +124,53 @@ func TestUnscriptableNamesRefused(t *testing.T) {
 	}
 	if c.Version() != 1 {
 		t.Fatalf("refused mutations moved the catalog to version %d", c.Version())
+	}
+}
+
+// BenchmarkApplyPatchUpsert times a 1-row upsert on a 2 000-row table with
+// 96 distributions (80 three-valued cell variables, 16 Bernoulli guards):
+// the per-patch cost of the catalog, which should not grow with the number
+// of distributions the table carries.
+func BenchmarkApplyPatchUpsert(b *testing.B) {
+	var s strings.Builder
+	s.WriteString("table Orders arity 3\n")
+	cellVars := 0
+	for i := 0; i < 2000; i++ {
+		item := fmt.Sprintf("'i%02d'", i%40)
+		if i%25 == 7 {
+			item = fmt.Sprintf("x%d", cellVars)
+			cellVars++
+		}
+		fmt.Fprintf(&s, "row %d, 'c%03d', %s", 1000+i, i%200, item)
+		if i%10 == 3 {
+			fmt.Fprintf(&s, " | g%d = 1", i%16)
+		}
+		s.WriteByte('\n')
+	}
+	for g := 0; g < 16; g++ {
+		fmt.Fprintf(&s, "dist g%d = {0:0.4, 1:0.6}\n", g)
+	}
+	for x := 0; x < cellVars; x++ {
+		fmt.Fprintf(&s, "dist x%d = {'i%02d':0.5, 'i%02d':0.25, 'i%02d':0.25}\n", x, x%40, (x+1)%40, (x+2)%40)
+	}
+	c := New()
+	if _, err := c.LoadScript(strings.NewReader(s.String())); err != nil {
+		b.Fatal(err)
+	}
+	patches := make([]*wal.Patch, b.N)
+	for i := range patches {
+		patches[i] = &wal.Patch{Upserts: []wal.PatchRow{{Terms: []condition.Term{
+			condition.Const(value.Int(int64(100000 + i))), condition.Const(value.Str("cpatch")), condition.Const(value.Str("i07")),
+		}}}}
+	}
+	if _, _, err := c.ApplyPatch("Orders", patches[0]); err != nil { // index the row keys once
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 1; i < b.N; i++ {
+		if _, _, err := c.ApplyPatch("Orders", patches[i]); err != nil {
+			b.Fatal(err)
+		}
 	}
 }

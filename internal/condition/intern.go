@@ -7,13 +7,12 @@ import "slices"
 // structural hash, so equality of interned conditions is an integer compare
 // and maps can be keyed by ID instead of rendered strings. Conjunctions and
 // disjunctions are canonicalized by sorting their children's IDs, so
-// syntactic permutations of the same junction share one node — the same
-// canonicalization the d-tree memoizer previously obtained by sorting
-// rendered junct keys, now without building any strings.
+// syntactic permutations of the same junction share one node, without
+// building any strings.
 //
-// Interners are scoped, not global: the d-tree engine in internal/probcalc
-// owns one per evaluator (its memo keys), and the pipeline breakers in
-// internal/exec own one per operator (their merge-grouping keys). IDs are
+// Interners are scoped, not global: the circuit compiler in internal/probcalc
+// owns one per compiler (its memo keys and junction cache), and the engine's
+// auto selector one per selection (its per-lineage variable sets). IDs are
 // only meaningful relative to the Interner that produced them.
 
 // ID identifies an interned condition node within one Interner. The zero ID

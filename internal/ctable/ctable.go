@@ -15,6 +15,7 @@ package ctable
 
 import (
 	"fmt"
+	"maps"
 	"sort"
 	"strings"
 
@@ -87,13 +88,29 @@ func FromRows(arity int, rows []Row) *CTable {
 	return &CTable{arity: arity, rows: rows, domains: make(map[condition.Variable]*value.Domain)}
 }
 
+// WithRows returns a c-table of t's arity adopting rows as FromRows does and
+// sharing t's declared domains (domains are immutable; the map is cloned).
+func (t *CTable) WithRows(rows []Row) *CTable {
+	return &CTable{arity: t.arity, rows: rows, domains: maps.Clone(t.domains)}
+}
+
 // AddRow appends a row with the given terms and condition (nil = true).
 // It panics if the number of terms differs from the table arity.
 func (t *CTable) AddRow(terms []condition.Term, cond condition.Condition) *CTable {
+	return t.AdoptRow(append([]condition.Term(nil), terms...), cond)
+}
+
+// AdoptRow is AddRow keeping terms itself as the row's term slice, without
+// a copy: the caller gives up ownership of the slice. A parser that builds
+// one slice per row hands it over this way.
+func (t *CTable) AdoptRow(terms []condition.Term, cond condition.Condition) *CTable {
 	if len(terms) != t.arity {
 		panic(fmt.Sprintf("ctable: row arity %d, table arity %d", len(terms), t.arity))
 	}
-	t.rows = append(t.rows, NewRow(terms, cond))
+	if cond == nil {
+		cond = condition.True()
+	}
+	t.rows = append(t.rows, Row{Terms: terms, Cond: cond})
 	return t
 }
 

@@ -4,11 +4,15 @@
 // A query is *prepared* once: parsed, validated against a catalog snapshot,
 // run through the closed algebra (Theorems 4 and 9) to obtain the answer
 // pc-table, and its candidate answer tuples and lineage conditions are
-// extracted. The prepared plan is cached under a key derived from the query
-// text, the marginal engine, and the exact versions of the catalog tables
-// the query reads — so replacing one table invalidates exactly the plans
-// that depend on it, while plans over other tables keep hitting. The cache
-// is LRU-bounded and publishes hit/miss/eviction/latency counters.
+// extracted. The prepared plan is cached under its marginal engine and query
+// text, and records the versions of the catalog tables it is current at. A
+// query whose snapshot shows those versions hits; one whose snapshot is newer
+// catches the plan up first (maintenance on read, see maintain.go), so a
+// row-level patch costs nothing until the plan is read again; one whose
+// snapshot is older compiles its own plan uncached. Replacing or dropping a
+// table invalidates exactly the plans that read it, while plans over other
+// tables keep hitting. The cache is LRU-bounded and publishes
+// hit/miss/eviction/latency counters.
 //
 // Execution computes tuple marginals under a bounded worker pool with one of
 // three engines — circuit (the exact engine: internal/probcalc's compiler
@@ -30,11 +34,9 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"maps"
 	"runtime"
 	"slices"
 	"sort"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -161,7 +163,7 @@ type Stats struct {
 	// Auto counts what the engine=auto selector chose, per target engine.
 	Auto AutoStats `json:"auto"`
 	// Maintenance counts incremental view maintenance work: patches applied,
-	// plans maintained in place vs recompiles forced (by fallback reason),
+	// plans caught up in place vs recompiles forced (by fallback reason),
 	// and memoized marginals reused vs refreshed.
 	Maintenance MaintenanceStats `json:"maintenance"`
 }
@@ -274,19 +276,22 @@ type Result struct {
 
 // plan is a compiled query: the closed-algebra answer and the candidate
 // answers, plus memoized exact marginals. Immutable after construction
-// except for the once-guarded marginal fields.
+// except for the once-guarded marginal fields; catching a plan up builds a
+// successor and publishes it in the plan's cache slot.
 type plan struct {
-	key       string
 	queryText string
 	kind      Kind
 	tables    []string // sorted referenced table names
 
-	// query is the parsed algebra and tableVers the per-table catalog
-	// versions the plan was compiled (or last maintained) against; together
-	// they let a patch derive the plan's next cache key and delta plan
-	// without re-parsing or string surgery on the key.
+	// query is the parsed algebra and tableVers, per table (parallel to
+	// tables), the catalog state the plan is current at; together they let a
+	// catch-up derive the plan's delta plan without re-parsing.
 	query     ra.Query
-	tableVers map[string]uint64
+	tableVers []tableVer
+
+	// catchUp serializes the catch-ups of the plans published in one cache
+	// slot: a compiled plan allocates it and every successor shares it.
+	catchUp *sync.Mutex
 
 	answer     *pctable.PCTable
 	physical   string // rendered physical operator tree (exec.Explain)
@@ -298,9 +303,9 @@ type plan struct {
 	// text, the byte offset at which each row's line starts (plus the end of
 	// the last), and per-variable row refcounts, so a maintained plan splices
 	// its answer in O(delta). groupIndex is the top projection's group index
-	// keyed by canonical term identity, built on the first patch. Successors
-	// copy-then-extend these; a plan's own maps and slices are never mutated,
-	// so concurrent maintainers reading the same predecessor stay safe.
+	// keyed by canonical term identity, built on the first catch-up.
+	// Successors copy-then-extend these; a plan's own maps and slices are
+	// never mutated, so queries still serving the predecessor stay safe.
 	rendered   string
 	rowOff     []int32 // an answer's text stays far below 2 GiB
 	varRefs    map[condition.Variable]int
@@ -321,14 +326,47 @@ type plan struct {
 	circuitOnce sync.Once
 	circuit     *probcalc.Circuit
 	circuitErr  error
+}
 
-	// maintOnce runs the plan's maintenance across the next patch of a
-	// table it reads once, for whichever asks first (maintainCached).
-	maintOnce sync.Once
+// tableVer is the state of one catalog table a plan is current at: the
+// entry's version, and its base-row and patch counts at that version.
+type tableVer struct {
+	version uint64
+	rows    int
+	patches uint64
+}
+
+// tableVerOf reads the state a plan compiled against ent is current at.
+func tableVerOf(ent *catalog.Entry) tableVer {
+	return tableVer{version: ent.Version, rows: ent.Table.NumRows(), patches: ent.Patches}
+}
+
+// How a plan's table versions compare with a snapshot's.
+const (
+	planCurrent = iota // every table at the plan's version
+	planBehind         // some table newer in the snapshot, none older
+	planAhead          // some table older in the snapshot, or missing from it
+)
+
+// versus compares the plan's table versions with snap's.
+func (p *plan) versus(snap *catalog.Snapshot) int {
+	state := planCurrent
+	for i, name := range p.tables {
+		ent := snap.Get(name)
+		switch {
+		case ent == nil || ent.Version < p.tableVers[i].version:
+			return planAhead
+		case ent.Version > p.tableVers[i].version:
+			state = planBehind
+		}
+	}
+	return state
 }
 
 // Engine is the concurrent query service core: a catalog plus a bounded
-// LRU cache of prepared plans and a bounded execution pool. Safe for
+// LRU cache of prepared plans and a bounded execution pool. Mutations only
+// change the catalog (and drop the plans a put or drop replaced); a query
+// brings the cached plan it reads up to its own snapshot. Safe for
 // concurrent use.
 type Engine struct {
 	cat      *catalog.Catalog
@@ -338,8 +376,8 @@ type Engine struct {
 
 	mu      sync.Mutex
 	lru     *list.List // of *plan; front = most recently used
-	byKey   map[string]*list.Element
-	byTable map[string]map[string]bool // table name -> cache keys reading it
+	byKey   map[planKey]*list.Element
+	byTable map[string]map[planKey]bool // table name -> cache keys reading it
 
 	hits, misses, evictions, invalidations   uint64
 	executions, errors, prepNanos, execNanos atomic.Uint64
@@ -351,18 +389,13 @@ type Engine struct {
 	circuitCompiles, circuitNodes, circuitShare atomic.Uint64
 	autoCircuit, autoMC                         atomic.Uint64
 
-	// Patches being applied and maintained (see maintainFor).
-	gateMu   sync.Mutex
-	gateCond sync.Cond
-	gates    []*maintGate
-
 	// Incremental view maintenance counters (see MaintenanceStats).
 	mnt maintCounters
 
 	// Observability (all nil-safe no-ops when Options.Obs is unset).
 	obs                      *obs.Observer
 	coldSeconds, warmSeconds *obs.Histogram
-	applySeconds             *obs.Histogram // delta-apply latency per patch
+	applySeconds             *obs.Histogram // latency of one plan catch-up
 }
 
 // New builds an engine over the given catalog.
@@ -374,11 +407,10 @@ func New(cat *catalog.Catalog, opts Options) *Engine {
 		sem:      make(chan struct{}, opts.Workers),
 		execPool: exec.NewWorkerPool(opts.Workers),
 		lru:      list.New(),
-		byKey:    make(map[string]*list.Element),
-		byTable:  make(map[string]map[string]bool),
+		byKey:    make(map[planKey]*list.Element),
+		byTable:  make(map[string]map[planKey]bool),
 		obs:      opts.Obs,
 	}
-	e.gateCond.L = &e.gateMu
 	if opts.Obs != nil {
 		e.instrument(opts.Obs)
 	}
@@ -399,19 +431,24 @@ func (e *Engine) PutTable(name string, t *pctable.PCTable) (uint64, error) {
 	return v, nil
 }
 
-// PatchTable applies a row-level patch to a catalog table and incrementally
-// maintains every cached plan that reads it: instead of dropping dependent
-// plans (the PutTable path), each plan's materialized answer is updated by
-// delta propagation or re-evaluation and re-keyed under the new table
-// version, so the very next execution is a cache hit. Plans whose shape the
-// maintainer cannot handle fall back to invalidation with a typed reason
-// (see MaintenanceStats).
+// PatchTable applies a row-level patch to a catalog table (logged like every
+// mutation) and returns the new catalog version. It touches no cached plan:
+// unlike PutTable, which drops the plans reading the table, a patch leaves
+// them in place, and the next query reading one catches it up to its own
+// snapshot — delta propagation or re-evaluation over every patch since the
+// plan was current, in one step — so that query is still a cache hit. Plans
+// whose shape cannot be caught up recompile with a typed reason (see
+// MaintenanceStats).
 func (e *Engine) PatchTable(name string, p *wal.Patch) (uint64, error) {
-	ent := e.cat.Snapshot().Get(name)
-	if ent == nil {
+	if e.cat.Snapshot().Get(name) == nil {
 		return 0, fmt.Errorf("%w: %q", ErrUnknownTable, name)
 	}
-	return e.applyPatch(name, ent.Version, func() (uint64, *wal.AppliedPatch, error) { return e.cat.ApplyPatch(name, p) })
+	v, _, err := e.cat.ApplyPatch(name, p)
+	if err != nil {
+		return 0, err
+	}
+	e.mnt.patches.Add(1)
+	return v, nil
 }
 
 // PutParsed is PutTable for a table parsed by internal/parser.
@@ -446,20 +483,17 @@ func (e *Engine) DropTable(name string) (bool, error) {
 // ApplyChange applies one replicated mutation record (catalog.ApplyRecord)
 // — the follower-side twin of PutTable/DropTable/PatchTable. Put and delete
 // records invalidate every cached plan reading the affected table; patch
-// records run the same incremental maintenance the leader ran, so a follower's
-// cache tracks row-level mutations without recompiles. Because the applied
-// entry keeps the leader's per-table version, plans compiled or maintained
-// after the apply carry exactly the leader's cache keys.
+// records, as on the leader, touch no plan: the follower catches up only the
+// plans its own queries read, when they read them. Because the applied entry
+// keeps the leader's per-table version, a follower's plan current at some
+// versions answers exactly as the leader's plan at those versions.
 func (e *Engine) ApplyChange(rec *wal.Record) error {
-	if rec.Kind == wal.KindPatch {
-		_, err := e.applyPatch(rec.Name, rec.Version-1, func() (uint64, *wal.AppliedPatch, error) {
-			ap, err := e.cat.ApplyRecord(rec)
-			return rec.Version, ap, err
-		})
-		return err
-	}
 	if _, err := e.cat.ApplyRecord(rec); err != nil {
 		return err
+	}
+	if rec.Kind == wal.KindPatch {
+		e.mnt.patches.Add(1)
+		return nil
 	}
 	e.invalidateReplaced(rec.Name)
 	return nil
@@ -792,8 +826,8 @@ func (e *Engine) executeOn(snap *catalog.Snapshot, req Request, ph *phases) (*Re
 }
 
 // analyzePlan re-executes the compiled query's algebra with per-operator
-// instrumentation (exec.Analyze) against the same snapshot the plan was
-// keyed on. The run is independent of the cached artifact: it discards its
+// instrumentation (exec.Analyze) against the snapshot the plan is current
+// at. The run is independent of the cached artifact: it discards its
 // answer, keeping only the timed tree.
 func (e *Engine) analyzePlan(snap *catalog.Snapshot, p *plan) (*exec.PlanNode, error) {
 	env, err := snap.Env(p.tables)
@@ -807,13 +841,17 @@ func (e *Engine) analyzePlan(snap *catalog.Snapshot, p *plan) (*exec.PlanNode, e
 	return an, nil
 }
 
-// prepare returns the cached plan for (query, kind) against the given
-// catalog snapshot, or compiles and caches a new one. On a miss the trace is
+// prepare returns the cached plan for (query, kind) current at the given
+// catalog snapshot (see lookup), or compiles one. On a miss the trace is
 // materialized at compile start (backfilling the snapshot and parse spans
 // from ph's saved readings) so the operator core gets a live "compile" span;
 // on a hit no span work happens at all — the caller reconstructs the warm
 // span tree later if it needs one.
 func (e *Engine) prepare(snap *catalog.Snapshot, queryText string, kind Kind, ph *phases) (*plan, bool, time.Duration, error) {
+	key := planKey{kind: kind, query: queryText}
+	if p := e.lookup(snap, key, ph); p != nil {
+		return p, true, 0, nil
+	}
 	q, err := parser.ParseQuery(queryText)
 	if err != nil {
 		return nil, false, 0, fmt.Errorf("%w: %v", ErrBadQuery, err)
@@ -823,25 +861,13 @@ func (e *Engine) prepare(snap *catalog.Snapshot, queryText string, kind Kind, ph
 		names = append(names, name)
 	}
 	sort.Strings(names)
-	vers := make(map[string]uint64, len(names))
-	for _, name := range names {
+	vers := make([]tableVer, len(names))
+	for i, name := range names {
 		ent := snap.Get(name)
 		if ent == nil {
 			return nil, false, 0, fmt.Errorf("%w: %q (have %v)", ErrUnknownTable, name, snap.Names())
 		}
-		vers[name] = ent.Version
-	}
-	key := planKey(queryText, kind, names, vers)
-
-	p := e.cached(key, true)
-	if p == nil {
-		// Look again after maintainFor: a patch in flight when the first
-		// lookup ran is maintained by the time it returns.
-		e.maintainFor(snap, queryText, kind, names, vers)
-		p = e.cached(key, true)
-	}
-	if p != nil {
-		return p, true, 0, nil
+		vers[i] = tableVerOf(ent)
 	}
 	e.mu.Lock()
 	e.misses++
@@ -851,7 +877,7 @@ func (e *Engine) prepare(snap *catalog.Snapshot, queryText string, kind Kind, ph
 	compileSpan := ph.materialize(start).ChildAt("compile", start)
 	opts := e.algebraOptions()
 	opts.Trace = compileSpan
-	p, err = compile(q, queryText, kind, names, vers, snap, key, opts)
+	p, err := compile(q, queryText, kind, names, vers, snap, opts)
 	if err != nil {
 		return nil, false, 0, err
 	}
@@ -863,19 +889,24 @@ func (e *Engine) prepare(snap *catalog.Snapshot, queryText string, kind Kind, ph
 	e.opMu.Unlock()
 
 	e.mu.Lock()
-	// A concurrent miss may have compiled the same plan; keep the first so
-	// every waiter shares one memoized artifact.
+	defer e.mu.Unlock()
 	if el, ok := e.byKey[key]; ok {
-		e.lru.MoveToFront(el)
-		e.mu.Unlock()
-		return el.Value.(*plan), false, prepDur, nil
+		// A concurrent miss compiled the same plan: share it when it is
+		// current at this snapshot too, so every waiter shares one memoized
+		// artifact. Otherwise the cached plan stays (a later read catches
+		// it up) and this one serves its query uncached.
+		if cached := el.Value.(*plan); cached.versus(snap) == planCurrent {
+			e.lru.MoveToFront(el)
+			return cached, false, prepDur, nil
+		}
+		return p, false, prepDur, nil
 	}
 	el := e.lru.PushFront(p)
 	e.byKey[key] = el
 	for _, name := range names {
 		set := e.byTable[name]
 		if set == nil {
-			set = make(map[string]bool)
+			set = make(map[planKey]bool)
 			e.byTable[name] = set
 		}
 		set[key] = true
@@ -883,87 +914,70 @@ func (e *Engine) prepare(snap *catalog.Snapshot, queryText string, kind Kind, ph
 	for e.lru.Len() > e.opts.CacheSize {
 		e.removeLocked(e.lru.Back(), &e.evictions)
 	}
-	e.mu.Unlock()
 	return p, false, prepDur, nil
 }
 
-// cached returns the plan cached under key, or nil. With hit set, a found
-// plan moves to the LRU front and counts as a cache hit.
-func (e *Engine) cached(key string, hit bool) *plan {
+// lookup returns the plan cached under key, current at snap's versions, and
+// counts the hit. A plan behind snap is caught up first: under the plan's
+// catchUp lock, in one step to exactly snap's versions (catchUpPlan), and
+// published in the same cache slot. lookup returns nil — the caller compiles
+// — when nothing is cached under key, when the cached plan is ahead of snap
+// (a newer plan is never served to an older snapshot), or when the plan
+// cannot be caught up, in which case it has been dropped with a typed reason.
+func (e *Engine) lookup(snap *catalog.Snapshot, key planKey, ph *phases) *plan {
 	e.mu.Lock()
-	defer e.mu.Unlock()
 	el, ok := e.byKey[key]
 	if !ok {
+		e.mu.Unlock()
 		return nil
 	}
-	if hit {
+	p := el.Value.(*plan)
+	state := p.versus(snap)
+	if state == planCurrent {
 		e.lru.MoveToFront(el)
 		e.hits++
 	}
-	return el.Value.(*plan)
-}
-
-// maintGate is one patch in flight on table, whose version before the patch
-// was from; version and ap are set once the patch is applied. The catalog
-// publishes the patched version before the cached plans are re-keyed, and a
-// miss in that window must not compile a plan that swapPlan then discards.
-type maintGate struct {
-	table         string
-	from, version uint64
-	ap            *wal.AppliedPatch
-}
-
-// applyPatch runs apply, a catalog mutation that patches table and publishes
-// the patched version, under a maintGate, then maintains the cached plans
-// across the applied patch.
-func (e *Engine) applyPatch(table string, from uint64, apply func() (uint64, *wal.AppliedPatch, error)) (uint64, error) {
-	g := &maintGate{table: table, from: from}
-	e.gateMu.Lock()
-	e.gates = append(e.gates, g)
-	e.gateMu.Unlock()
-	defer func() {
-		e.gateMu.Lock()
-		e.gates = slices.DeleteFunc(e.gates, func(o *maintGate) bool { return o == g })
-		e.gateMu.Unlock()
-		e.gateCond.Broadcast()
-	}()
-	v, ap, err := apply()
-	if err != nil {
-		return 0, err
+	e.mu.Unlock()
+	switch state {
+	case planCurrent:
+		return p
+	case planAhead:
+		return nil
 	}
-	e.maintainTable(g, v, ap)
-	return v, nil
-}
 
-// maintainFor serves a plan-cache miss at versions vers that a patch still in
-// flight may have published: it maintains the query's cached plan across that
-// patch now, or waits while maintainTable does, so that a second lookup finds
-// the maintained plan. Misses at other tables or versions return at once.
-func (e *Engine) maintainFor(snap *catalog.Snapshot, queryText string, kind Kind, names []string, vers map[string]uint64) {
-	find := func() *maintGate {
-		for _, g := range e.gates {
-			if v, ok := vers[g.table]; ok && ((g.ap == nil && v > g.from) || (g.ap != nil && v == g.version)) {
-				return g
-			}
+	p.catchUp.Lock()
+	defer p.catchUp.Unlock()
+	// A query that held the lock before this one may have caught the slot
+	// up already, to this snapshot or past it.
+	e.mu.Lock()
+	p = el.Value.(*plan)
+	e.mu.Unlock()
+	state = p.versus(snap)
+	if state == planAhead {
+		return nil
+	}
+	var reason string
+	if state == planBehind {
+		p, reason = e.catchUpPlan(p, snap, ph)
+	}
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	cached := e.byKey[key] == el
+	if p == nil {
+		if cached {
+			e.removeLocked(el, &e.invalidations)
+			e.mnt.forced(reason)
 		}
 		return nil
 	}
-	e.gateMu.Lock()
-	g := find()
-	for g != nil && g.ap == nil {
-		e.gateCond.Wait() // until the patch is applied or abandoned
-		g = find()
+	// Publishing into a slot that an invalidation or eviction removed
+	// meanwhile is harmless: no lookup reaches it any more.
+	el.Value = p
+	if cached {
+		e.lru.MoveToFront(el)
 	}
-	e.gateMu.Unlock()
-	if g == nil {
-		return
-	}
-	old := maps.Clone(vers)
-	old[g.table] = g.ap.OldVersion
-	oldKey := planKey(queryText, kind, names, old)
-	if p := e.cached(oldKey, false); p != nil {
-		e.maintainCached(oldKey, p, g, snap, obs.SpanRef{})
-	}
+	e.hits++
+	return p
 }
 
 // invalidateTable drops every cached plan that reads the named table at a
@@ -978,7 +992,7 @@ func (e *Engine) invalidateTable(name string) int {
 	e.mu.Lock()
 	before := e.invalidations
 	for key := range e.byTable[name] {
-		if el, ok := e.byKey[key]; ok && el.Value.(*plan).tableVers[name] != current {
+		if el, ok := e.byKey[key]; ok && el.Value.(*plan).versionOf(name) != current {
 			e.removeLocked(el, &e.invalidations)
 		}
 	}
@@ -1000,10 +1014,11 @@ func (e *Engine) invalidateReplaced(name string) {
 // incrementing the given counter. Caller holds e.mu.
 func (e *Engine) removeLocked(el *list.Element, counter *uint64) {
 	p := e.lru.Remove(el).(*plan)
-	delete(e.byKey, p.key)
+	key := planKey{kind: p.kind, query: p.queryText}
+	delete(e.byKey, key)
 	for _, name := range p.tables {
 		if set := e.byTable[name]; set != nil {
-			delete(set, p.key)
+			delete(set, key)
 			if len(set) == 0 {
 				delete(e.byTable, name)
 			}
@@ -1012,20 +1027,21 @@ func (e *Engine) removeLocked(el *list.Element, counter *uint64) {
 	*counter++
 }
 
-// planKey identifies a compiled plan: engine, query text, and the exact
-// version of every table it reads. Replacing a table changes its version, so
-// stale plans can never be served; incremental maintenance derives a
-// maintained plan's next key from the plan's versions with only the patched
-// table's version bumped.
-func planKey(queryText string, kind Kind, names []string, vers map[string]uint64) string {
-	var b strings.Builder
-	b.WriteString(string(kind))
-	b.WriteByte(0)
-	b.WriteString(queryText)
-	for _, name := range names {
-		fmt.Fprintf(&b, "\x00%s@%d", name, vers[name])
+// planKey identifies a cache slot: the marginal engine and the query text.
+// The versions a slot's plan is current at live on the plan (tableVers), so
+// one slot follows its query across patches.
+type planKey struct {
+	kind  Kind
+	query string
+}
+
+// versionOf returns the version of the named table the plan is current at
+// (0 for a table it does not read).
+func (p *plan) versionOf(name string) uint64 {
+	if i, ok := slices.BinarySearch(p.tables, name); ok {
+		return p.tableVers[i].version
 	}
-	return b.String()
+	return 0
 }
 
 // algebraOptions returns the operator-core options the engine compiles with:
@@ -1048,7 +1064,7 @@ func (e *Engine) algebraOptions() ctable.Options {
 // compiled artifact: its rendering (exec.Explain) and its operator counters
 // are cached on the plan, so hits surface the same plan text without
 // re-planning.
-func compile(q ra.Query, queryText string, kind Kind, names []string, vers map[string]uint64, snap *catalog.Snapshot, key string, opts ctable.Options) (*plan, error) {
+func compile(q ra.Query, queryText string, kind Kind, names []string, vers []tableVer, snap *catalog.Snapshot, opts ctable.Options) (*plan, error) {
 	env, err := snap.Env(names)
 	if err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrUnknownTable, err)
@@ -1079,12 +1095,12 @@ func compile(q ra.Query, queryText string, kind Kind, names []string, vers map[s
 		sel = selectEngine(candidates)
 	}
 	return &plan{
-		key:        key,
 		queryText:  queryText,
 		kind:       kind,
 		tables:     names,
 		query:      q,
 		tableVers:  vers,
+		catchUp:    new(sync.Mutex),
 		answer:     answer,
 		physical:   physical,
 		ops:        ops,

@@ -1,39 +1,47 @@
-// Incremental view maintenance: when a table receives a row-level patch
-// (wal.KindPatch), every cached plan that reads it is updated in place
-// instead of being invalidated. The maintained plan is byte-identical to
-// what a fresh compile at the new catalog version would produce — same
-// rendered answer, same candidate tuples and lineage syntax, same marginals
-// — because every step either re-runs the exact operator-core code path a
-// compile would run, or replays the operator fold the compile's operators
-// would have applied to the delta rows.
+// Incremental view maintenance, on read. A row-level patch (wal.KindPatch)
+// changes only the catalog; the cached plans that read the patched table
+// stay in the cache, behind it. The next query that reads such a plan
+// catches it up to its own snapshot before serving it (Engine.lookup), in
+// one step however many patches it is behind — deferred view maintenance
+// (Colby, Griffin, Libkin, Mumick & Trickey, SIGMOD 1996): only plans that
+// are read are maintained, and only once per read. The caught-up plan is
+// byte-identical to what a fresh compile at the snapshot would produce —
+// same rendered answer, same candidate tuples and lineage syntax, same
+// marginals — because every step either re-runs the exact operator-core
+// code path a compile would run, or replays the operator fold the compile's
+// operators would have applied to the delta rows.
 //
-// Three outcomes per (patch, plan) pair:
+// No patch is retained for this: the catalog entry's two change versions
+// decide the step. Three outcomes per catch-up:
 //
-//   - Delta append: for insert-only patches against order-safe plan shapes
-//     (the patched table referenced once, every ancestor a selection, a
-//     cross/join with the table on the probe/left spine, or a union with the
-//     table on the right spine, plus at most one top-level projection), the
-//     appended base rows are pushed through the plan's delta query — σ and
+//   - Delta append: when one table is behind and every patch since the plan
+//     was current only appended rows to it (its RewriteVersion is not newer
+//     than the plan), and the plan shape is order-safe (the patched table
+//     referenced once, every ancestor a selection, a cross/join with the
+//     table on the probe/left spine, or a union with the table on the right
+//     spine, plus at most one top-level projection), the base rows appended
+//     since — [n_u, n_v) — are pushed through the plan's delta query — σ and
 //     join apply pointwise, so Δ(answer) = plan(ΔT) — and the resulting rows
 //     are appended to the materialized answer (folded into the top
 //     projection's groups when present, replaying π̄'s disjunction fold).
 //
-//   - Re-evaluation: any other SPJU shape re-runs the full operator core on
-//     the patched environment (the same call a compile makes, so the answer
-//     is identical by construction) and diffs the old and new answer rows to
-//     find the suspect middle; candidates and marginals outside the suspect
-//     window are carried forward untouched.
+//   - Re-evaluation: any other SPJU catch-up re-runs the full operator core
+//     on the snapshot's environment (the same call a compile makes, so the
+//     answer is identical by construction) and diffs the old and new answer
+//     rows to find the suspect middle; candidates and marginals outside the
+//     suspect window are carried forward untouched.
 //
 //   - Forced recompile: non-monotone queries (difference/intersection),
-//     patches that add distributions, auto-selector flips, version races and
-//     maintenance errors fall back to plain invalidation, counted by reason.
+//     tables whose distribution set changed (a dist-adding patch; its
+//     DistsVersion is newer than the plan), auto-selector flips and
+//     maintenance errors drop the plan, counted by reason; the query then
+//     compiles a fresh one.
 package engine
 
 import (
 	"fmt"
 	"maps"
 	"slices"
-	"sort"
 	"strings"
 	"sync/atomic"
 	"time"
@@ -49,29 +57,32 @@ import (
 )
 
 // MaintenanceStats is the public snapshot of the incremental-maintenance
-// counters: how many patches ran, how many plans were maintained in place
+// counters: how many patches ran, how many plans were caught up in place
 // (split by strategy), how many memoized marginals survived, and how many
-// recompiles were forced, by fallback reason.
+// recompiles were forced, by fallback reason. PatchesApplied counts at
+// PATCH time; every other field counts at catch-up time, when a query reads
+// a plan that is behind its snapshot.
 type MaintenanceStats struct {
-	// PatchesApplied counts row-level patches processed by this engine
-	// (leader PatchTable calls and follower KindPatch records alike).
+	// PatchesApplied counts row-level patches applied by this engine
+	// (leader PatchTable calls and follower KindPatch records alike), when
+	// they are applied.
 	PatchesApplied uint64 `json:"patchesApplied"`
-	// PlansMaintained counts cached plans updated in place and re-keyed
-	// (recompiles avoided); DeltaAppends and Reevaluations split it by
-	// strategy.
+	// PlansMaintained counts catch-ups that updated a cached plan in place
+	// (recompiles avoided), however many patches each covered; DeltaAppends
+	// and Reevaluations split it by strategy.
 	PlansMaintained uint64 `json:"plansMaintained"`
 	DeltaAppends    uint64 `json:"deltaAppends"`
 	Reevaluations   uint64 `json:"reevaluations"`
-	// MarginalsReused counts memoized tuple marginals carried to a
-	// maintained plan unchanged; MarginalsRefreshed counts tuples whose
+	// MarginalsReused counts memoized tuple marginals a catch-up carried to
+	// the caught-up plan unchanged; MarginalsRefreshed counts tuples whose
 	// lineage touched changed rows and was re-evaluated.
 	MarginalsReused    uint64 `json:"marginalsReused"`
 	MarginalsRefreshed uint64 `json:"marginalsRefreshed"`
 	// Forced* count plans dropped instead of maintained, by reason:
-	// non-monotone queries (difference/intersection), whole-table
-	// replacement (put/delete/reload, and patch races against concurrent
-	// mutations), an engine=auto selection flip, patches that change the
-	// distribution set, and maintenance errors.
+	// non-monotone queries (difference/intersection) and tables whose
+	// distribution set changed, both found at catch-up; whole-table
+	// replacement (put/delete/reload), counted when the mutation invalidates;
+	// an engine=auto selection flip; and maintenance errors.
 	ForcedNonMonotone      uint64 `json:"forcedNonMonotone"`
 	ForcedTableReplaced    uint64 `json:"forcedTableReplaced"`
 	ForcedSelectionChanged uint64 `json:"forcedSelectionChanged"`
@@ -148,173 +159,75 @@ type maintDiff struct {
 	groupIndex map[string]int
 }
 
-// maintained is the outcome of maintaining one plan.
+// maintained is the outcome of catching one plan up.
 type maintained struct {
 	plan      *plan
 	mode      string // "append" or "reeval"
+	patches   uint64 // patches coalesced into the step
 	deltaRows int    // suspect/changed answer rows
 	reused    int    // marginals carried unchanged
 	refreshed int    // marginals re-evaluated
 }
 
-// maintainTable updates every cached plan reading g's table after g's patch
-// bumped it to version. Plans that cannot be maintained are dropped (forced
-// recompile) with a typed reason; the rest are re-keyed in place so the next
-// execution at the new catalog version hits the cache.
-func (e *Engine) maintainTable(g *maintGate, version uint64, ap *wal.AppliedPatch) {
-	name := g.table
-	e.mnt.patches.Add(1)
+// catchUpPlan builds the successor of p current at snap's versions, which
+// must be past p's (p.versus(snap) == planBehind), and counts the step. The
+// step is timed into the apply histogram and recorded as a "maintain" span
+// in the query's own trace, so a slow catch-up reaches the slow-query log
+// through the query that paid for it. A nil plan means p must be recompiled;
+// the string is then the typed fallback reason.
+func (e *Engine) catchUpPlan(p *plan, snap *catalog.Snapshot, ph *phases) (*plan, string) {
 	start := obs.Nanotime()
-	tr := e.obs.StartTraceAt("maintain", start)
-	var root obs.SpanRef
-	if tr != nil {
-		root = tr.Root()
-		root.SetStr("table", fmt.Sprintf("%s@%d", name, version))
-	}
-
-	e.mu.Lock()
-	keys := make([]string, 0, len(e.byTable[name]))
-	for key := range e.byTable[name] {
-		keys = append(keys, key)
-	}
-	e.mu.Unlock()
-	sort.Strings(keys) // deterministic maintenance order
-	// Only now may missed queries maintain their own plans (maintainFor): one
-	// they re-key is absent below, not mistaken for a stale plan.
-	e.gateMu.Lock()
-	g.version, g.ap = version, ap
-	e.gateMu.Unlock()
-	e.gateCond.Broadcast()
-
-	var snap *catalog.Snapshot
-	if len(keys) > 0 {
-		snap = e.cat.Snapshot()
-	}
-	for _, key := range keys {
-		if p := e.cached(key, false); p != nil { // else evicted, or maintained by a query
-			e.maintainCached(key, p, g, snap, root)
-		}
-	}
-
+	sp := ph.materialize(start).ChildAt("maintain", start)
+	m, reason := e.maintainPlan(p, snap)
 	end := obs.Nanotime()
-	total := time.Duration(end - start)
-	e.applySeconds.Observe(total)
-	if tr != nil {
-		root.EndAt(end)
-		if e.obs.SlowThreshold > 0 && total >= e.obs.SlowThreshold {
-			e.obs.Slow.Add(obs.SlowQuery{
-				Time:          time.Now(),
-				Query:         "PATCH " + name,
-				Engine:        "maintenance",
-				DurationNanos: int64(total),
-				Trace:         tr.Export(),
-			})
-		}
+	e.applySeconds.Observe(time.Duration(end - start))
+	defer sp.EndAt(end)
+	if m == nil {
+		sp.SetStr("outcome", "recompile:"+reason)
+		return nil, reason
 	}
-	e.obs.FinishTrace(tr)
+	e.mnt.maintained.Add(1)
+	if m.mode == "append" {
+		e.mnt.appends.Add(1)
+	} else {
+		e.mnt.reevals.Add(1)
+	}
+	e.mnt.margReused.Add(uint64(m.reused))
+	e.mnt.margRefreshed.Add(uint64(m.refreshed))
+	sp.SetStr("outcome", m.mode)
+	sp.SetInt("patches", int64(m.patches))
+	sp.SetInt("deltaRows", int64(m.deltaRows))
+	sp.SetInt("marginalsReused", int64(m.reused))
+	sp.SetInt("marginalsRefreshed", int64(m.refreshed))
+	return m.plan, ""
 }
 
-// maintainCached maintains p, cached under key, across g's patch and swaps
-// in its successor or drops it. It runs once per plan: the patch's
-// maintainTable and a query that missed at the patched version may both
-// ask, and whoever asks second waits for the first.
-func (e *Engine) maintainCached(key string, p *plan, g *maintGate, snap *catalog.Snapshot, root obs.SpanRef) {
-	p.maintOnce.Do(func() {
-		sp := root.Child("plan")
-		defer sp.End()
-		m, reason := e.maintainPlan(p, g.table, g.version, g.ap, snap)
-		if m == nil {
-			e.dropMaintained(key, reason)
-			sp.SetStr("outcome", "invalidate:"+reason)
-			return
-		}
-		e.swapPlan(key, m.plan)
-		e.mnt.maintained.Add(1)
-		if m.mode == "append" {
-			e.mnt.appends.Add(1)
-		} else {
-			e.mnt.reevals.Add(1)
-		}
-		e.mnt.margReused.Add(uint64(m.reused))
-		e.mnt.margRefreshed.Add(uint64(m.refreshed))
-		sp.SetStr("outcome", m.mode)
-		sp.SetInt("deltaRows", int64(m.deltaRows))
-		sp.SetInt("marginalsReused", int64(m.reused))
-		sp.SetInt("marginalsRefreshed", int64(m.refreshed))
-	})
-}
-
-// dropMaintained invalidates one plan by cache key, attributing the drop to
-// the given maintenance fallback reason.
-func (e *Engine) dropMaintained(key, reason string) {
-	e.mu.Lock()
-	if el, ok := e.byKey[key]; ok {
-		e.removeLocked(el, &e.invalidations)
-		e.mnt.forced(reason)
-	}
-	e.mu.Unlock()
-}
-
-// swapPlan replaces the cached plan at oldKey with newp (re-keying the LRU
-// element in place, keeping its recency). If a concurrent compile already
-// cached a plan under newp.key, the first insert wins and the stale old
-// entry is dropped.
-func (e *Engine) swapPlan(oldKey string, newp *plan) {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	el, ok := e.byKey[oldKey]
-	if !ok {
-		return // concurrently evicted or invalidated; nothing to swap
-	}
-	if _, exists := e.byKey[newp.key]; exists {
-		e.removeLocked(el, &e.invalidations)
-		return
-	}
-	old := el.Value.(*plan)
-	delete(e.byKey, oldKey)
-	for _, t := range old.tables {
-		if set := e.byTable[t]; set != nil {
-			delete(set, oldKey)
-		}
-	}
-	el.Value = newp
-	e.byKey[newp.key] = el
-	for _, t := range newp.tables {
-		set := e.byTable[t]
-		if set == nil {
-			set = make(map[string]bool)
-			e.byTable[t] = set
-		}
-		set[newp.key] = true
-	}
-}
-
-// maintainPlan builds the maintained successor of p after a patch moved
-// table name to version. A nil result means the plan must be dropped; the
-// string is then the typed fallback reason.
-func (e *Engine) maintainPlan(p *plan, name string, version uint64, ap *wal.AppliedPatch, snap *catalog.Snapshot) (*maintained, string) {
-	// The plan must have been compiled (or last maintained) against exactly
-	// the table state the patch was applied to, and the snapshot must still
-	// show the versions the maintained plan will be keyed on — a concurrent
-	// mutation (second patch, put, delete) makes the plan stale, which is
-	// ordinary replacement.
-	if pv, ok := p.tableVers[name]; !ok || pv != ap.OldVersion {
-		return nil, reasonTableReplaced
-	}
-	for _, t := range p.tables {
-		want := p.tableVers[t]
-		if t == name {
-			want = version
-		}
-		if ent := snap.Get(t); ent == nil || ent.Version != want {
-			return nil, reasonTableReplaced
-		}
-	}
+// maintainPlan builds the successor of p current at snap's versions in one
+// step, whatever the number of patches between. A nil result means the plan
+// must be recompiled; the string is then the typed fallback reason.
+func (e *Engine) maintainPlan(p *plan, snap *catalog.Snapshot) (*maintained, string) {
 	if hasNonMonotone(p.query) {
 		return nil, reasonNonMonotone
 	}
-	if len(ap.AddedDists) > 0 {
-		return nil, reasonDistsChanged
+	var patches uint64
+	vers := make([]tableVer, len(p.tables))
+	behind, appended := -1, true // the table behind, while only one is; whether it only gained rows
+	for i, name := range p.tables {
+		ent, at := snap.Get(name), p.tableVers[i]
+		vers[i] = tableVerOf(ent)
+		if ent.Version == at.version {
+			continue
+		}
+		if ent.DistsVersion > at.version {
+			return nil, reasonDistsChanged
+		}
+		if behind == -1 {
+			behind = i
+		} else {
+			appended = false // a delta over one table needs the others unchanged
+		}
+		appended = appended && ent.RewriteVersion <= at.version
+		patches += ent.Patches - at.patches
 	}
 	env, err := snap.Env(p.tables)
 	if err != nil {
@@ -326,8 +239,8 @@ func (e *Engine) maintainPlan(p *plan, name string, version uint64, ap *wal.Appl
 		oldSuspect, newSuspect []exec.Row
 		diff                   *maintDiff
 	)
-	if ap.InsertOnly() {
-		newAnswer, newSuspect, oldSuspect, diff, err = e.deltaAppend(p, name, ap, env)
+	if appended {
+		newAnswer, newSuspect, oldSuspect, diff, err = e.deltaAppend(p, p.tables[behind], p.tableVers[behind].rows, env)
 		if err != nil {
 			return nil, reasonError
 		}
@@ -338,11 +251,11 @@ func (e *Engine) maintainPlan(p *plan, name string, version uint64, ap *wal.Appl
 			return nil, reasonError
 		}
 	}
-	m, reason := e.rebuildPlan(p, name, version, newAnswer, oldSuspect, newSuspect, diff)
+	m, reason := e.rebuildPlan(p, vers, newAnswer, oldSuspect, newSuspect, diff)
 	if m == nil {
 		return nil, reason
 	}
-	m.mode = diff.mode
+	m.mode, m.patches = diff.mode, patches
 	m.deltaRows = len(oldSuspect) + len(newSuspect)
 	return m, ""
 }
@@ -481,14 +394,15 @@ func deltaQuery(q ra.Query, name string, arities ra.ArityEnv) (ra.Query, bool) {
 }
 
 // deltaAppend attempts the delta-append maintenance strategy: runs the
-// plan's delta query over the appended base rows and extends the
+// plan's delta query over the base rows of table name from index from on —
+// the rows appended since the plan was current — and extends the
 // materialized answer in place (replaying the top projection's group fold
 // when the plan has one). An all-nil return means the plan shape is not
 // order-safe — the caller falls back to re-evaluation. The second return
 // value holds the new/changed answer rows, the third the old versions of
 // changed projection groups (empty without a top projection), the fourth
 // the row-level diff rebuildPlan splices the cached render state with.
-func (e *Engine) deltaAppend(p *plan, name string, ap *wal.AppliedPatch, env pctable.Env) (*pctable.PCTable, []exec.Row, []exec.Row, *maintDiff, error) {
+func (e *Engine) deltaAppend(p *plan, name string, from int, env pctable.Env) (*pctable.PCTable, []exec.Row, []exec.Row, *maintDiff, error) {
 	arities := make(ra.ArityEnv, len(env))
 	for n, t := range env {
 		arities[n] = t.Arity()
@@ -511,14 +425,14 @@ func (e *Engine) deltaAppend(p *plan, name string, ap *wal.AppliedPatch, env pct
 	}
 
 	// Bind the delta table: the appended base rows under the patched table's
-	// distributions and declared domains (identical to the pre-patch ones
-	// for insert-only patches).
+	// distributions and declared domains (identical to the ones the plan was
+	// compiled under: appends add no distribution).
 	tnew := env[name]
 	rows := tnew.Table().Rows()
-	if ap.AddedRows > len(rows) {
-		return nil, nil, nil, nil, fmt.Errorf("engine: patch added %d rows but table has %d", ap.AddedRows, len(rows))
+	if from > len(rows) {
+		return nil, nil, nil, nil, fmt.Errorf("engine: plan read %d rows of %s but it has %d", from, name, len(rows))
 	}
-	delta := tnew.CloneWithRows(rows[len(rows)-ap.AddedRows:])
+	delta := tnew.CloneWithRows(rows[from:])
 	// Bind only the relations the delta tree actually references: the operator
 	// core sizes per-run state (term dictionary, encode buffers) from the total
 	// rows of the environment, so handing it the full patched table would make
@@ -551,9 +465,9 @@ func (e *Engine) deltaAppend(p *plan, name string, ap *wal.AppliedPatch, env pct
 	// merge into an existing group by disjoining conditions, or open a new
 	// group at the tail. Group keys are canonical term identities (stable
 	// across calls, unlike interner keys), so the index survives on the plan
-	// and only the delta rows are keyed per patch; the cached index is
-	// copied, never extended in place — the old plan stays readable by
-	// concurrent maintainers.
+	// and only the delta rows are keyed per catch-up; the cached index is
+	// copied, never extended in place — the old plan stays readable by the
+	// queries still serving it.
 	index := make(map[string]int, len(oldRows)+len(res.Rows))
 	if p.groupIndex != nil {
 		for k, g := range p.groupIndex {
@@ -633,11 +547,12 @@ func sameAnswerRow(a, b exec.Row) bool {
 // rebuildPlan assembles the maintained successor plan: candidates affected
 // by the suspect rows get their lineage (and, when memoized, marginal)
 // recomputed against the new answer; everything else is carried forward.
-func (e *Engine) rebuildPlan(p *plan, name string, version uint64, newAnswer *pctable.PCTable, oldSuspect, newSuspect []exec.Row, diff *maintDiff) (*maintained, string) {
+func (e *Engine) rebuildPlan(p *plan, vers []tableVer, newAnswer *pctable.PCTable, oldSuspect, newSuspect []exec.Row, diff *maintDiff) (*maintained, string) {
 	// Affected tuples: every tuple the suspect rows (removed or changed old
-	// rows, added or changed new ones) can produce, sorted by key. A patch
-	// that reaches maintenance adds no distribution, so the old and new
-	// answers share distributions and domains and one context serves both.
+	// rows, added or changed new ones) can produce, sorted by key. A
+	// catch-up runs only across patches that add no distribution, so the old
+	// and new answers share distributions and domains and one context serves
+	// both.
 	affected, err := newAnswer.CloneWithRows(slices.Concat(oldSuspect, newSuspect)).PossibleTuples()
 	if err != nil {
 		return nil, reasonError
@@ -679,8 +594,6 @@ func (e *Engine) rebuildPlan(p *plan, name string, version uint64, newAnswer *pc
 		}
 	}
 
-	vers := maps.Clone(p.tableVers)
-	vers[name] = version
 	// Splice the render state: carried rows copy their line out of the
 	// predecessor's rendered text and keep their refcounts, the old suspect
 	// rows give theirs up, and only changed and added rows are rendered. The
@@ -700,12 +613,12 @@ func (e *Engine) rebuildPlan(p *plan, name string, version uint64, newAnswer *pc
 		return -1
 	})
 	newp := &plan{
-		key:        planKey(p.queryText, p.kind, p.tables, vers),
 		queryText:  p.queryText,
 		kind:       p.kind,
 		tables:     p.tables,
 		query:      p.query,
 		tableVers:  vers,
+		catchUp:    p.catchUp,
 		answer:     newAnswer,
 		physical:   p.physical, // shape- and arity-dependent only
 		ops:        p.ops,

@@ -3,11 +3,15 @@ package engine
 import (
 	"fmt"
 	"math"
+	"reflect"
 	"strings"
+	"sync"
 	"testing"
+	"time"
 
 	"uncertaindb/internal/catalog"
 	"uncertaindb/internal/condition"
+	"uncertaindb/internal/obs"
 	"uncertaindb/internal/prob"
 	"uncertaindb/internal/value"
 	"uncertaindb/internal/wal"
@@ -133,6 +137,11 @@ func TestPatchMaintainsPlans(t *testing.T) {
 	}}); err != nil {
 		t.Fatal(err)
 	}
+	for _, q := range queries {
+		assertMaintainedKinds(t, e, q.query, kinds)
+	}
+	// Plans are caught up by the queries that read them, so the counters
+	// are read after those queries.
 	after := e.Stats().Maintenance
 	if after.PatchesApplied != before.PatchesApplied+1 {
 		t.Fatalf("patchesApplied = %d, want %d", after.PatchesApplied, before.PatchesApplied+1)
@@ -149,9 +158,6 @@ func TestPatchMaintainsPlans(t *testing.T) {
 	if got := after.PlansMaintained - before.PlansMaintained; got != uint64(len(queries)*len(kinds)) {
 		t.Errorf("plansMaintained = %d, want %d", got, len(queries)*len(kinds))
 	}
-	for _, q := range queries {
-		assertMaintainedKinds(t, e, q.query, kinds)
-	}
 
 	// Patch 2: a delete — no shape is append-safe, every plan re-evaluates;
 	// candidates produced only by the deleted row must vanish.
@@ -162,10 +168,6 @@ func TestPatchMaintainsPlans(t *testing.T) {
 	}); err != nil {
 		t.Fatal(err)
 	}
-	after = e.Stats().Maintenance
-	if got := after.Reevaluations - before.Reevaluations; got != uint64(len(queries)*len(kinds)) {
-		t.Errorf("reevaluations = %d, want %d", got, len(queries)*len(kinds))
-	}
 	for _, q := range queries {
 		for kind, res := range assertMaintainedKinds(t, e, q.query, kinds) {
 			for _, ta := range res.Tuples {
@@ -174,6 +176,10 @@ func TestPatchMaintainsPlans(t *testing.T) {
 				}
 			}
 		}
+	}
+	after = e.Stats().Maintenance
+	if got := after.Reevaluations - before.Reevaluations; got != uint64(len(queries)*len(kinds)) {
+		t.Errorf("reevaluations = %d, want %d", got, len(queries)*len(kinds))
 	}
 }
 
@@ -229,18 +235,18 @@ func TestPatchMarginalCarry(t *testing.T) {
 	if _, err := e.PatchTable("Takes", &wal.Patch{Upserts: []wal.PatchRow{newRow(nil, "Dana", "math")}}); err != nil {
 		t.Fatal(err)
 	}
+	res := assertFreshEquivalent(t, e, Request{Query: query}, true)
+	// The maintained execution must not have recomputed the carried
+	// marginals: the plan's memo is already final, so the execution is warm.
+	if res.PrepareDuration != 0 {
+		t.Error("maintained plan recompiled on execute")
+	}
 	after := e.Stats().Maintenance
 	if reused := after.MarginalsReused - before.MarginalsReused; reused == 0 {
 		t.Error("no marginals reused for a patch that only adds a new group")
 	}
 	if refreshed := after.MarginalsRefreshed - before.MarginalsRefreshed; refreshed == 0 {
 		t.Error("no marginals refreshed for the new candidate tuple")
-	}
-	res := assertFreshEquivalent(t, e, Request{Query: query}, true)
-	// The maintained execution must not have recomputed the carried
-	// marginals: the plan's memo is already final, so the execution is warm.
-	if res.PrepareDuration != 0 {
-		t.Error("maintained plan recompiled on execute")
 	}
 }
 
@@ -254,12 +260,13 @@ func TestPatchForcedRecompiles(t *testing.T) {
 	if _, err := e.PatchTable("Takes", &wal.Patch{Upserts: []wal.PatchRow{newRow(nil, "Dana", "math")}}); err != nil {
 		t.Fatal(err)
 	}
+	// The dropped plan recompiles correctly on the next execution, which is
+	// where the non-monotone plan is found and dropped.
+	assertFreshEquivalent(t, e, Request{Query: "Takes minus Labs"}, false)
 	st := e.Stats().Maintenance
 	if st.ForcedNonMonotone != 1 {
 		t.Errorf("forcedNonMonotone = %d, want 1", st.ForcedNonMonotone)
 	}
-	// The dropped plan recompiles correctly on the next execution.
-	assertFreshEquivalent(t, e, Request{Query: "Takes minus Labs"}, false)
 
 	// A patch that adds a distribution invalidates (memoized marginals were
 	// computed without the new variable's space).
@@ -275,11 +282,11 @@ func TestPatchForcedRecompiles(t *testing.T) {
 	}); err != nil {
 		t.Fatal(err)
 	}
+	assertFreshEquivalent(t, e, Request{Query: "select[$2 = 'math'](Takes)"}, false)
 	st = e.Stats().Maintenance
 	if st.ForcedDistsChanged == 0 {
 		t.Error("distribution-adding patch did not force a recompile")
 	}
-	assertFreshEquivalent(t, e, Request{Query: "select[$2 = 'math'](Takes)"}, false)
 
 	// Whole-table replacement is counted under tableReplaced.
 	ent := e.Catalog().Snapshot().Get("Labs")
@@ -295,8 +302,8 @@ func TestPatchForcedRecompiles(t *testing.T) {
 }
 
 // TestPatchMaintainsFollowerCache checks the ApplyChange path: a follower
-// tailing the leader's change feed maintains its plan cache through patch
-// records and stays byte-identical to the leader.
+// tailing the leader's change feed applies patch records, its queries catch
+// its cached plans up, and it stays byte-identical to the leader.
 func TestPatchMaintainsFollowerCache(t *testing.T) {
 	leader := newEngine(t, Options{}, takesScript, labsScript)
 	w, err := leader.Catalog().Watch(0)
@@ -330,11 +337,11 @@ func TestPatchMaintainsFollowerCache(t *testing.T) {
 		t.Fatal(err)
 	}
 	catchUp(v)
+	lr := assertFreshEquivalent(t, leader, Request{Query: query}, true)
+	fr := assertFreshEquivalent(t, follower, Request{Query: query}, true)
 	if st := follower.Stats().Maintenance; st.PlansMaintained != 1 {
 		t.Errorf("follower plansMaintained = %d, want 1", st.PlansMaintained)
 	}
-	lr := assertFreshEquivalent(t, leader, Request{Query: query}, true)
-	fr := assertFreshEquivalent(t, follower, Request{Query: query}, true)
 	if lr.Answer != fr.Answer || lr.CatalogVersion != fr.CatalogVersion {
 		t.Errorf("leader and follower diverged:\nleader:   %s @%d\nfollower: %s @%d",
 			lr.Answer, lr.CatalogVersion, fr.Answer, fr.CatalogVersion)
@@ -361,13 +368,10 @@ func TestPatchMaintainsMonteCarlo(t *testing.T) {
 	assertFreshEquivalent(t, e, req, true)
 }
 
-// TestPatchMissWaitsForMaintenance: the catalog publishes a patched version
-// before the engine has re-keyed the plans that read the table. A query that
-// looks its plan up in that window — here, the moment the change feed
-// delivers the patch — must hit the maintained plan (maintaining it itself or
-// waiting while the patch does), not compile a second one. Many cached plans
-// on the table keep the window wide: the watched plan's key sorts last, so
-// the patch maintains it last.
+// TestPatchMissWaitsForMaintenance: a query run the moment the change feed
+// delivers a patch catches the cached plan up to the patched version and
+// hits it, without compiling a second plan, while 64 other cached plans over
+// the same table stay behind untouched.
 func TestPatchMissWaitsForMaintenance(t *testing.T) {
 	e := newEngine(t, Options{}, takesScript)
 	for i := 0; i < 64; i++ {
@@ -406,5 +410,202 @@ func TestPatchMissWaitsForMaintenance(t *testing.T) {
 	}
 	if st := e.Stats().Maintenance; st.ForcedTableReplaced != 0 {
 		t.Fatalf("maintained plans were thrown away: %+v", st)
+	}
+}
+
+// TestPatchDefersMaintenance: a patch maintains no plan. Every cached plan
+// over the patched table stays as it was until a query reads it, and then
+// only the plan that query reads is caught up.
+func TestPatchDefersMaintenance(t *testing.T) {
+	e := newEngine(t, Options{}, takesScript)
+	const plans = 8
+	req := func(i int) Request { return Request{Query: fmt.Sprintf("select[$1 != 'a%d'](Takes)", i)} }
+	for i := 0; i < plans; i++ {
+		if _, err := e.Execute(req(i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	before := e.Stats()
+	if _, err := e.PatchTable("Takes", &wal.Patch{Upserts: []wal.PatchRow{newRow(nil, "Dana", "math")}}); err != nil {
+		t.Fatal(err)
+	}
+	after := e.Stats()
+	if after.Maintenance.PatchesApplied != before.Maintenance.PatchesApplied+1 {
+		t.Errorf("patchesApplied = %d, want %d", after.Maintenance.PatchesApplied, before.Maintenance.PatchesApplied+1)
+	}
+	after.Maintenance.PatchesApplied = before.Maintenance.PatchesApplied
+	if after.Maintenance != before.Maintenance || after.Entries != plans || after.Invalidations != before.Invalidations {
+		t.Fatalf("a patch touched the plan cache:\nbefore: %+v\nafter:  %+v", before, after)
+	}
+
+	assertFreshEquivalent(t, e, req(0), true)
+	if got := e.Stats().Maintenance.PlansMaintained; got != before.Maintenance.PlansMaintained+1 {
+		t.Fatalf("plansMaintained = %d after one read, want %d", got, before.Maintenance.PlansMaintained+1)
+	}
+	// The caught-up plan is current now: reading it again is a plain hit.
+	res, err := e.Execute(req(0))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !res.CacheHit || e.Stats().Maintenance.PlansMaintained != before.Maintenance.PlansMaintained+1 {
+		t.Fatalf("second read: cache hit %v, maintenance %+v; want a hit and no second catch-up", res.CacheHit, e.Stats().Maintenance)
+	}
+}
+
+// TestOlderSnapshotCompilesUncached: a cached plan is never served to a
+// snapshot older than the one it is current at. Such a query compiles its
+// own plan, stamps its own snapshot's version, and leaves the cached plan in
+// place.
+func TestOlderSnapshotCompilesUncached(t *testing.T) {
+	e := newEngine(t, Options{}, takesScript)
+	req := Request{Query: "project[1](Takes)"}
+	old := e.Catalog().Snapshot()
+	v, err := e.PatchTable("Takes", &wal.Patch{Upserts: []wal.PatchRow{newRow(nil, "Dana", "math")}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := e.Execute(req); err != nil { // caches the plan at v
+		t.Fatal(err)
+	}
+	before := e.Stats()
+	res, err := e.executeOn(old, req, &phases{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.CacheHit || res.CatalogVersion != old.Version() {
+		t.Fatalf("query at v%d: cache hit %v, stamped v%d; want an uncached compile stamped v%d", old.Version(), res.CacheHit, res.CatalogVersion, old.Version())
+	}
+	want, err := New(e.Catalog(), e.opts).executeOn(old, req, &phases{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Answer != want.Answer || strings.Contains(res.Answer, "Dana") {
+		t.Fatalf("answer at v%d:\n got: %s\nwant: %s", old.Version(), res.Answer, want.Answer)
+	}
+	after := e.Stats()
+	if after.Misses != before.Misses+1 || after.Entries != before.Entries {
+		t.Fatalf("uncached compile: misses %d -> %d, entries %d -> %d", before.Misses, after.Misses, before.Entries, after.Entries)
+	}
+	cur, err := e.Execute(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !cur.CacheHit || cur.CatalogVersion != v || !strings.Contains(cur.Answer, "Dana") {
+		t.Fatalf("query at v%d after the older one: cache hit %v at v%d; want the cached plan", v, cur.CacheHit, cur.CatalogVersion)
+	}
+}
+
+// TestCatchUpTraced: a catch-up is a "maintain" span in the trace of the
+// query that paid for it — with the outcome, the patches it coalesced, the
+// delta rows and the marginals reused and refreshed — so a slow catch-up
+// reaches the slow-query log through that query; the apply histogram
+// observes one catch-up, not one patch.
+func TestCatchUpTraced(t *testing.T) {
+	o := obs.NewObserver(time.Nanosecond, 8) // every execution is slow
+	e := newEngine(t, Options{Obs: o}, takesScript)
+	req := Request{Query: "project[1](Takes)"}
+	if _, err := e.Execute(req); err != nil {
+		t.Fatal(err)
+	}
+	for _, who := range []string{"Dana", "Eve"} {
+		if _, err := e.PatchTable("Takes", &wal.Patch{Upserts: []wal.PatchRow{newRow(nil, who, "math")}}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if n := e.applySeconds.Count(); n != 0 {
+		t.Fatalf("apply histogram observed %d catch-ups before any read", n)
+	}
+	req.Analyze = true
+	res, err := e.Execute(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !res.CacheHit {
+		t.Fatal("caught-up plan was not served as a hit")
+	}
+	if n := e.applySeconds.Count(); n != 1 {
+		t.Fatalf("apply histogram observed %d catch-ups, want 1", n)
+	}
+	want := map[string]any{"outcome": "append", "patches": int64(2), "deltaRows": int64(2), "marginalsReused": int64(3), "marginalsRefreshed": int64(2)}
+	check := func(label string, tr *obs.SpanExport) {
+		t.Helper()
+		var sp *obs.SpanExport
+		for _, c := range tr.Children {
+			if c.Name == "maintain" {
+				sp = c
+			}
+		}
+		if sp == nil {
+			t.Fatalf("%s: no maintain span in the query trace", label)
+		}
+		got := make(map[string]any, len(sp.Attrs))
+		for _, a := range sp.Attrs {
+			got[a.Key] = a.Value
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("%s: maintain span attributes %v, want %v", label, got, want)
+		}
+	}
+	check("analyze", res.Trace)
+	slow := o.Slow.Snapshot()
+	if len(slow) == 0 {
+		t.Fatal("slow-query log is empty")
+	}
+	check("slow log", slow[0].Trace) // most recent first
+}
+
+// TestConcurrentCatchUp: queries that read the same plan at once, some at a
+// snapshot older than the patches, share one catch-up. Readers at the newest
+// snapshot are all hits on the one caught-up plan; readers at the older
+// snapshot get the answer at their own version, from the cached plan while
+// it is still current for them and from an uncached compile once it is not.
+func TestConcurrentCatchUp(t *testing.T) {
+	e := newEngine(t, Options{}, takesScript)
+	req := Request{Query: "project[1](Takes)"}
+	if _, err := e.Execute(req); err != nil {
+		t.Fatal(err)
+	}
+	old := e.Catalog().Snapshot()
+	for _, who := range []string{"Dana", "Eve", "Finn"} {
+		if _, err := e.PatchTable("Takes", &wal.Patch{Upserts: []wal.PatchRow{newRow(nil, who, "math")}}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	cur := e.Catalog().Snapshot()
+	want := make(map[uint64]string)
+	for _, snap := range []*catalog.Snapshot{old, cur} {
+		res, err := New(e.Catalog(), e.opts).executeOn(snap, req, &phases{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		want[snap.Version()] = res.Answer
+	}
+	before := e.Stats().Maintenance.PlansMaintained
+	const readers = 8
+	var wg sync.WaitGroup
+	for i := 0; i < readers; i++ {
+		snap := cur
+		if i%2 == 1 {
+			snap = old
+		}
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			res, err := e.executeOn(snap, req, &phases{})
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			if res.Answer != want[snap.Version()] || res.CatalogVersion != snap.Version() {
+				t.Errorf("reader at v%d: answer at v%d differs from a fresh compile:\n%s", snap.Version(), res.CatalogVersion, res.Answer)
+			}
+			if snap == cur && !res.CacheHit {
+				t.Errorf("reader at the newest snapshot v%d missed the cache", snap.Version())
+			}
+		}()
+	}
+	wg.Wait()
+	if got := e.Stats().Maintenance.PlansMaintained - before; got != 1 {
+		t.Errorf("%d catch-ups for one plan read concurrently, want 1", got)
 	}
 }

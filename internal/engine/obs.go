@@ -71,7 +71,7 @@ func (e *Engine) instrument(o *obs.Observer) {
 
 	// Shared-circuit compilation counters and auto-selector decisions.
 	reg.CounterFunc("uncertaindb_probcalc_circuit_compiles_total", "",
-		"Shared lineage circuits compiled (one per plan that computed exact marginals or a what-if, one per maintained plan whose marginals were refreshed).",
+		"Shared lineage circuits compiled (one per plan that computed exact marginals or a what-if, one per catch-up whose marginals were refreshed).",
 		func() float64 { return float64(e.circuitCompiles.Load()) })
 	reg.CounterFunc("uncertaindb_probcalc_circuit_nodes_total", "",
 		"DAG nodes across all compiled lineage circuits.",
@@ -84,15 +84,15 @@ func (e *Engine) instrument(o *obs.Observer) {
 	reg.CounterFunc("uncertaindb_engine_auto_selections_total", obs.Labels("engine", "mc"),
 		"", func() float64 { return float64(e.autoMC.Load()) })
 
-	// Incremental view maintenance: patch throughput, plans maintained in
+	// Incremental view maintenance: patch throughput, plans caught up in
 	// place by strategy, recompiles forced by fallback reason, marginal
-	// memo reuse across patches, and per-patch apply latency.
+	// memo reuse across catch-ups, and per-catch-up latency.
 	e.applySeconds = reg.Histogram("uncertaindb_maintenance_apply_seconds", "",
-		"Time to incrementally maintain every cached plan after one row-level patch (delta apply + marginal refresh).", nil)
+		"Time of one catch-up: a query bringing one cached plan up to its snapshot across every patch since the plan was current (delta apply or re-evaluation + marginal refresh).", nil)
 	reg.CounterFunc("uncertaindb_maintenance_patches_total", "",
-		"Row-level patches processed by incremental view maintenance.",
+		"Row-level patches applied (counted when applied; plans catch up when read).",
 		func() float64 { return float64(e.mnt.patches.Load()) })
-	maintHelp := "Cached plans maintained in place after a patch (recompiles avoided), by strategy (delta append vs full re-evaluation with suspect diffing)."
+	maintHelp := "Cached plans caught up in place by a query (recompiles avoided), by strategy (delta append vs full re-evaluation with suspect diffing)."
 	reg.CounterFunc("uncertaindb_maintenance_plans_maintained_total", obs.Labels("mode", "append"),
 		maintHelp, func() float64 { return float64(e.mnt.appends.Load()) })
 	reg.CounterFunc("uncertaindb_maintenance_plans_maintained_total", obs.Labels("mode", "reeval"),

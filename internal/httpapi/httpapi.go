@@ -325,8 +325,8 @@ func handlePutTable(db *uncertain.DB, w http.ResponseWriter, r *http.Request) {
 // handlePatchTable serves PATCH /v1/tables/{name}: a patch script of
 // delete/upsert/dist directives (see internal/parser) applied to the named
 // table as one atomic row-level mutation. Cached plans reading the table are
-// incrementally maintained rather than invalidated wherever the query shape
-// allows. On a follower the request is refused with 403 and a Location
+// not invalidated: the next query reading one catches it up incrementally
+// wherever the query shape allows. On a follower the request is refused with 403 and a Location
 // header naming the leader — the router proxies PATCH there.
 func handlePatchTable(db *uncertain.DB, w http.ResponseWriter, r *http.Request) {
 	if redirectReadOnly(db, w, r) {

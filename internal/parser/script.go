@@ -62,8 +62,10 @@ func AppendScript(b []byte, name string, t *pctable.PCTable) []byte {
 // PatchScript renders a patch as the patch script ParsePatch reads back:
 // deletes, then upserts, each in patch order, then distributions sorted by
 // variable. The empty patch renders as the empty string.
-func PatchScript(p *pctable.Patch) string {
-	var b []byte
+func PatchScript(p *pctable.Patch) string { return string(AppendPatchScript(nil, p)) }
+
+// AppendPatchScript appends PatchScript(p) to b.
+func AppendPatchScript(b []byte, p *pctable.Patch) []byte {
 	for _, r := range p.Deletes {
 		b = appendRow(append(b, "delete "...), r.Terms, r.Cond)
 	}
@@ -75,7 +77,7 @@ func PatchScript(p *pctable.Patch) string {
 	for _, dp := range dists {
 		b = appendDist(b, dp.Var, dp.Dist)
 	}
-	return string(b)
+	return b
 }
 
 // CheckScriptable reports an error unless Script writes the table name and

@@ -137,7 +137,7 @@ func (pt *ParsedTable) directive(lx *lexer, word, rest string) error {
 		if err != nil {
 			return err
 		}
-		pt.CTable.AddRow(terms, cond)
+		pt.CTable.AdoptRow(terms, cond) // parseRow built terms for this row alone
 	case "dom":
 		varName, vals, _, err := parseValueList(lx, rest, "domain", false)
 		if err != nil {

@@ -2,6 +2,7 @@ package pctable
 
 import (
 	"fmt"
+	"maps"
 	"sort"
 	"strings"
 
@@ -141,14 +142,15 @@ func (t *PCTable) Copy() *PCTable {
 // answer (old rows + delta rows) and to scope PossibleTuples to a suspect
 // row subset under the full table's distribution context.
 func (t *PCTable) CloneWithRows(rows []exec.Row) *PCTable {
-	c := New(ctable.FromRows(t.table.Arity(), append([]exec.Row(nil), rows...)))
-	for x, d := range t.dists {
-		c.dists[x] = d
-	}
-	t.table.EachDomain(func(x condition.Variable, dom *value.Domain) {
-		c.table.SetDomain(string(x), dom)
-	})
-	return c
+	return t.WithRows(append([]exec.Row(nil), rows...))
+}
+
+// WithRows is CloneWithRows adopting rows as the new table's row slice
+// (ctable.FromRows): the caller gives up ownership of the slice. The
+// distribution and domain pointers are carried over, never rebuilt, so the
+// cost is O(#rows + #variables) pointer copies.
+func (t *PCTable) WithRows(rows []exec.Row) *PCTable {
+	return &PCTable{table: t.table.WithRows(rows), dists: maps.Clone(t.dists)}
 }
 
 // WithDists returns a view of the pc-table with the distributions of the

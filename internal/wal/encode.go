@@ -170,15 +170,22 @@ func (s *State) Apply(rec *Record) error {
 // ---- records ----
 
 // EncodeRecord encodes one mutation record (the payload of a log frame): the
-// header line, then the put table's script or the patch's script.
+// header line ("<kind> <version> <name>", plus the probabilistic flag for a
+// put or a patch), then the put table's script or the patch's script,
+// appended into the one buffer.
 func EncodeRecord(rec *Record) []byte {
+	b := append(make([]byte, 0, 64), rec.Kind.String()...)
+	b = strconv.AppendUint(append(b, ' '), rec.Version, 10)
+	b = append(append(b, ' '), rec.Name...)
 	switch rec.Kind {
 	case KindPut:
-		return parser.AppendScript(fmt.Appendf(nil, "put %d %s %t\n", rec.Version, rec.Name, rec.Probabilistic), rec.Name, rec.Table)
+		b = strconv.AppendBool(append(b, ' '), rec.Probabilistic)
+		return parser.AppendScript(append(b, '\n'), rec.Name, rec.Table)
 	case KindPatch:
-		return append(fmt.Appendf(nil, "patch %d %s %t\n", rec.Version, rec.Name, rec.Probabilistic), parser.PatchScript(rec.Patch)...)
+		b = strconv.AppendBool(append(b, ' '), rec.Probabilistic)
+		return parser.AppendPatchScript(append(b, '\n'), rec.Patch)
 	default:
-		return fmt.Appendf(nil, "%s %d %s\n", rec.Kind, rec.Version, rec.Name)
+		return append(b, '\n')
 	}
 }
 

@@ -8,7 +8,6 @@ import (
 	"uncertaindb/internal/ctable"
 	"uncertaindb/internal/parser"
 	"uncertaindb/internal/pctable"
-	"uncertaindb/internal/prob"
 	"uncertaindb/internal/value"
 )
 
@@ -159,25 +158,20 @@ func DecodePatch(b []byte) (*Patch, error) {
 	return p, nil
 }
 
-// AppliedPatch is the result of applying a patch to a table: the old and new
-// tables plus the exact row-level difference, which the engine's delta
-// propagation consumes.
+// AppliedPatch is the result of applying a patch to a table: the new table
+// plus the exact row-level difference, from which the catalog records how
+// the table changed (catalog.Entry's change versions).
 type AppliedPatch struct {
-	Old *pctable.PCTable
 	New *pctable.PCTable
-	// RemovedRows are the indices (into Old's rows, ascending) of the rows
-	// the patch deleted.
+	// RemovedRows are the indices (into the old table's rows, ascending) of
+	// the rows the patch deleted.
 	RemovedRows []int
 	// AddedRows is how many rows the patch appended at New's tail. New's rows
-	// are Old's survivors in order followed by exactly these appends.
+	// are the old table's survivors in order followed by exactly these
+	// appends.
 	AddedRows int
 	// AddedDists names the variables that received a distribution.
 	AddedDists []string
-	// OldVersion is the catalog entry version the patch was applied against
-	// (filled by the catalog, not ApplyPatchToTable). The engine's plan
-	// maintenance uses it to detect plans compiled against an older state of
-	// the table, which cannot be maintained by this patch alone.
-	OldVersion uint64
 }
 
 // InsertOnly reports whether the applied difference is a pure tail append:
@@ -226,8 +220,8 @@ func ApplyPatchToTable(old *pctable.PCTable, p *Patch) (*AppliedPatch, error) {
 //
 // The new table shares everything unchanged with the old one: the row slice
 // is copied (the Row structs, not the term slices or condition trees), and
-// distributions are carried over by iterating the attached spaces directly —
-// never by scanning rows for variables.
+// the distribution and domain pointers are carried over as they are — never
+// rebuilt, and never found by scanning rows for variables.
 func ApplyPatchToTableKeyed(old *pctable.PCTable, p *Patch, keys *RowKeySet) (*AppliedPatch, *RowKeySet, error) {
 	arity := old.Arity()
 	for _, r := range p.Deletes {
@@ -252,7 +246,7 @@ func ApplyPatchToTableKeyed(old *pctable.PCTable, p *Patch, keys *RowKeySet) (*A
 	}
 
 	oldRows := old.Table().Rows()
-	ap := &AppliedPatch{Old: old}
+	ap := &AppliedPatch{}
 	var outRows []ctable.Row
 	if !anyDelete {
 		// No delete matches a row: survivors are exactly the old rows, so the
@@ -296,30 +290,22 @@ func ApplyPatchToTableKeyed(old *pctable.PCTable, p *Patch, keys *RowKeySet) (*A
 		}
 		keys = &RowKeySet{m: present}
 	}
-	out := pctable.New(ctable.FromRows(arity, outRows))
+	// Distributions and declared domains: share the old table's pointers,
+	// then attach the patch's new spaces — add-only, so every marginal
+	// memoized against the old distributions stays valid.
+	out := old.WithRows(outRows)
 	ap.New = out
-
-	// Distributions: share the old table's spaces, then attach the patch's
-	// new ones — add-only, so every marginal memoized against the old
-	// distributions stays valid.
-	copied := make(map[string]bool)
-	old.EachDist(func(x condition.Variable, s *prob.Space) {
-		copied[string(x)] = true
-		out.SetSpace(string(x), s)
-	})
 	for _, dp := range p.Dists {
-		if copied[dp.Var] {
+		if out.Dist(condition.Variable(dp.Var)) != nil {
 			return nil, nil, fmt.Errorf("wal: patch adds a distribution for %s, which already has one (replace the table to change a distribution)", dp.Var)
 		}
-		copied[dp.Var] = true
 		out.SetSpace(dp.Var, dp.Dist)
 		ap.AddedDists = append(ap.AddedDists, dp.Var)
+		// A declared domain wins over the new distribution's support, as in
+		// a table script (dom lines follow dist lines).
+		if dom := old.Table().DomainOf(condition.Variable(dp.Var)); dom != nil {
+			out.Table().SetDomain(dp.Var, dom)
+		}
 	}
-
-	// Declared domains win over distribution supports, as in a table script
-	// (dom lines follow dist lines): re-apply the old table's domains last.
-	old.EachDomain(func(x condition.Variable, dom *value.Domain) {
-		out.Table().SetDomain(string(x), dom)
-	})
 	return ap, keys, nil
 }

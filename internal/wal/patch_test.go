@@ -220,3 +220,32 @@ func FuzzPatchDecode(f *testing.F) {
 		}
 	})
 }
+
+// A patch carries the old table's distributions and declared domains over
+// by pointer, and a declared domain wins over the support of a distribution
+// the patch adds. The old table is not mutated.
+func TestApplyPatchCarriesDistsAndDomains(t *testing.T) {
+	base := pctable.NewWithArity(1)
+	base.AddRow([]condition.Term{condition.Var("x")}, nil)
+	base.SetSpace("x", prob.MustNewValueSpace(map[value.Value]float64{value.Int(1): 0.5, value.Int(2): 0.5}))
+	wide := value.NewDomain(value.Int(1), value.Int(2), value.Int(3))
+	base.Table().SetDomain("w", wide)
+
+	dist := prob.MustNewValueSpace(map[value.Value]float64{value.Int(1): 0.25, value.Int(2): 0.75})
+	ap, err := ApplyPatchToTable(base, &Patch{
+		Upserts: []PatchRow{{Terms: []condition.Term{condition.Var("w")}}},
+		Dists:   []DistPatch{{Var: "w", Dist: dist}},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ap.New.Dist("x") != base.Dist("x") || ap.New.Table().DomainOf("x") != base.Table().DomainOf("x") {
+		t.Error("x's distribution or domain was rebuilt instead of carried over")
+	}
+	if ap.New.Dist("w") != dist || ap.New.Table().DomainOf("w") != wide {
+		t.Errorf("w: distribution %v, domain %v; want the patch's distribution over the declared domain %v", ap.New.Dist("w"), ap.New.Table().DomainOf("w"), wide)
+	}
+	if base.Dist("w") != nil || base.NumRows() != 1 {
+		t.Error("the patch mutated the old table")
+	}
+}

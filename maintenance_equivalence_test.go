@@ -562,3 +562,186 @@ func renderFollowerWorkload(t *testing.T, e *engine.Engine, recs []*wal.Record) 
 	}
 	return sb.String()
 }
+
+// catchUpEngines are the request engines the catch-up grid covers: the
+// exact circuit, enumeration, Monte-Carlo (few samples, fixed seed) and the
+// auto selector.
+var catchUpEngines = []engine.Request{
+	{Engine: "circuit"},
+	{Engine: "enum"},
+	{Engine: "mc", Samples: 300, Seed: 5},
+	{Engine: "auto"},
+}
+
+// catchUpPatch returns the step-th patch of a grid sequence over R: with
+// dist set, a row over a fresh variable with its distribution; otherwise, at
+// random, an insert of fresh rows, a delete of a live row, or an upsert of a
+// live row (a no-op).
+func catchUpPatch(t *testing.T, g *patchGen, step int, dist bool, live []wal.PatchRow) *wal.Patch {
+	t.Helper()
+	kind := g.rng.Intn(5)
+	if dist {
+		kind = -1
+	}
+	switch kind {
+	case 0:
+		if len(live) > 0 {
+			return &wal.Patch{Deletes: []wal.PatchRow{live[g.rng.Intn(len(live))]}}
+		}
+	case 1:
+		if len(live) > 0 {
+			return &wal.Patch{Upserts: []wal.PatchRow{live[g.rng.Intn(len(live))]}}
+		}
+	case -1:
+		w := fmt.Sprintf("w%d", g.fresh)
+		g.fresh++
+		pu := float64(1+g.rng.Intn(7)) / 8
+		sp, err := prob.NewValueSpace(map[value.Value]float64{value.Str("u"): pu, value.Str("v"): 1 - pu})
+		if err != nil {
+			t.Fatal(err)
+		}
+		g.vars = append(g.vars, w)
+		return &wal.Patch{
+			Dists: []wal.DistPatch{{Var: w, Dist: sp}},
+			Upserts: []wal.PatchRow{{
+				Terms: []condition.Term{condition.Const(value.Str("w-" + w)), condition.Var(w)},
+				Cond:  condition.Eq(condition.Var(w), condition.Const(value.Str("u"))),
+			}},
+		}
+	}
+	p := &wal.Patch{}
+	for n := 1 + g.rng.Intn(2); n > 0; n-- {
+		p.Upserts = append(p.Upserts, wal.PatchRow{
+			Terms: []condition.Term{condition.Const(value.Str(fmt.Sprintf("i%02d", step))), g.randTerm()},
+			Cond:  g.randCond(),
+		})
+	}
+	return p
+}
+
+// enumAnswerRats eagerly evaluates q over env and returns the marginal of
+// every possible answer tuple by big.Rat enumeration of its lineage's
+// valuations, keyed by tuple key.
+func enumAnswerRats(t *testing.T, q string, env pctable.Env) map[string]*big.Rat {
+	t.Helper()
+	pq, err := parser.ParseQuery(q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	answer, err := pctable.EvalQueryEnv(pq, env)
+	if err != nil {
+		t.Fatalf("eager %s: %v", q, err)
+	}
+	possible, err := answer.PossibleTuples()
+	if err != nil {
+		t.Fatal(err)
+	}
+	out := make(map[string]*big.Rat, len(possible))
+	for _, tp := range possible {
+		if out[tp.Key()], err = probcalc.EnumProbabilityRat(answer.Lineage(tp), answer); err != nil {
+			t.Fatalf("eager %s, tuple %s: %v", q, tp, err)
+		}
+	}
+	return out
+}
+
+// TestCatchUpDistanceGrid: with k = 1…8 patches between reads — inserts,
+// deletes and no-op upserts, a distribution-adding patch opening the second
+// round of every even k, and a put of S within the second round of every
+// third k — every cached plan a read catches up, for every
+// request engine, on the leader and on a follower applying the leader's
+// change feed, equals a fresh compile in answer, plan, effective engine,
+// selection and marginals, and every exact marginal is the float64 image of
+// the big.Rat enumeration marginal, bit for bit (all distributions are
+// dyadic).
+func TestCatchUpDistanceGrid(t *testing.T) {
+	var leaderTotals engine.MaintenanceStats
+	for k := 1; k <= 8; k++ {
+		t.Run(fmt.Sprintf("k=%d", k), func(t *testing.T) {
+			leader := newMaintEngine(t)
+			follower := engine.New(catalog.New(), engine.Options{})
+			w, err := leader.Catalog().Watch(0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer w.Close()
+			catchUp := func() {
+				t.Helper()
+				for follower.Catalog().Version() < leader.Catalog().Version() {
+					if err := follower.ApplyChange(<-w.C()); err != nil {
+						t.Fatal(err)
+					}
+				}
+			}
+			shadow := make(pctable.Env)
+			for _, script := range []string{maintRScript, maintSScript} {
+				pt, err := parser.ParseTableString(script)
+				if err != nil {
+					t.Fatal(err)
+				}
+				shadow[pt.Name] = pt.PCTable
+			}
+			catchUp()
+
+			read := func(round int) {
+				t.Helper()
+				for _, q := range maintQueries {
+					rats := enumAnswerRats(t, q, shadow)
+					for _, base := range catchUpEngines {
+						req := base
+						req.Query = q
+						label := fmt.Sprintf("round %d engine=%s", round, req.Engine)
+						lres := assertMaintainedEqualsFresh(t, leader, req, "leader "+label)
+						fres := assertMaintainedEqualsFresh(t, follower, req, "follower "+label)
+						if fres.Answer != lres.Answer || fres.CatalogVersion != lres.CatalogVersion {
+							t.Errorf("%s: %s: follower diverged from leader", label, q)
+						}
+						if lres.Effective == engine.KindMC {
+							continue
+						}
+						for _, ta := range lres.Tuples {
+							f, _ := rats[ta.Tuple.Key()].Float64()
+							if rats[ta.Tuple.Key()] == nil || math.Float64bits(ta.P) != math.Float64bits(f) {
+								t.Errorf("%s: %s: tuple %s P=%.17g, enumeration %v", label, q, ta.Tuple, ta.P, rats[ta.Tuple.Key()])
+							}
+						}
+					}
+				}
+			}
+			read(0) // compiles and caches every plan
+
+			gen := newPatchGen(int64(100 + k))
+			for round := 1; round <= 2; round++ {
+				for step := 0; step < k; step++ {
+					if k%3 == 0 && round == 2 && step == k/2 {
+						s := shadow["S"].Copy()
+						if _, err := leader.PutTable("S", s); err != nil {
+							t.Fatal(err)
+						}
+						shadow["S"] = s
+						continue
+					}
+					dist := round == 2 && k%2 == 0 && step == 0
+					p := catchUpPatch(t, gen, step, dist, currentRows(t, leader, "R"))
+					ap, err := wal.ApplyPatchToTable(shadow["R"], p)
+					if err != nil {
+						t.Fatalf("round %d step %d: shadow: %v", round, step, err)
+					}
+					shadow["R"] = ap.New
+					if _, err := leader.PatchTable("R", p); err != nil {
+						t.Fatalf("round %d step %d: %v", round, step, err)
+					}
+				}
+				catchUp()
+				read(round)
+			}
+			st := leader.Stats().Maintenance
+			leaderTotals.DeltaAppends += st.DeltaAppends
+			leaderTotals.Reevaluations += st.Reevaluations
+			leaderTotals.ForcedDistsChanged += st.ForcedDistsChanged
+		})
+	}
+	if leaderTotals.DeltaAppends == 0 || leaderTotals.Reevaluations == 0 || leaderTotals.ForcedDistsChanged == 0 {
+		t.Errorf("the grid did not exercise every catch-up outcome: %+v", leaderTotals)
+	}
+}

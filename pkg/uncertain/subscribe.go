@@ -14,8 +14,8 @@ var errResync = errors.New("uncertain: subscription watcher lost")
 
 // Subscribe executes the request and pushes the result, then keeps the query
 // live: every catalog mutation touching a table the query reads triggers a
-// re-execution (served from the incrementally maintained plan cache wherever
-// the mutation was a patch the engine could propagate) and a push of the
+// re-execution (which catches the cached plan up incrementally wherever the
+// mutation was a patch the engine can propagate) and a push of the
 // fresh result. Mutations of unrelated tables push nothing; a burst of
 // queued mutations is coalesced into one re-execution.
 //

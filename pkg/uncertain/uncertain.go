@@ -408,10 +408,10 @@ func (db *DB) PutTable(t *Table) (uint64, error) {
 // PatchTableScript parses a patch script (delete/upsert/dist directives in
 // the table-script row syntax; see internal/parser) and applies it to the
 // named table as one atomic row-level mutation, returning the new catalog
-// version. Unlike PutTable, cached plans reading the table are incrementally
-// maintained — deltas propagated through their operator trees and only the
-// affected tuple marginals re-evaluated — rather than invalidated, where the
-// query shape allows it.
+// version. Unlike PutTable, cached plans reading the table are not
+// invalidated: the next query reading one catches it up incrementally —
+// deltas propagated through its operator tree and only the affected tuple
+// marginals re-evaluated — where the query shape allows it.
 func (db *DB) PatchTableScript(name, script string) (uint64, error) {
 	if err := db.readOnlyErr(); err != nil {
 		return 0, err
