@@ -8,21 +8,21 @@
 //	    -leader http://127.0.0.1:8080 \
 //	    -replica http://127.0.0.1:8081 -replica http://127.0.0.1:8082
 //
-// POST /v1/query and /v1/query/batch are balanced across the healthy
-// replicas by least outstanding requests; every response carries
-// X-Served-By and X-Catalog-Version (the catalog version the answer was
-// computed at). A client that just wrote to the leader reads its own write
-// by passing the acknowledged version as X-Min-Catalog-Version (or
-// ?min_catalog_version=): the router skips replicas that have not caught
-// up, retries fresher ones, and falls through to the leader rather than
-// serve a stale answer. Failing replicas are ejected after -fail-after
-// consecutive errors and readmitted by the health loop (period
+// POST /v1/query and /v1/query/batch go to the healthy replica with the
+// fewest outstanding requests, whose response streams back unread with
+// X-Served-By and X-Router-Attempts added. The router relays and balances;
+// the node judges freshness: it stamps X-Catalog-Version, waits briefly for
+// a client's X-Min-Catalog-Version (or ?min_catalog_version=), and answers
+// 409 when a follower is still behind or 412 when the demand is ahead of
+// the leader. On a transport error, a 5xx or a 409 the router sends the
+// query to the leader exactly once. Failing replicas are ejected after
+// -fail-after consecutive errors and readmitted by the health loop (period
 // -health-interval) once they answer /v1/stats again.
 //
 // Everything else — mutations, table reads, the change feed — is reverse-
 // proxied to the leader unchanged. GET /v1/router reports backend health
-// and versions; GET /metrics serves the router's own counters (route
-// latency, failovers, stale skips, leader fallthroughs).
+// and each replica's catalog version at its last probe; GET /metrics serves
+// the router's own counters (route latency, failovers, leader fallthroughs).
 package main
 
 import (

@@ -21,6 +21,11 @@
 // On a follower (a DB opened with Config.Follow), mutations are refused
 // with 403 Forbidden and a Location header pointing at the same path on the
 // leader — clients retry the write there.
+//
+// Any node gives reads read-your-writes: POST /v1/query and /v1/query/batch
+// wait for the X-Min-Catalog-Version (or ?min_catalog_version=) a write
+// acknowledged (see awaitDemand), and stamp every answer with its catalog
+// version in X-Catalog-Version.
 package httpapi
 
 import (
@@ -132,7 +137,7 @@ func redirectReadOnly(db *uncertain.DB, w http.ResponseWriter, r *http.Request) 
 func handleSnapshot(db *uncertain.DB, w http.ResponseWriter) {
 	data, version, crc := db.SnapshotBytes()
 	w.Header().Set("Content-Type", "application/octet-stream")
-	w.Header().Set("X-Catalog-Version", strconv.FormatUint(version, 10))
+	stampVersion(w, version)
 	w.Header().Set("X-Snapshot-Crc32", fmt.Sprintf("%08x", crc))
 	w.Header().Set("Content-Length", strconv.Itoa(len(data)))
 	if _, err := w.Write(data); err != nil {
@@ -567,12 +572,48 @@ func handleQuery(db *uncertain.DB, w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, fmt.Errorf("missing \"query\""))
 		return
 	}
+	if !awaitDemand(db, w, r) {
+		return
+	}
 	res, err := db.Query(req.request())
 	if err != nil {
 		writeError(w, errStatus(err), err)
 		return
 	}
+	stampVersion(w, res.CatalogVersion)
 	writeJSON(w, http.StatusOK, resultJSON(res))
+}
+
+// awaitDemand makes a read wait for its demanded catalog version, reporting
+// whether the query may run. A malformed demand answers 400; a node still
+// behind after uncertain.MaxFreshnessWait answers 409 with a Location at the
+// leader when it is a follower, and 412 when it is the leader.
+func awaitDemand(db *uncertain.DB, w http.ResponseWriter, r *http.Request) bool {
+	s := r.Header.Get("X-Min-Catalog-Version")
+	if qs := r.URL.Query().Get("min_catalog_version"); qs != "" {
+		s = qs
+	}
+	demand, err := parseUintParam(s, 0)
+	if err != nil {
+		writeError(w, http.StatusBadRequest, fmt.Errorf("bad min catalog version: %w", err))
+		return false
+	}
+	v, err := db.AwaitCatalogVersion(r.Context(), demand)
+	if err == nil {
+		return true
+	}
+	stampVersion(w, v)
+	status := http.StatusPreconditionFailed
+	if db.ReadOnly() {
+		status = http.StatusConflict
+		w.Header().Set("Location", strings.TrimRight(db.Leader(), "/")+r.URL.RequestURI())
+	}
+	writeError(w, status, err)
+	return false
+}
+
+func stampVersion(w http.ResponseWriter, v uint64) {
+	w.Header().Set("X-Catalog-Version", strconv.FormatUint(v, 10))
 }
 
 // batchRequest is the JSON body of POST /v1/query/batch.
@@ -611,6 +652,9 @@ func handleQueryBatch(db *uncertain.DB, w http.ResponseWriter, r *http.Request) 
 		writeError(w, http.StatusBadRequest, fmt.Errorf("batch of %d queries exceeds the limit of %d", len(req.Queries), MaxBatchQueries))
 		return
 	}
+	if !awaitDemand(db, w, r) {
+		return
+	}
 	reqs := make([]uncertain.Request, len(req.Queries))
 	for i, q := range req.Queries {
 		reqs[i] = q.request()
@@ -625,6 +669,7 @@ func handleQueryBatch(db *uncertain.DB, w http.ResponseWriter, r *http.Request) 
 		qr := resultJSON(item.Result)
 		resp.Results[i] = BatchItem{QueryResponse: &qr}
 	}
+	stampVersion(w, version)
 	writeJSON(w, http.StatusOK, resp)
 }
 

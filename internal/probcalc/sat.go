@@ -10,14 +10,13 @@ import (
 // This file derives model counting and satisfiability from the compiler:
 // running it in big.Rat arithmetic under exact uniform weights 1/|dom(x)|
 // turns a probability into a model count (count = P · Π|dom(x)|, an exact
-// integer). These are the decomposition-based replacements for the
-// enumeration helpers in internal/condition/sat.go and scale to variable
-// counts where exhaustive enumeration is hopeless.
+// integer). They scale to variable counts where exhaustive enumeration —
+// the oracle the tests check them against — is hopeless.
 
 // CountSatisfyingBig returns the number of total valuations of the free
 // variables of c over dom that satisfy c, and the total number of
 // valuations, as big integers. It panics if a variable has no (non-empty)
-// domain, mirroring condition.CountSatisfying.
+// domain, as condition.ForEachValuation does.
 func CountSatisfyingBig(c condition.Condition, dom condition.DomainProvider) (sat, total *big.Int) {
 	vars := condition.Vars(c)
 	total = big.NewInt(1)
@@ -52,9 +51,8 @@ func CountSatisfying(c condition.Condition, dom condition.DomainProvider) (sat, 
 }
 
 // Satisfiable reports whether some total valuation over dom satisfies c,
-// decided by decomposition rather than search. Unlike condition.Satisfiable
-// it does not produce a witness valuation; use the condition package when a
-// witness is needed.
+// decided by decomposition rather than search. It produces no witness
+// valuation.
 func Satisfiable(c condition.Condition, dom condition.DomainProvider) bool {
 	sat, _ := CountSatisfyingBig(c, dom)
 	return sat.Sign() != 0

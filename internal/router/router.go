@@ -5,7 +5,9 @@ package router
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
@@ -34,7 +36,9 @@ type Options struct {
 	// selects 1: one failed proxy attempt sidelines the replica until a
 	// health check readmits it.
 	FailAfter int
-	// Client is the HTTP transport (nil for a default with a 30s timeout).
+	// Client runs the health checks; its Transport carries the proxied
+	// traffic and its Timeout bounds each routed query attempt (nil for a
+	// default client with a 30s timeout).
 	Client *http.Client
 	// Obs, when set, registers router metrics in its registry.
 	Obs *obs.Observer
@@ -53,13 +57,14 @@ func (o Options) withDefaults() Options {
 	return o
 }
 
-// backend is one routed replica: its health state, advertised catalog
-// version, and in-flight request count (the least-outstanding balancing
-// signal).
+// backend is one routed replica: its reverse proxy, health state, the
+// catalog version its last health probe reported (status only), and its
+// in-flight request count (the least-outstanding balancing signal).
 type backend struct {
 	url         string
+	proxy       *httputil.ReverseProxy
 	healthy     atomic.Bool
-	version     atomic.Uint64 // last catalog version observed (health or response stamp)
+	version     atomic.Uint64
 	outstanding atomic.Int64
 	fails       atomic.Int32
 
@@ -75,14 +80,13 @@ type BackendStatus struct {
 }
 
 // Router fans query traffic out across read replicas and proxies everything
-// else to the leader. Responses are stamped with the serving backend and its
-// catalog version; a client-supplied minimum catalog version is enforced by
-// skipping stale replicas and, when necessary, falling through to the
-// leader — a stale answer is never silently served.
+// else to the leader. It relays and balances but never judges freshness: a
+// query's X-Min-Catalog-Version travels to the node, which enforces it and
+// stamps X-Catalog-Version. A replica's response streams back unread; a
+// replica that fails or answers 409 (behind) hands the query to the leader.
 type Router struct {
 	opts     Options
-	leader   *url.URL
-	proxy    *httputil.ReverseProxy
+	leader   *httputil.ReverseProxy
 	backends []*backend
 
 	stop chan struct{}
@@ -92,9 +96,32 @@ type Router struct {
 	// Metrics (nil-safe without Obs).
 	routeSeconds *obs.Histogram
 	failovers    *obs.Counter
-	staleSkips   *obs.Counter
 	leaderFalls  *obs.Counter
 }
+
+// hop is one routed query's state, carried in its request context under
+// hopKey: the client's own context, the backends tried, and whether the
+// last one failed or refused it with nothing written, so the leader serves
+// next.
+type hopKey struct{}
+
+type hop struct {
+	client   context.Context
+	attempts int
+	retry    bool
+}
+
+// buffers recycles the proxies' 32 KiB copy buffers, which ReverseProxy
+// would otherwise allocate for every response it relays.
+var buffers = bufferPool{sync.Pool{New: func() any { b := make([]byte, 32<<10); return &b }}}
+
+type bufferPool struct{ sync.Pool }
+
+func (p *bufferPool) Get() []byte  { return *p.Pool.Get().(*[]byte) }
+func (p *bufferPool) Put(b []byte) { p.Pool.Put(&b) }
+
+// errStale marks a replica's 409: behind the query's demand, not failing.
+var errStale = errors.New("replica is behind the demanded catalog version")
 
 // New builds a router over a leader and a static replica set.
 func New(opts Options) (*Router, error) {
@@ -108,20 +135,28 @@ func New(opts Options) (*Router, error) {
 	}
 	r := &Router{
 		opts:   opts,
-		leader: leaderURL,
-		proxy:  httputil.NewSingleHostReverseProxy(leaderURL),
+		leader: httputil.NewSingleHostReverseProxy(leaderURL),
 		stop:   make(chan struct{}),
 	}
-	r.proxy.Transport = opts.Client.Transport
+	r.leader.Transport = opts.Client.Transport
+	r.leader.BufferPool = &buffers
+	r.leader.ModifyResponse = func(res *http.Response) error {
+		if h, ok := res.Request.Context().Value(hopKey{}).(*hop); ok {
+			stamp(res, "leader", h.attempts)
+		}
+		return nil
+	}
+	r.leader.ErrorHandler = func(w http.ResponseWriter, req *http.Request, err error) {
+		writeRouterError(w, http.StatusBadGateway, fmt.Errorf("leader unavailable: %w", err))
+	}
 	for _, u := range opts.Replicas {
 		u = strings.TrimRight(u, "/")
 		if u == "" {
 			continue
 		}
-		b := &backend{url: u}
-		if ob := opts.Obs; ob != nil {
-			b.requests = ob.Reg.Counter("uncertaindb_router_backend_requests_total",
-				obs.Labels("backend", u), "Queries served by each backend.")
+		b, err := r.newBackend(u)
+		if err != nil {
+			return nil, err
 		}
 		r.backends = append(r.backends, b)
 	}
@@ -132,13 +167,58 @@ func New(opts Options) (*Router, error) {
 		r.routeSeconds = ob.Reg.Histogram("uncertaindb_router_route_duration_seconds", "",
 			"End-to-end routed query duration (attempts included).", nil)
 		r.failovers = ob.Reg.Counter("uncertaindb_router_failovers_total", "",
-			"Query attempts retried on another backend after a failure.")
-		r.staleSkips = ob.Reg.Counter("uncertaindb_router_stale_skips_total", "",
-			"Backends skipped or responses discarded for missing min_catalog_version.")
+			"Queries sent on to the leader after a replica failed or answered 409.")
 		r.leaderFalls = ob.Reg.Counter("uncertaindb_router_leader_fallthroughs_total", "",
-			"Queries served by the leader because no replica qualified.")
+			"Queries sent to the leader: no healthy replica, or a replica failed or answered 409.")
 	}
 	return r, nil
+}
+
+// newBackend builds a replica's proxy. A transport error, a 5xx or a 409
+// writes nothing and hands the query to the leader; all but the 409 count
+// toward ejecting the replica.
+func (r *Router) newBackend(u string) (*backend, error) {
+	target, err := url.Parse(u)
+	if err != nil {
+		return nil, fmt.Errorf("router: bad replica URL %q: %w", u, err)
+	}
+	b := &backend{url: u, proxy: httputil.NewSingleHostReverseProxy(target)}
+	if ob := r.opts.Obs; ob != nil {
+		b.requests = ob.Reg.Counter("uncertaindb_router_backend_requests_total",
+			obs.Labels("backend", u), "Queries served by each backend.")
+	}
+	b.proxy.Transport = r.opts.Client.Transport
+	b.proxy.BufferPool = &buffers
+	b.proxy.ModifyResponse = func(res *http.Response) error {
+		switch {
+		case res.StatusCode >= 500:
+			return fmt.Errorf("%s: HTTP %d", u, res.StatusCode)
+		case res.StatusCode == http.StatusConflict:
+			return errStale
+		}
+		b.requests.Inc()
+		stamp(res, u, res.Request.Context().Value(hopKey{}).(*hop).attempts)
+		return nil
+	}
+	b.proxy.ErrorHandler = func(w http.ResponseWriter, req *http.Request, err error) {
+		h := req.Context().Value(hopKey{}).(*hop)
+		if h.client.Err() != nil {
+			return // the client went away; nobody waits for a retry
+		}
+		if !errors.Is(err, errStale) {
+			r.fail(b)
+		}
+		r.failovers.Inc()
+		h.retry = true
+	}
+	return b, nil
+}
+
+// stamp marks a relayed query response with who served it after how many
+// attempts.
+func stamp(res *http.Response, servedBy string, attempts int) {
+	res.Header.Set("X-Served-By", servedBy)
+	res.Header.Set("X-Router-Attempts", strconv.Itoa(attempts))
 }
 
 // Start launches the health-check loop; Close stops it.
@@ -159,8 +239,8 @@ func (r *Router) Close() {
 }
 
 // healthLoop probes every replica's /v1/stats on the configured interval:
-// a success updates the advertised catalog version and readmits the
-// backend, a failure counts toward ejection.
+// a success records the replica's catalog version for /v1/router and
+// readmits it, a failure counts toward ejection.
 func (r *Router) healthLoop() {
 	r.checkAll() // probe immediately so Start doesn't race the first query
 	ticker := time.NewTicker(r.opts.HealthInterval)
@@ -188,25 +268,19 @@ func (r *Router) checkAll() {
 }
 
 func (r *Router) check(b *backend) {
-	resp, err := r.opts.Client.Get(b.url + "/v1/stats")
-	if err != nil {
-		r.fail(b)
-		return
+	var st struct {
+		CatalogVersion uint64 `json:"catalogVersion"`
 	}
-	defer resp.Body.Close()
-	body, err := io.ReadAll(io.LimitReader(resp.Body, 1<<20))
+	resp, err := r.opts.Client.Get(b.url + "/v1/stats")
+	if err == nil {
+		err = json.NewDecoder(io.LimitReader(resp.Body, 1<<20)).Decode(&st)
+		resp.Body.Close()
+	}
 	if err != nil || resp.StatusCode != http.StatusOK {
 		r.fail(b)
 		return
 	}
-	var st struct {
-		CatalogVersion uint64 `json:"catalogVersion"`
-	}
-	if err := json.Unmarshal(body, &st); err != nil {
-		r.fail(b)
-		return
-	}
-	b.observeVersion(st.CatalogVersion)
+	b.version.Store(st.CatalogVersion)
 	b.fails.Store(0)
 	b.healthy.Store(true)
 }
@@ -216,17 +290,6 @@ func (r *Router) check(b *backend) {
 func (r *Router) fail(b *backend) {
 	if int(b.fails.Add(1)) >= r.opts.FailAfter {
 		b.healthy.Store(false)
-	}
-}
-
-// observeVersion advances the backend's advertised catalog version
-// monotonically (stamps can arrive out of order across goroutines).
-func (b *backend) observeVersion(v uint64) {
-	for {
-		cur := b.version.Load()
-		if v <= cur || b.version.CompareAndSwap(cur, v) {
-			return
-		}
 	}
 }
 
@@ -267,36 +330,16 @@ func (r *Router) Handler() http.Handler {
 			r.opts.Obs.Reg.WritePrometheus(w)
 		})
 	}
-	mux.Handle("/", r.proxy)
+	mux.Handle("/", r.leader)
 	return mux
 }
 
-// minVersionOf extracts the client's minimum catalog version: the
-// X-Min-Catalog-Version header or the min_catalog_version query parameter
-// (read-your-writes: clients pass the version a mutation acknowledged).
-func minVersionOf(req *http.Request) (uint64, error) {
-	s := req.Header.Get("X-Min-Catalog-Version")
-	if qs := req.URL.Query().Get("min_catalog_version"); qs != "" {
-		s = qs
-	}
-	if s == "" {
-		return 0, nil
-	}
-	return strconv.ParseUint(s, 10, 64)
-}
-
-// pick selects the healthy backend with an advertised version of at least
-// minVer carrying the fewest outstanding requests. Backends tried this
-// request are excluded; nil means none qualifies, and the caller falls
-// through to the leader.
-func (r *Router) pick(minVer uint64, tried map[*backend]bool) *backend {
+// pick selects the healthy replica with the fewest outstanding requests;
+// nil means none is healthy, and the leader serves.
+func (r *Router) pick() *backend {
 	var best *backend
 	for _, cand := range r.backends {
-		if tried[cand] || !cand.healthy.Load() {
-			continue
-		}
-		if cand.version.Load() < minVer {
-			r.staleSkips.Inc()
+		if !cand.healthy.Load() {
 			continue
 		}
 		if best == nil || cand.outstanding.Load() < best.outstanding.Load() {
@@ -306,18 +349,8 @@ func (r *Router) pick(minVer uint64, tried map[*backend]bool) *backend {
 	return best
 }
 
-// routed is the outcome of one backend attempt.
-type routed struct {
-	status  int
-	header  http.Header
-	body    []byte
-	version uint64 // catalogVersion stamp parsed from the body (0 when absent)
-}
-
-// route serves one query request: read the body once, then attempt backends
-// in least-outstanding order, retrying on failure and on stale responses,
-// with the leader as the final fallthrough. The response is stamped with
-// X-Served-By and X-Catalog-Version.
+// route sends one query to the picked replica and, when that one hands it
+// on, to the leader exactly once; the body is buffered for the second send.
 func (r *Router) route(w http.ResponseWriter, req *http.Request) {
 	t0 := time.Now()
 	defer func() { r.routeSeconds.Observe(time.Since(t0)) }()
@@ -326,103 +359,29 @@ func (r *Router) route(w http.ResponseWriter, req *http.Request) {
 		writeRouterError(w, http.StatusBadRequest, err)
 		return
 	}
-	minVer, err := minVersionOf(req)
-	if err != nil {
-		writeRouterError(w, http.StatusBadRequest, fmt.Errorf("bad min catalog version: %w", err))
-		return
-	}
-
-	tried := make(map[*backend]bool, len(r.backends))
-	attempts := 0
-	// Bounded retries: each replica at most once, then the leader.
-	for attempts <= len(r.backends) {
-		b := r.pick(minVer, tried)
-		if b == nil {
-			break
+	h := &hop{client: req.Context()}
+	send := func(proxy *httputil.ReverseProxy) {
+		ctx := context.WithValue(h.client, hopKey{}, h)
+		if t := r.opts.Client.Timeout; t > 0 {
+			var cancel context.CancelFunc
+			ctx, cancel = context.WithTimeout(ctx, t)
+			defer cancel()
 		}
-		tried[b] = true
-		attempts++
+		h.attempts++
+		out := req.WithContext(ctx)
+		out.Body = io.NopCloser(bytes.NewReader(body))
+		proxy.ServeHTTP(w, out)
+	}
+	if b := r.pick(); b != nil {
 		b.outstanding.Add(1)
-		res, err := r.attempt(b.url, req, body)
+		send(b.proxy)
 		b.outstanding.Add(-1)
-		if err != nil {
-			r.fail(b)
-			r.failovers.Inc()
-			continue
+		if !h.retry {
+			return
 		}
-		b.observeVersion(res.version)
-		if res.version < minVer {
-			// The replica advertised freshness it did not have (it may have
-			// been reset by a resync). Never serve it silently; try a
-			// fresher backend or the leader.
-			r.staleSkips.Inc()
-			continue
-		}
-		b.requests.Inc()
-		writeRouted(w, res, b.url, attempts)
-		return
 	}
-
-	// Leader fallthrough: the leader's catalog version is by definition the
-	// newest, so min_catalog_version at most reflects a mutation the leader
-	// acknowledged — it can always serve it.
 	r.leaderFalls.Inc()
-	res, err := r.attempt(strings.TrimRight(r.opts.Leader, "/"), req, body)
-	if err != nil {
-		writeRouterError(w, http.StatusBadGateway, fmt.Errorf("no backend available: %w", err))
-		return
-	}
-	attempts++
-	if res.status == http.StatusOK && res.version < minVer {
-		writeRouterError(w, http.StatusPreconditionFailed,
-			fmt.Errorf("min_catalog_version %d is ahead of the leader (version %d)", minVer, res.version))
-		return
-	}
-	writeRouted(w, res, "leader", attempts)
-}
-
-// attempt posts the query to one backend and parses the catalogVersion
-// stamp out of the response body. Non-2xx statuses below 500 are valid
-// outcomes (the query itself was bad); 5xx and transport errors are backend
-// failures.
-func (r *Router) attempt(base string, req *http.Request, body []byte) (*routed, error) {
-	out, err := http.NewRequestWithContext(req.Context(), http.MethodPost, base+req.URL.Path, bytes.NewReader(body))
-	if err != nil {
-		return nil, err
-	}
-	out.Header.Set("Content-Type", "application/json")
-	resp, err := r.opts.Client.Do(out)
-	if err != nil {
-		return nil, err
-	}
-	defer resp.Body.Close()
-	respBody, err := io.ReadAll(io.LimitReader(resp.Body, 64<<20))
-	if err != nil {
-		return nil, err
-	}
-	if resp.StatusCode >= 500 {
-		return nil, fmt.Errorf("%s: HTTP %d", base, resp.StatusCode)
-	}
-	res := &routed{status: resp.StatusCode, header: resp.Header, body: respBody}
-	var stamp struct {
-		CatalogVersion uint64 `json:"catalogVersion"`
-	}
-	if json.Unmarshal(respBody, &stamp) == nil {
-		res.version = stamp.CatalogVersion
-	}
-	return res, nil
-}
-
-// writeRouted relays a backend response with the router's stamps.
-func writeRouted(w http.ResponseWriter, res *routed, servedBy string, attempts int) {
-	if ct := res.header.Get("Content-Type"); ct != "" {
-		w.Header().Set("Content-Type", ct)
-	}
-	w.Header().Set("X-Served-By", servedBy)
-	w.Header().Set("X-Catalog-Version", strconv.FormatUint(res.version, 10))
-	w.Header().Set("X-Router-Attempts", strconv.Itoa(attempts))
-	w.WriteHeader(res.status)
-	w.Write(res.body)
+	send(r.leader)
 }
 
 func writeRouterError(w http.ResponseWriter, status int, err error) {

@@ -2,6 +2,7 @@ package uncertain
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"net/http"
 	"time"
@@ -50,6 +51,44 @@ func (db *DB) Replication() (st ReplicationStatus, ok bool) {
 		return ReplicationStatus{}, false
 	}
 	return db.follower.Status(), true
+}
+
+// MaxFreshnessWait caps how long AwaitCatalogVersion waits. A follower
+// applies a leader mutation within about 2 ms at p99 (E19); one that is
+// further behind refuses within this bound, and the client reads elsewhere.
+const MaxFreshnessWait = 50 * time.Millisecond
+
+// ErrStale reports a node still behind a read's demanded catalog version
+// after MaxFreshnessWait: HTTP 409 with a Location at the leader on a
+// follower, 412 on the leader, which never acknowledged that version.
+var ErrStale = errors.New("uncertain: catalog is behind the demanded version")
+
+// AwaitCatalogVersion is a read's freshness check (read-your-writes: demand
+// is the version a write acknowledged). Until the catalog reaches demand it
+// waits on the change feed, which a replicated mutation or a follower
+// resync wakes, for at most MaxFreshnessWait or until ctx ends. It returns
+// the version it saw last, with ErrStale when that is still below demand.
+func (db *DB) AwaitCatalogVersion(ctx context.Context, demand uint64) (uint64, error) {
+	cat := db.eng.Catalog()
+	v := cat.Version()
+	if v < demand {
+		ctx, cancel := context.WithTimeout(ctx, MaxFreshnessWait)
+		defer cancel()
+		for v < demand && ctx.Err() == nil {
+			if w, err := cat.Watch(v); err == nil { // else the catalog moved since v
+				select {
+				case <-w.C(): // a mutation, or a feed closed by a lag or a resync
+				case <-ctx.Done():
+				}
+				w.Close()
+			}
+			v = cat.Version()
+		}
+	}
+	if v < demand {
+		return v, fmt.Errorf("%w: %d demanded, this node is at %d", ErrStale, demand, v)
+	}
+	return v, nil
 }
 
 // SnapshotBytes exports the catalog in its canonical snapshot form
