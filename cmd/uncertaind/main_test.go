@@ -12,12 +12,15 @@ import (
 	"net/http/httptest"
 	"os"
 	"regexp"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
 	"time"
 
+	"uncertaindb/internal/condition"
 	"uncertaindb/internal/parser"
+	"uncertaindb/internal/value"
 	"uncertaindb/pkg/uncertain"
 )
 
@@ -73,7 +76,30 @@ func postQuery(t *testing.T, srv *httptest.Server, reqBody string) queryResponse
 	if err := json.Unmarshal(body, &qr); err != nil {
 		t.Fatalf("bad query response %s: %v", body, err)
 	}
+	assertAnswerIsTable(t, qr.Answer)
 	return qr
+}
+
+// assertAnswerIsTable checks that a response's answer is what PUT reads: the
+// script of a table named answer, with no false row, declaring exactly the
+// variables its rows mention.
+func assertAnswerIsTable(t *testing.T, answer string) {
+	t.Helper()
+	pt, err := parser.ParseTableString(answer)
+	if err != nil || pt.Name != "answer" {
+		t.Fatalf("answer is not the script of a table named answer (%v):\n%s", err, answer)
+	}
+	for _, r := range pt.PCTable.Table().Rows() {
+		if _, ok := r.Cond.(condition.FalseCond); ok {
+			t.Fatalf("answer writes a false row:\n%s", answer)
+		}
+	}
+	var declared []condition.Variable
+	pt.PCTable.EachDomain(func(x condition.Variable, _ *value.Domain) { declared = append(declared, x) })
+	slices.Sort(declared)
+	if mentioned := pt.PCTable.Vars(); !slices.Equal(declared, mentioned) {
+		t.Fatalf("answer declares %v, its rows mention %v:\n%s", declared, mentioned, answer)
+	}
 }
 
 // Acceptance: marginals over HTTP equal pctable.AnswerTupleProbabilities on

@@ -13,6 +13,31 @@ import (
 	"uncertaindb/pkg/uncertain"
 )
 
+// A PUT or PATCH that gives a variable a distribution other than the one
+// another table gives it is refused with 400 when it is written, so no later
+// query fails on the pair; the catalog stays as it was.
+func TestConflictingDistsRefused(t *testing.T) {
+	srv, db := newTestServer(t)
+	putTakes(t, srv)
+	if status, body := doJSON(t, http.MethodPut, srv.URL+"/v1/tables/Labs", labsScript); status != http.StatusOK {
+		t.Fatalf("PUT Labs: %d %s", status, body)
+	}
+	writes := []struct{ method, table, body string }{
+		{http.MethodPut, "Other", "table Other arity 1\nrow x\ndist x = {'math':0.5, 'phys':0.5}\n"},
+		{http.MethodPatch, "Labs", "upsert 'chem', t\ndist t = {0:0.5, 1:0.5}\n"},
+	}
+	for _, w := range writes {
+		status, body := doJSON(t, w.method, srv.URL+"/v1/tables/"+w.table, w.body)
+		if status != http.StatusBadRequest || !strings.Contains(string(body), "conflicting distributions") {
+			t.Errorf("%s %s: %d %s, want 400 naming the conflict", w.method, w.table, status, body)
+		}
+	}
+	if v := db.CatalogVersion(); v != 2 {
+		t.Errorf("catalog version %d after refused writes, want 2", v)
+	}
+	postQuery(t, srv, `{"query": "project[1,4](Takes join[$2 = $3] Labs)"}`)
+}
+
 // PATCH /v1/tables/{name} applies a row-level mutation and the engine
 // maintains dependent cached plans in place: the follow-up query is a cache
 // hit that already reflects the patch, and /v1/stats counts the maintenance.
@@ -150,6 +175,7 @@ func TestSubscribeEndpoint(t *testing.T) {
 		if err := json.Unmarshal(lines.Bytes(), &qr); err != nil {
 			t.Fatalf("%s: bad stream line %s: %v", label, lines.Bytes(), err)
 		}
+		assertAnswerIsTable(t, qr.Answer)
 		return qr
 	}
 

@@ -12,13 +12,14 @@ import (
 
 // quirksScript holds what a display rendering loses: a string with a quote,
 // a null, a '|' inside a cell, nested negation, and a declared domain wider
-// than its distribution's support.
+// than its distribution's support. Its variables are its own: Takes gives x
+// another distribution, and a catalog refuses that.
 const quirksScript = `table Quirks arity 2
-row "it's", x | !(x = 1 || x = 2) && y != -3
+row "it's", w | !(w = 1 || w = 2) && y != -3
 row null, 'a|b' | y = 0
-dist x = {1: 0.25, 2: 0, 3: 0.75}
+dist w = {1: 0.25, 2: 0, 3: 0.75}
 dist y = {-3: 0.5, 0: 0.5}
-dom x = {1, 2, 3, 4}
+dom w = {1, 2, 3, 4}
 `
 
 // GET /v1/tables/{name} returns the table's canonical script, so a PUT of

@@ -50,6 +50,7 @@ func postPath(t *testing.T, srv *httptest.Server, path, reqBody string) queryRes
 	if err := json.Unmarshal(body, &qr); err != nil {
 		t.Fatalf("bad query response %s: %v", body, err)
 	}
+	assertAnswerIsTable(t, qr.Answer)
 	return qr
 }
 
@@ -97,6 +98,8 @@ func TestQueryBatchEndpoint(t *testing.T) {
 	if resp.Results[3].Query == "" {
 		t.Errorf("item 3: %+v", resp.Results[3])
 	}
+	assertAnswerIsTable(t, resp.Results[0].Answer)
+	assertAnswerIsTable(t, resp.Results[3].Answer)
 	if v0, v3 := resp.Results[0].CatalogVersion, resp.Results[3].CatalogVersion; v0 != v3 || resp.CatalogVersion != v0 {
 		t.Errorf("batch catalog versions inconsistent: %d, %d, top-level %d", v0, v3, resp.CatalogVersion)
 	}

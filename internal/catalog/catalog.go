@@ -23,6 +23,8 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"maps"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -296,6 +298,12 @@ func (c *Catalog) ApplyRecord(rec *wal.Record) (*wal.AppliedPatch, error) {
 	if rec.Version != c.version+1 {
 		return nil, fmt.Errorf("catalog: record version %d does not extend catalog version %d", rec.Version, c.version)
 	}
+	return c.applyLocked(rec, 0)
+}
+
+// applyLocked installs rec, which extends the version chain by one, and
+// commits it stamped with commitTime (see commitLocked). c.mu must be held.
+func (c *Catalog) applyLocked(rec *wal.Record, commitTime int64) (*wal.AppliedPatch, error) {
 	switch rec.Kind {
 	case wal.KindPut:
 		if rec.Table == nil {
@@ -305,7 +313,7 @@ func (c *Catalog) ApplyRecord(rec *wal.Record) (*wal.AppliedPatch, error) {
 		c.version = rec.Version
 		c.tables[rec.Name] = newEntry(rec.Name, rec.Table, rec.Probabilistic, rec.Version)
 		delete(c.rowKeys, rec.Name)
-		return nil, c.commitLocked(rec, 0, func() {
+		return nil, c.commitLocked(rec, commitTime, func() {
 			c.version = rec.Version - 1
 			if existed {
 				c.tables[rec.Name] = prev
@@ -318,7 +326,7 @@ func (c *Catalog) ApplyRecord(rec *wal.Record) (*wal.AppliedPatch, error) {
 		c.version = rec.Version
 		delete(c.tables, rec.Name)
 		delete(c.rowKeys, rec.Name)
-		return nil, c.commitLocked(rec, 0, func() {
+		return nil, c.commitLocked(rec, commitTime, func() {
 			c.version = rec.Version - 1
 			if existed {
 				c.tables[rec.Name] = prev
@@ -340,7 +348,7 @@ func (c *Catalog) ApplyRecord(rec *wal.Record) (*wal.AppliedPatch, error) {
 		c.version = rec.Version
 		c.tables[rec.Name] = prev.patched(ap, rec.Probabilistic, rec.Version)
 		c.rowKeys[rec.Name] = keys
-		return ap, c.commitLocked(rec, 0, func() {
+		return ap, c.commitLocked(rec, commitTime, func() {
 			c.version = rec.Version - 1
 			c.tables[rec.Name] = prev
 			delete(c.rowKeys, rec.Name)
@@ -378,10 +386,17 @@ func (c *Catalog) ResetToState(st *wal.State) {
 // the new catalog version. The table is copied, so later mutations by the
 // caller do not leak into the catalog. A table with distributions on some
 // but not all of its variables is rejected — it is neither a usable c-table
-// nor a valid pc-table. With a sink attached, the mutation is durable before
-// it is acknowledged: a failed append rolls the catalog back and returns the
-// error.
+// nor a valid pc-table, as is one that gives a variable a distribution other
+// than another table's (pctable.ErrConflictingDists). With a sink attached,
+// the mutation is durable before it is acknowledged: a failed append rolls
+// the catalog back and returns the error.
 func (c *Catalog) Put(name string, t *pctable.PCTable) (uint64, error) {
+	return c.put(name, t, pctable.Env{name: t})
+}
+
+// put is Put, checking distributions over the catalog's tables with over
+// laid on top (over holds t under name).
+func (c *Catalog) put(name string, t *pctable.PCTable, over pctable.Env) (uint64, error) {
 	probabilistic, err := validate(name, t)
 	if err != nil {
 		return 0, err
@@ -389,19 +404,11 @@ func (c *Catalog) Put(name string, t *pctable.PCTable) (uint64, error) {
 	cp := t.Copy()
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	prev, existed := c.tables[name]
-	c.version++
-	c.tables[name] = newEntry(name, cp, probabilistic, c.version)
-	delete(c.rowKeys, name)
-	rec := &wal.Record{Kind: wal.KindPut, Version: c.version, Name: name, Probabilistic: probabilistic, Table: cp}
-	if err := c.commitLocked(rec, time.Now().UnixNano(), func() {
-		c.version--
-		if existed {
-			c.tables[name] = prev
-		} else {
-			delete(c.tables, name)
-		}
-	}); err != nil {
+	if err := c.checkDists(over); err != nil {
+		return 0, err
+	}
+	rec := &wal.Record{Kind: wal.KindPut, Version: c.version + 1, Name: name, Probabilistic: probabilistic, Table: cp}
+	if _, err := c.applyLocked(rec, time.Now().UnixNano()); err != nil {
 		return 0, err
 	}
 	return c.version, nil
@@ -411,8 +418,9 @@ func (c *Catalog) Put(name string, t *pctable.PCTable) (uint64, error) {
 // keyed by canonical row identity plus add-only distributions, see wal.Patch
 // — and returns the new catalog version together with the exact row-level
 // difference. The patched table gets a fresh entry at the new version; like
-// Put, the mutation is durable before it is acknowledged and rolls back on a
-// failed sink append. The patch is retained in the change feed, so the
+// Put, a distribution conflicting with another table's is refused, and the
+// mutation is durable before it is acknowledged and rolls back on a failed
+// sink append. The patch is retained in the change feed, so the
 // caller must not mutate it afterwards.
 func (c *Catalog) ApplyPatch(name string, p *wal.Patch) (uint64, *wal.AppliedPatch, error) {
 	if p == nil {
@@ -433,6 +441,9 @@ func (c *Catalog) ApplyPatch(name string, p *wal.Patch) (uint64, *wal.AppliedPat
 		return 0, nil, err
 	}
 	probabilistic, err := validatePatched(name, prev, ap)
+	if err == nil && len(p.Dists) > 0 {
+		err = c.checkDists(pctable.Env{name: ap.New})
+	}
 	if err != nil {
 		delete(c.rowKeys, name)
 		return 0, nil, err
@@ -480,29 +491,38 @@ func validatePatched(name string, prev *Entry, ap *wal.AppliedPatch) (bool, erro
 	return prev.Probabilistic, nil
 }
 
-// PutParsed registers a table parsed by internal/parser under its declared
-// name.
-func (c *Catalog) PutParsed(pt *parser.ParsedTable) (uint64, error) {
-	return c.Put(pt.Name, pt.PCTable)
+// checkDists refuses a write whose tables, laid over the catalog's, give a
+// variable two distributions. c.mu must be held.
+func (c *Catalog) checkDists(over pctable.Env) error {
+	env := maps.Clone(over)
+	for name, e := range c.tables {
+		if env[name] == nil {
+			env[name] = e.Table
+		}
+	}
+	return pctable.CheckDists(env)
 }
 
 // LoadScript parses a catalog script (one or more table descriptions, see
 // parser.ParseCatalog) and registers every table, returning the names in
 // declaration order. Loading is all-or-nothing: every table is validated
-// before any is registered, so on error the catalog is unchanged.
+// before any is registered, and each put checks distributions against the
+// whole script, so on error the catalog is unchanged.
 func (c *Catalog) LoadScript(r io.Reader) ([]string, error) {
 	parsed, err := parser.ParseCatalog(r)
 	if err != nil {
 		return nil, err
 	}
+	over := make(pctable.Env, len(parsed))
 	for _, pt := range parsed {
 		if _, err := validate(pt.Name, pt.PCTable); err != nil {
 			return nil, err
 		}
+		over[pt.Name] = pt.PCTable
 	}
 	names := make([]string, 0, len(parsed))
 	for _, pt := range parsed {
-		if _, err := c.PutParsed(pt); err != nil {
+		if _, err := c.put(pt.Name, pt.PCTable, over); err != nil {
 			return nil, err
 		}
 		names = append(names, pt.Name)
@@ -523,7 +543,7 @@ func validate(name string, t *pctable.PCTable) (probabilistic bool, err error) {
 		return false, fmt.Errorf("catalog: table %s cannot be persisted: %w", name, err)
 	}
 	probabilistic = t.Validate() == nil
-	if !probabilistic && hasAnyDist(t) {
+	if !probabilistic && slices.ContainsFunc(t.Vars(), func(x condition.Variable) bool { return t.Dist(x) != nil }) {
 		return false, fmt.Errorf("catalog: table %s has distributions for some variables but not all: %v", name, t.Validate())
 	}
 	return probabilistic, nil
@@ -536,21 +556,11 @@ func validate(name string, t *pctable.PCTable) (probabilistic bool, err error) {
 func (c *Catalog) Drop(name string) (bool, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	prev, ok := c.tables[name]
-	if !ok {
+	if c.tables[name] == nil {
 		return false, nil
 	}
-	c.version++
-	delete(c.tables, name)
-	delete(c.rowKeys, name)
-	rec := &wal.Record{Kind: wal.KindDelete, Version: c.version, Name: name}
-	if err := c.commitLocked(rec, time.Now().UnixNano(), func() {
-		c.version--
-		c.tables[name] = prev
-	}); err != nil {
-		return false, err
-	}
-	return true, nil
+	_, err := c.applyLocked(&wal.Record{Kind: wal.KindDelete, Version: c.version + 1, Name: name}, time.Now().UnixNano())
+	return err == nil, err
 }
 
 // Watch opens a change feed delivering every mutation record with version
@@ -660,15 +670,6 @@ func (c *Catalog) Snapshot() *Snapshot {
 		tables[name] = e
 	}
 	return &Snapshot{version: c.version, tables: tables}
-}
-
-func hasAnyDist(t *pctable.PCTable) bool {
-	for _, x := range t.Vars() {
-		if t.Dist(x) != nil {
-			return true
-		}
-	}
-	return false
 }
 
 // Snapshot is an immutable view of the catalog at one version.

@@ -1,6 +1,7 @@
 package catalog
 
 import (
+	"errors"
 	"fmt"
 	"strings"
 	"sync"
@@ -9,11 +10,14 @@ import (
 	"uncertaindb/internal/condition"
 	"uncertaindb/internal/pctable"
 	"uncertaindb/internal/value"
+	"uncertaindb/internal/wal"
 )
 
+// boolTable is a one-row table declaring a Bernoulli variable named after
+// p, so tables of different p never give one variable two distributions.
 func boolTable(p float64) *pctable.PCTable {
 	t := pctable.NewWithArity(1)
-	t.SetBoolDist("g", p)
+	t.SetBoolDist(fmt.Sprintf("g%d", int(p*100)), p)
 	t.AddConstRow(value.Ints(1), nil)
 	return t
 }
@@ -172,6 +176,56 @@ dist g = {true:0.5, false:0.5}
 	}
 	if got := c.Snapshot().Get("S").Table.Table().Rows()[0].Terms[0].String(); got != "1" {
 		t.Errorf("table S was replaced by the failed load (first cell now %s)", got)
+	}
+}
+
+// A variable has one distribution in the whole catalog. A put, a loaded
+// script or a patch that gives a variable another table already gives a
+// different distribution is refused with pctable.ErrConflictingDists and
+// leaves the catalog unchanged; the same distribution is accepted. A
+// follower's apply does not re-check what its leader accepted.
+func TestConflictingDistsRefused(t *testing.T) {
+	c := New()
+	if _, err := c.LoadScript(strings.NewReader("table A arity 1\nrow 1 | g = true\ndist g = {true:0.3, false:0.7}\n")); err != nil {
+		t.Fatal(err)
+	}
+	refused := func(what string, err error) {
+		t.Helper()
+		if !errors.Is(err, pctable.ErrConflictingDists) {
+			t.Errorf("%s: err = %v, want ErrConflictingDists", what, err)
+		}
+		if c.Version() != 1 || c.Snapshot().Len() != 1 {
+			t.Errorf("%s: catalog moved to version %d with %d tables", what, c.Version(), c.Snapshot().Len())
+		}
+	}
+	conflicting := pctable.NewWithArity(1)
+	conflicting.SetBoolDist("g", 0.5)
+	conflicting.AddConstRow(value.Ints(2), nil)
+	_, err := c.Put("B", conflicting)
+	refused("put", err)
+	_, err = c.LoadScript(strings.NewReader("table C arity 1\nrow 3\ntable B arity 1\nrow 2\ndist g = {true:0.5, false:0.5}\n"))
+	refused("load", err)
+
+	if _, err := c.Put("B", boolTable(0.5)); err != nil {
+		t.Fatal(err)
+	}
+	_, _, err = c.ApplyPatch("B", &wal.Patch{Dists: []wal.DistPatch{{Var: "g", Dist: conflicting.Dist("g")}}})
+	if !errors.Is(err, pctable.ErrConflictingDists) || c.Version() != 2 {
+		t.Errorf("patch: err = %v at version %d, want ErrConflictingDists at version 2", err, c.Version())
+	}
+	same := pctable.NewWithArity(1)
+	same.SetBoolDist("g", 0.3)
+	same.AddConstRow(value.Ints(4), condition.IsTrueVar("g"))
+	if _, err := c.Put("D", same); err != nil {
+		t.Errorf("put with the catalog's own distribution of g: %v", err)
+	}
+
+	follower := New()
+	for i, tab := range []*pctable.PCTable{same, conflicting} {
+		rec := &wal.Record{Kind: wal.KindPut, Version: uint64(i + 1), Name: fmt.Sprint("T", i), Probabilistic: true, Table: tab}
+		if _, err := follower.ApplyRecord(rec); err != nil {
+			t.Errorf("follower apply of %s: %v", rec.Name, err)
+		}
 	}
 }
 

@@ -175,11 +175,6 @@ func (t *CTable) TupleVars() []condition.Variable {
 // finite domain of x, or nil when the table is not finite-domain for x.
 func (t *CTable) DomainOf(x condition.Variable) *value.Domain { return t.domains[x] }
 
-// HasDomains reports whether any domain is declared (regardless of whether
-// its variable occurs in the rows) — the same gate String uses for its
-// domain section.
-func (t *CTable) HasDomains() bool { return len(t.domains) > 0 }
-
 // IsFiniteDomain reports whether every variable of the table has a declared
 // finite domain.
 func (t *CTable) IsFiniteDomain() bool {

@@ -136,7 +136,7 @@ func TestPlanCacheInvalidationUnderConcurrentPut(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, err := e.PutParsed(pt); err != nil {
+		if _, err := e.PutTable(pt.Name, pt.PCTable); err != nil {
 			t.Fatal(err)
 		}
 	}

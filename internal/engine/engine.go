@@ -254,7 +254,9 @@ type Result struct {
 	Tables []string
 	// CacheHit reports whether the prepared plan came from the cache.
 	CacheHit bool
-	// Answer is the rendered answer pc-table (conditions are lineage).
+	// Answer is the answer pc-table (conditions are lineage) as a PUT body:
+	// the script of a table named answer, without its false rows, declaring
+	// the variables its rows mention.
 	Answer string
 	// Plan is the rendered physical operator tree the query compiled to
 	// (hash joins with their keys, scans, breakers); cached with the plan.
@@ -299,11 +301,11 @@ type plan struct {
 	candidates []pctable.Candidate
 	sel        Selection // lineage-set statistics + auto-selector decision (auto plans only)
 
-	// Render state, built when the answer is rendered (renderAnswer): the
-	// text, the byte offset at which each row's line starts (plus the end of
-	// the last), and per-variable row refcounts, so a maintained plan splices
-	// its answer in O(delta). groupIndex is the top projection's group index
-	// keyed by canonical term identity, built on the first catch-up.
+	// Render state, built when the answer is written (renderAnswer): the
+	// script, the offset at which each row's line starts (plus the end of
+	// the last), and per-variable refcounts of the written rows, so a
+	// maintained plan splices its answer in O(delta). groupIndex is the top
+	// projection's group index by canonical term identity (first catch-up).
 	// Successors copy-then-extend these; a plan's own maps and slices are
 	// never mutated, so queries still serving the predecessor stay safe.
 	rendered   string
@@ -449,11 +451,6 @@ func (e *Engine) PatchTable(name string, p *wal.Patch) (uint64, error) {
 	}
 	e.mnt.patches.Add(1)
 	return v, nil
-}
-
-// PutParsed is PutTable for a table parsed by internal/parser.
-func (e *Engine) PutParsed(pt *parser.ParsedTable) (uint64, error) {
-	return e.PutTable(pt.Name, pt.PCTable)
 }
 
 // LoadCatalogScript loads a multi-table catalog script into the catalog,

@@ -251,7 +251,7 @@ func TestTableReplaceInvalidatesDependentPlans(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := e.PutParsed(pt); err != nil {
+	if _, err := e.PutTable(pt.Name, pt.PCTable); err != nil {
 		t.Fatal(err)
 	}
 	s := e.Stats()
@@ -407,7 +407,7 @@ func TestConcurrentPrepareExecute(t *testing.T) {
 				t.Error(err)
 				return
 			}
-			if _, err := e.PutParsed(pt); err != nil {
+			if _, err := e.PutTable(pt.Name, pt.PCTable); err != nil {
 				t.Error(err)
 				return
 			}

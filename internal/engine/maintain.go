@@ -42,7 +42,6 @@ import (
 	"fmt"
 	"maps"
 	"slices"
-	"strings"
 	"sync/atomic"
 	"time"
 
@@ -50,6 +49,7 @@ import (
 	"uncertaindb/internal/condition"
 	"uncertaindb/internal/exec"
 	"uncertaindb/internal/obs"
+	"uncertaindb/internal/parser"
 	"uncertaindb/internal/pctable"
 	"uncertaindb/internal/ra"
 	"uncertaindb/internal/relation"
@@ -596,7 +596,7 @@ func (e *Engine) rebuildPlan(p *plan, vers []tableVer, newAnswer *pctable.PCTabl
 
 	// Splice the render state: carried rows copy their line out of the
 	// predecessor's rendered text and keep their refcounts, the old suspect
-	// rows give theirs up, and only changed and added rows are rendered. The
+	// rows give theirs up, and only changed and added rows are written. The
 	// predecessor's state is never mutated.
 	refs := maps.Clone(p.varRefs)
 	for _, r := range oldSuspect {
@@ -704,34 +704,37 @@ func (e *Engine) refreshMarginals(old, newp *plan, isAffected map[string]bool, k
 	return out, reused, len(affCands), nil
 }
 
-// renderAnswer renders t into one buffer, byte-identical to t.String(), and
-// returns it with the offset at which each row's line starts (plus the end of
-// the last). Row i's line is copied from prev's text when carry(i) names a
-// row of prev; otherwise (always with a nil carry) it is rendered and its
-// variables counted into refs, which must already count the carried rows.
-// The trailer lists the variables with a positive refcount, sorted — read
-// from refs instead of the two O(answer) Vars scans t.String() makes.
+// renderAnswer writes t as the table script of a table named "answer" —
+// what PUT reads back — and returns it with the offset at which each row's
+// line starts (plus the end of the last). A row whose condition is false
+// belongs to no world and writes nothing: its line is empty. Row i's line is
+// copied from prev's text when carry(i) names a row of prev; otherwise
+// (always with a nil carry) it is written and its variables counted into
+// refs, which must already count the carried rows. The script declares the
+// variables with a positive refcount, which are exactly those the written
+// rows mention — read from refs instead of scanning the answer.
 func renderAnswer(t *pctable.PCTable, refs map[condition.Variable]int, prev *plan, carry func(int) int) (string, []int32) {
 	rows := t.Table().Rows()
-	var b strings.Builder
+	var b []byte
 	if prev != nil {
-		b.Grow(len(prev.rendered) + len(prev.rendered)/8)
+		b = make([]byte, 0, len(prev.rendered)+len(prev.rendered)/8)
 	}
-	fmt.Fprintf(&b, "c-table(arity=%d)\n", t.Arity())
+	b = parser.AppendHeader(b, "answer", t.Arity())
 	rowOff := make([]int32, len(rows)+1)
 	for i, r := range rows {
-		rowOff[i] = int32(b.Len())
+		rowOff[i] = int32(len(b))
 		if carry != nil {
 			if j := carry(i); j >= 0 {
-				b.WriteString(prev.rendered[prev.rowOff[j]:prev.rowOff[j+1]])
+				b = append(b, prev.rendered[prev.rowOff[j]:prev.rowOff[j+1]]...)
 				continue
 			}
 		}
-		writeRowLine(&b, r)
-		addRowVars(refs, r, 1)
+		if _, ok := r.Cond.(condition.FalseCond); !ok {
+			b = parser.AppendRow(b, r.Terms, r.Cond)
+			addRowVars(refs, r, 1)
+		}
 	}
-	rowOff[len(rows)] = int32(b.Len())
-
+	rowOff[len(rows)] = int32(len(b))
 	vars := make([]condition.Variable, 0, len(refs))
 	for x, n := range refs {
 		if n > 0 {
@@ -739,40 +742,17 @@ func renderAnswer(t *pctable.PCTable, refs map[condition.Variable]int, prev *pla
 		}
 	}
 	slices.Sort(vars)
-	tab := t.Table()
-	if tab.HasDomains() {
-		for _, x := range vars {
-			if d := tab.DomainOf(x); d != nil {
-				fmt.Fprintf(&b, "  dom(%s) = %s\n", x, d)
-			}
-		}
-	}
-	for _, x := range vars {
-		if d := t.Dist(x); d != nil {
-			fmt.Fprintf(&b, "  %s ~ %s\n", x, d)
-		}
-	}
-	return b.String(), rowOff
-}
-
-// writeRowLine renders one answer row exactly as CTable.String does.
-func writeRowLine(b *strings.Builder, r exec.Row) {
-	b.WriteString("  (")
-	for i, t := range r.Terms {
-		if i > 0 {
-			b.WriteString(", ")
-		}
-		b.WriteString(t.String())
-	}
-	b.WriteString(") : ")
-	b.WriteString(r.Cond.String())
-	b.WriteByte('\n')
+	return string(parser.AppendDecls(b, t, vars)), rowOff
 }
 
 // addRowVars adjusts the per-variable row refcounts for one row: each
 // distinct variable of the row (term positions and condition alike) counts
-// once, mirroring the per-row set semantics of CTable.Vars.
+// once, mirroring the per-row set semantics of CTable.Vars. A row whose
+// condition is false counts nothing, as renderAnswer writes nothing for it.
 func addRowVars(refs map[condition.Variable]int, r exec.Row, delta int) {
+	if _, ok := r.Cond.(condition.FalseCond); ok {
+		return
+	}
 	var buf [8]condition.Variable
 	termVars := buf[:0]
 	for _, t := range r.Terms {
@@ -781,8 +761,7 @@ func addRowVars(refs map[condition.Variable]int, r exec.Row, delta int) {
 			refs[t.Var] += delta
 		}
 	}
-	switch r.Cond.(type) {
-	case condition.TrueCond, condition.FalseCond:
+	if _, ok := r.Cond.(condition.TrueCond); ok {
 		return // no variables to walk for
 	}
 	for _, x := range condition.Vars(r.Cond) {

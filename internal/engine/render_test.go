@@ -2,10 +2,13 @@ package engine
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 	"testing"
 
 	"uncertaindb/internal/condition"
+	"uncertaindb/internal/parser"
+	"uncertaindb/internal/prob"
 	"uncertaindb/internal/value"
 	"uncertaindb/internal/wal"
 )
@@ -21,24 +24,37 @@ func cachedPlans(e *Engine) []*plan {
 	return out
 }
 
-// assertRenderState checks a plan's render state against the reference
-// renderings: rendered is answer.String() byte for byte, each pair of row
-// offsets brackets that row's line as CTable.String renders it, and varRefs
-// counts, per variable, the rows it occurs in.
-func assertRenderState(t *testing.T, label string, p *plan) {
+// assertRenderState checks a plan's render state against the answer table:
+// rendered parses back (parser.ParseTable) to the answer's rows without those
+// whose condition is false, declaring the answer's distributions for exactly
+// the variables those rows mention; each pair of row offsets brackets that
+// row's line (empty for a false row); and varRefs counts, per variable, the
+// written rows it occurs in. It returns the number of false rows.
+func assertRenderState(t *testing.T, label string, p *plan) (falseRows int) {
 	t.Helper()
-	if want := p.answer.String(); p.rendered != want {
-		t.Fatalf("%s %s: rendered answer differs from answer.String():\n got: %q\nwant: %q", label, p.queryText, p.rendered, want)
+	parsed, err := parser.ParseTableString(p.rendered)
+	if err != nil {
+		t.Fatalf("%s %s: rendered answer does not parse: %v\n%s", label, p.queryText, err, p.rendered)
 	}
 	rows := p.answer.Table().Rows()
 	if len(p.rowOff) != len(rows)+1 {
 		t.Fatalf("%s %s: %d row offsets for %d rows", label, p.queryText, len(p.rowOff), len(rows))
 	}
 	wantRefs := make(map[condition.Variable]int)
+	var written []string
 	for i, r := range rows {
-		if got, want := p.rendered[p.rowOff[i]:p.rowOff[i+1]], "  "+r.String()+"\n"; got != want {
-			t.Fatalf("%s %s: row %d line %q, want %q", label, p.queryText, i, got, want)
+		line := p.rendered[p.rowOff[i]:p.rowOff[i+1]]
+		if _, ok := r.Cond.(condition.FalseCond); ok {
+			if line != "" {
+				t.Fatalf("%s %s: false row %d wrote %q", label, p.queryText, i, line)
+			}
+			falseRows++
+			continue
 		}
+		if want := string(parser.AppendRow(nil, r.Terms, r.Cond)); line != want {
+			t.Fatalf("%s %s: row %d line %q, want %q", label, p.queryText, i, line, want)
+		}
+		written = append(written, r.String())
 		inRow := make(map[condition.Variable]bool)
 		for _, term := range r.Terms {
 			if term.IsVar {
@@ -52,6 +68,23 @@ func assertRenderState(t *testing.T, label string, p *plan) {
 			wantRefs[x]++
 		}
 	}
+	var got []string
+	for _, r := range parsed.PCTable.Table().Rows() {
+		got = append(got, r.String())
+	}
+	if !slices.Equal(got, written) {
+		t.Fatalf("%s %s: parsed rows %q, want the non-false answer rows %q", label, p.queryText, got, written)
+	}
+	dists := 0
+	parsed.PCTable.EachDist(func(x condition.Variable, d *prob.Space) {
+		dists++
+		if wantRefs[x] == 0 || d.String() != p.answer.Dist(x).String() {
+			t.Fatalf("%s %s: declares %s ~ %s; rows mention it %d times, answer has %s", label, p.queryText, x, d, wantRefs[x], p.answer.Dist(x))
+		}
+	})
+	if dists != len(wantRefs) {
+		t.Fatalf("%s %s: declares %d distributions for %d variables", label, p.queryText, dists, len(wantRefs))
+	}
 	for x, n := range p.varRefs {
 		if n != wantRefs[x] {
 			t.Fatalf("%s %s: varRefs[%s] = %d, want %d", label, p.queryText, x, n, wantRefs[x])
@@ -61,22 +94,25 @@ func assertRenderState(t *testing.T, label string, p *plan) {
 	if len(wantRefs) > 0 {
 		t.Fatalf("%s %s: varRefs misses %v", label, p.queryText, wantRefs)
 	}
+	return falseRows
 }
 
-// Fresh and maintained plans render their answer once, into one buffer,
-// byte-identical to answer.String(), and record row offsets and variable
-// refcounts that match the rows — over σ, π∘σ, σ⋈, ∪ and − answers, across
+// Fresh and maintained plans render their answer once, into one buffer, as
+// a table script without its false rows, and record row offsets and
+// variable refcounts that match the rows — over σ, π∘σ, σ⋈, ∪ and − answers, across
 // an insert-only patch (delta append) and a delete (re-evaluation).
 func TestRenderStateMatchesReference(t *testing.T) {
 	queries := []string{
 		"Takes",
 		"select[$2 = 'math' || $2 = 'phys'](Takes)",
+		"select[$1 = 'Theo'](Takes)", // x only in false rows: not declared
 		"project[1](select[$1 != 'Theo'](Takes))",
 		"project[1,4](select[$2 != 'chem'](Takes) join[$2 = $3] Labs)",
 		"Labs union Takes",
 		"project[2](Takes) minus project[1](Labs)",
 	}
 	e := newEngine(t, Options{}, takesScript, labsScript)
+	falseRows := 0
 	execAll := func(label string) {
 		t.Helper()
 		for _, q := range queries {
@@ -85,7 +121,7 @@ func TestRenderStateMatchesReference(t *testing.T) {
 			}
 		}
 		for _, p := range cachedPlans(e) {
-			assertRenderState(t, label, p)
+			falseRows += assertRenderState(t, label, p)
 		}
 	}
 	execAll("fresh")
@@ -105,6 +141,9 @@ func TestRenderStateMatchesReference(t *testing.T) {
 	execAll("reeval")
 	if st := e.Stats().Maintenance; st.DeltaAppends == 0 || st.Reevaluations == 0 {
 		t.Fatalf("patches did not exercise both maintenance paths: %+v", st)
+	}
+	if falseRows == 0 {
+		t.Fatal("no answer had a false row to leave out")
 	}
 }
 

@@ -511,17 +511,18 @@ type QueryResponse struct {
 	Selection *uncertain.Selection `json:"selection,omitempty"`
 	// WhatIf reports the marginals were computed under the request's
 	// "distributions" overrides.
-	WhatIf         bool         `json:"whatIf,omitempty"`
-	CatalogVersion uint64       `json:"catalogVersion"`
-	Tables         []string     `json:"tables"`
-	CacheHit       bool         `json:"cacheHit"`
-	Answer         string       `json:"answer"`
-	Plan           string       `json:"plan"`
-	Tuples         []QueryTuple `json:"tuples"`
-	Certain        [][]any      `json:"certain"`
-	Possible       [][]any      `json:"possible"`
-	PrepareMicros  int64        `json:"prepareMicros"`
-	ExecMicros     int64        `json:"execMicros"`
+	WhatIf         bool     `json:"whatIf,omitempty"`
+	CatalogVersion uint64   `json:"catalogVersion"`
+	Tables         []string `json:"tables"`
+	CacheHit       bool     `json:"cacheHit"`
+	// Answer is a PUT body: the answer's table script, named answer.
+	Answer        string       `json:"answer"`
+	Plan          string       `json:"plan"`
+	Tuples        []QueryTuple `json:"tuples"`
+	Certain       [][]any      `json:"certain"`
+	Possible      [][]any      `json:"possible"`
+	PrepareMicros int64        `json:"prepareMicros"`
+	ExecMicros    int64        `json:"execMicros"`
 	// Analyzed is the EXPLAIN ANALYZE plan tree ("analyze": true only).
 	Analyzed *uncertain.PlanNode `json:"analyzed,omitempty"`
 	// Trace is the execution's span tree ("analyze": true with

@@ -33,28 +33,45 @@ func Script(name string, t *pctable.PCTable) string { return string(AppendScript
 // AppendScript appends Script(name, t) to b.
 func AppendScript(b []byte, name string, t *pctable.PCTable) []byte {
 	tab := t.Table()
-	b = fmt.Appendf(b, "table %s arity %d\n", name, tab.Arity())
+	b = AppendHeader(b, name, tab.Arity())
 	for _, r := range tab.Rows() {
-		b = appendRow(append(b, "row "...), r.Terms, r.Cond)
+		b = AppendRow(b, r.Terms, r.Cond)
 	}
-	var dists, doms []string
-	t.EachDist(func(x condition.Variable, _ *prob.Space) { dists = append(dists, string(x)) })
-	tab.EachDomain(func(x condition.Variable, dom *value.Domain) {
-		if !isSupport(dom, t.Dist(x)) {
-			doms = append(doms, string(x))
+	var vars []condition.Variable
+	t.EachDist(func(x condition.Variable, _ *prob.Space) { vars = append(vars, x) })
+	tab.EachDomain(func(x condition.Variable, _ *value.Domain) { vars = append(vars, x) })
+	slices.Sort(vars)
+	return AppendDecls(b, t, slices.Compact(vars))
+}
+
+// AppendHeader appends the directive that opens the script of a table.
+func AppendHeader(b []byte, name string, arity int) []byte {
+	return fmt.Appendf(b, "table %s arity %d\n", name, arity)
+}
+
+// AppendRow appends the row directive of one table row.
+func AppendRow(b []byte, terms []condition.Term, cond condition.Condition) []byte {
+	return appendRow(append(b, "row "...), terms, cond)
+}
+
+// AppendDecls appends t's declarations of the given variables, which must be
+// sorted: the dist directive of each that has a distribution, then the dom
+// directive of each whose declared domain is not exactly its distribution's
+// support.
+func AppendDecls(b []byte, t *pctable.PCTable, vars []condition.Variable) []byte {
+	for _, x := range vars {
+		if d := t.Dist(x); d != nil {
+			b = appendDist(b, string(x), d)
 		}
-	})
-	sort.Strings(dists)
-	sort.Strings(doms)
-	for _, x := range dists {
-		b = appendDist(b, x, t.Dist(condition.Variable(x)))
 	}
-	for _, x := range doms {
-		b = append(append(b, "dom "...), x...)
-		for i, v := range tab.DomainOf(condition.Variable(x)).Values() {
-			b = appendValue(append(b, listSep[min(i, 1)]...), v)
+	for _, x := range vars {
+		if dom := t.Table().DomainOf(x); dom != nil && !isSupport(dom, t.Dist(x)) {
+			b = append(append(b, "dom "...), x...)
+			for i, v := range dom.Values() {
+				b = appendValue(append(b, listSep[min(i, 1)]...), v)
+			}
+			b = append(b, "}\n"...)
 		}
-		b = append(b, "}\n"...)
 	}
 	return b
 }

@@ -1,6 +1,7 @@
 package pctable
 
 import (
+	"errors"
 	"fmt"
 	"sort"
 
@@ -51,6 +52,14 @@ func EvalQueryEnvWithOptions(q ra.Query, env Env, opts ctable.Options) (*PCTable
 	return out, nil
 }
 
+// ErrConflictingDists is wrapped by the error reporting a variable that two
+// tables give different distributions.
+var ErrConflictingDists = errors.New("conflicting distributions")
+
+// CheckDists reports the first variable that two tables of env give
+// different distributions, as an error wrapping ErrConflictingDists.
+func CheckDists(env Env) error { return mergeDists(New(nil), env) }
+
 // mergeDists copies the union of the environment's variable distributions
 // into out, in deterministic table order so the first-conflict error is
 // stable.
@@ -65,7 +74,7 @@ func mergeDists(out *PCTable, env Env) error {
 		for x, d := range env[name].dists {
 			if prev, ok := out.dists[x]; ok {
 				if !sameDist(prev, d) {
-					return fmt.Errorf("pctable: variable %s has conflicting distributions in tables %s and %s", x, owner[x], name)
+					return fmt.Errorf("pctable: variable %s has %w in tables %s and %s", x, ErrConflictingDists, owner[x], name)
 				}
 				continue
 			}

@@ -189,8 +189,8 @@ func exactAnswerRats(t *testing.T, q string, env pctable.Env) map[string]string 
 }
 
 // assertMaintainedEqualsFresh executes req on the maintained engine and on a
-// fresh engine sharing its catalog, requiring byte-identical answers and
-// plans, the same effective engine and selector decision, and bit-identical
+// fresh engine sharing its catalog, requiring byte-identical answers that
+// are table scripts (assertAnswerIsTable) and plans, the same effective engine and selector decision, and bit-identical
 // tuple marginals.
 func assertMaintainedEqualsFresh(t *testing.T, e *engine.Engine, req engine.Request, label string) *engine.Result {
 	t.Helper()
@@ -205,6 +205,7 @@ func assertMaintainedEqualsFresh(t *testing.T, e *engine.Engine, req engine.Requ
 	if got.Answer != want.Answer {
 		t.Errorf("%s: %s: maintained answer differs from recompile:\n got: %s\nwant: %s", label, req.Query, got.Answer, want.Answer)
 	}
+	assertAnswerIsTable(t, label+": "+req.Query, got.Answer)
 	if got.Plan != want.Plan {
 		t.Errorf("%s: %s: maintained plan differs:\n got: %s\nwant: %s", label, req.Query, got.Plan, want.Plan)
 	}

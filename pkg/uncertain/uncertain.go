@@ -388,7 +388,7 @@ func (db *DB) PutTableScript(script string) (name string, version uint64, err er
 	if err != nil {
 		return "", 0, err
 	}
-	version, err = db.eng.PutParsed(pt)
+	version, err = db.eng.PutTable(pt.Name, pt.PCTable)
 	if err != nil {
 		return "", 0, err
 	}
