@@ -17,6 +17,7 @@ import (
 	"uncertaindb/internal/catalog"
 	"uncertaindb/internal/condition"
 	"uncertaindb/internal/ctable"
+	"uncertaindb/internal/ctable/eagerref"
 	"uncertaindb/internal/engine"
 	"uncertaindb/internal/exec"
 	"uncertaindb/internal/incomplete"
@@ -453,7 +454,7 @@ func BenchmarkSymbolicHashJoin(b *testing.B) {
 			run  func() (*ctable.CTable, error)
 		}{
 			{"eager", func() (*ctable.CTable, error) {
-				return ctable.EvalQueryEnvEager(query, env, ctable.Options{Simplify: true})
+				return eagerref.EvalQueryEnv(query, env, ctable.Options{Simplify: true})
 			}},
 			{"nested-loop", func() (*ctable.CTable, error) {
 				return ctable.EvalQueryEnvWithOptions(query, env, ctable.Options{Simplify: true, Rewrite: true, NoHash: true})
@@ -561,7 +562,7 @@ func BenchmarkAblationConditionProbability(b *testing.B) {
 // E14 — eager recursive evaluation vs the unified operator core, with and
 // without plan rewriting, on an E12-style selective self-join over the
 // courses workload. The eager path is the frozen pre-refactor evaluator
-// (ctable.EvalQueryEnvEager); "core" is the operator core with rewrites
+// (eagerref.EvalQueryEnv); "core" is the operator core with rewrites
 // off (same plan, batch execution); "core+rewrite" adds
 // predicate pushdown and projection splitting, which filters and merges
 // each side of the cross product before the s² concatenated rows are built.
@@ -580,7 +581,7 @@ func BenchmarkOperatorCoreVsEager(b *testing.B) {
 			run  func() (*ctable.CTable, error)
 		}{
 			{"eager", func() (*ctable.CTable, error) {
-				return ctable.EvalQueryEnvEager(query, env, ctable.Options{Simplify: true})
+				return eagerref.EvalQueryEnv(query, env, ctable.Options{Simplify: true})
 			}},
 			{"core", func() (*ctable.CTable, error) {
 				return ctable.EvalQueryEnvWithOptions(query, env, ctable.Options{Simplify: true, Rewrite: false})

@@ -26,6 +26,7 @@ import (
 	"uncertaindb/internal/catalog"
 	"uncertaindb/internal/condition"
 	"uncertaindb/internal/ctable"
+	"uncertaindb/internal/ctable/eagerref"
 	"uncertaindb/internal/engine"
 	"uncertaindb/internal/exec"
 	"uncertaindb/internal/httpapi"
@@ -248,7 +249,7 @@ func operatorCore(out io.Writer) {
 			return time.Since(start)
 		}
 		eager := measure(func() (*ctable.CTable, error) {
-			return ctable.EvalQueryEnvEager(query, env, ctable.Options{Simplify: true})
+			return eagerref.EvalQueryEnv(query, env, ctable.Options{Simplify: true})
 		})
 		core := measure(func() (*ctable.CTable, error) {
 			return ctable.EvalQueryEnvWithOptions(query, env, ctable.Options{Simplify: true, Rewrite: false})
@@ -282,7 +283,7 @@ func hashJoin(out io.Writer) {
 			return time.Since(start)
 		}
 		eager := measure(func() (*ctable.CTable, error) {
-			return ctable.EvalQueryEnvEager(query, env, ctable.Options{Simplify: true})
+			return eagerref.EvalQueryEnv(query, env, ctable.Options{Simplify: true})
 		})
 		loop := measure(func() (*ctable.CTable, error) {
 			return ctable.EvalQueryEnvWithOptions(query, env, ctable.Options{Simplify: true, Rewrite: true, NoHash: true})

@@ -10,6 +10,7 @@ import (
 
 	"uncertaindb/internal/condition"
 	"uncertaindb/internal/ctable"
+	"uncertaindb/internal/ctable/eagerref"
 	"uncertaindb/internal/pctable"
 	"uncertaindb/internal/probcalc"
 	"uncertaindb/internal/ra"
@@ -252,7 +253,7 @@ func TestOperatorCoreBitIdenticalToEager(t *testing.T) {
 			"B": randomEqCTable(rng, 2, 2, []string{"y", "z"}),
 		}
 		q := randomEqQuery(rng, 2, 3)
-		eagerCT, err := ctable.EvalQueryEnvEager(q, env, ctable.Options{Simplify: true})
+		eagerCT, err := eagerref.EvalQueryEnv(q, env, ctable.Options{Simplify: true})
 		if err != nil {
 			t.Fatalf("trial %d: eager: %v", trial, err)
 		}
@@ -333,7 +334,7 @@ func TestCircuitBitIdenticalAcrossGrid(t *testing.T) {
 			"B": randomEqCTable(rng, 2, 2, []string{"y", "z"}),
 		}
 		q := randomEqQuery(rng, 2, 3)
-		eagerCT, err := ctable.EvalQueryEnvEager(q, env, ctable.Options{Simplify: true})
+		eagerCT, err := eagerref.EvalQueryEnv(q, env, ctable.Options{Simplify: true})
 		if err != nil {
 			t.Fatalf("trial %d: eager: %v", trial, err)
 		}

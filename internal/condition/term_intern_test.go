@@ -103,5 +103,51 @@ func FuzzTermIntern(f *testing.F) {
 		if ti.Intern(a) != ia || ti.Intern(b) != ib {
 			t.Fatalf("re-interning changed IDs for %s / %s", a, b)
 		}
+
+		// A frozen parent plus an overlay behaves like one injective
+		// interner: the overlay keeps the parent's IDs for the parent's
+		// terms, numbers its own from parent.Len() on, and leaves the parent
+		// untouched.
+		c := termDecoder(k1^k2, i1+i2, s1+s2)
+		parentLen := ti.Len()
+		ov := Overlay(ti)
+		terms := []Term{c, b, a, c}
+		ids := make([]TermID, len(terms))
+		for i, tm := range terms {
+			ids[i] = ov.Intern(tm)
+		}
+		if ti.Len() != parentLen {
+			t.Fatalf("overlay interning grew the parent from %d to %d terms", parentLen, ti.Len())
+		}
+		if ids[1] != ib || ids[2] != ia {
+			t.Fatalf("overlay gave parent terms new IDs: %d,%d want %d,%d", ids[1], ids[2], ib, ia)
+		}
+		if c != a && c != b && int(ids[0]) != parentLen {
+			t.Fatalf("overlay's first new term got ID %d, want %d", ids[0], parentLen)
+		}
+		for i, tm := range terms {
+			if got := ov.Resolve(ids[i]); got != tm {
+				t.Fatalf("overlay Resolve(Intern(%s)) = %s", tm, got)
+			}
+			if ov.IsVar(ids[i]) != tm.IsVar {
+				t.Fatalf("overlay IsVar mismatch for %s", tm)
+			}
+			for j, um := range terms {
+				if (ids[i] == ids[j]) != (tm == um) {
+					t.Fatalf("overlay ID equality %v but structural equality %v for %s vs %s", ids[i] == ids[j], tm == um, tm, um)
+				}
+			}
+		}
+		distinct := map[Term]bool{a: true, b: true, c: true}
+		if ov.Len() != len(distinct) {
+			t.Fatalf("overlay Len = %d, want %d distinct terms", ov.Len(), len(distinct))
+		}
 	})
+}
+
+func TestOverlayOfNilIsPlain(t *testing.T) {
+	ov := Overlay(nil)
+	if id := ov.Intern(Var("x")); id != 0 || ov.Len() != 1 {
+		t.Fatalf("Overlay(nil) first ID %d, Len %d", id, ov.Len())
+	}
 }

@@ -15,8 +15,8 @@ import (
 // Mod(q̄(T)) = q(Mod(T)). The operator implementations themselves live in
 // internal/exec — this package only binds c-tables as exec Models and wraps
 // the produced rows back into a CTable. The pre-core eager evaluator is kept
-// in eager.go as a frozen reference twin for equivalence tests and the E14
-// benchmark.
+// in the eagerref subpackage as a frozen reference twin for equivalence
+// tests and the E14 benchmark; no served binary links it.
 
 // Options controls the behaviour of the c-table algebra.
 type Options struct {
@@ -77,6 +77,18 @@ func (o Options) execOptions(rewrite bool) exec.Options {
 // Arity, NumRows and EachDomain it makes *CTable an exec.Model, so the
 // shared operator core can scan c-tables directly.
 func (t *CTable) Row(i int) exec.Row { return t.rows[i] }
+
+// Encoding implements exec.Encoder: the table's encoding, built on first use
+// and kept until a row is added. Concurrent first uses may each build and use
+// one; the first to be stored is the one every later query shares.
+func (t *CTable) Encoding() *exec.Encoding {
+	if e := t.enc.Load(); e != nil {
+		return e
+	}
+	e := exec.Encode(t)
+	t.enc.CompareAndSwap(nil, e)
+	return e
+}
 
 // EachDomain visits the declared finite variable domains (exec.Model).
 func (t *CTable) EachDomain(f func(condition.Variable, *value.Domain)) {

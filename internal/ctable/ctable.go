@@ -18,6 +18,7 @@ import (
 	"maps"
 	"sort"
 	"strings"
+	"sync/atomic"
 
 	"uncertaindb/internal/condition"
 	"uncertaindb/internal/exec"
@@ -60,10 +61,16 @@ func rowVars(r Row, set map[condition.Variable]bool) {
 // A CTable optionally carries finite domains for its variables
 // (Definition 6); a table with a domain for every variable is a
 // finite-domain c-table and has a finite Mod.
+//
+// A CTable memoizes the dictionary encoding of its rows (exec.Encoding): the
+// first query that reads the table builds it, and every later query shares
+// it. AddRow, AdoptRow and AddConstRow drop the memo; the row slice Rows
+// returns is read-only, so nothing else can change what was encoded.
 type CTable struct {
 	arity   int
 	rows    []Row
 	domains map[condition.Variable]*value.Domain
+	enc     atomic.Pointer[exec.Encoding]
 }
 
 // New returns an empty c-table of the given (positive) arity.
@@ -111,6 +118,7 @@ func (t *CTable) AdoptRow(terms []condition.Term, cond condition.Condition) *CTa
 		cond = condition.True()
 	}
 	t.rows = append(t.rows, Row{Terms: terms, Cond: cond})
+	t.enc.Store(nil)
 	return t
 }
 
@@ -133,7 +141,8 @@ func (t *CTable) SetDomain(x string, d *value.Domain) *CTable {
 // Arity returns the arity of the table.
 func (t *CTable) Arity() int { return t.arity }
 
-// Rows returns the rows of the table (do not modify).
+// Rows returns the rows of the table. The slice and its rows are read-only:
+// the memoized encoding is not dropped by writes through it.
 func (t *CTable) Rows() []Row { return t.rows }
 
 // NumRows returns the number of rows.

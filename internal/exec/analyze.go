@@ -124,7 +124,7 @@ func Analyze(q ra.Query, env Env, opts Options) (*PlanNode, error) {
 	// to the production run, not the instrumented re-execution.
 	opts.Stats = nil
 	opts.Trace = obs.SpanRef{}
-	ctx := newBctx(env, opts)
+	ctx := newBctx(q, env, opts)
 	var root *PlanNode
 	p, err := ctx.eval(q, env, arities, &root)
 	if err != nil {

@@ -14,11 +14,10 @@ import (
 )
 
 // This file is the vectorized batch engine, the execution path of Run.
-// Instead of passing one boxed []Term row at a time between operators, a
-// run dictionary-encodes every term of its base tables once
-// (condition.TermInterner), materializes relations as columnar []TermID
-// vectors with a per-row condition column, and executes the operators
-// batch-at-a-time over fixed-size morsels of BatchSize rows:
+// Instead of passing one boxed []Term row at a time between operators, it
+// materializes relations as columnar []TermID vectors with a per-row
+// condition column and executes the operators batch-at-a-time over
+// fixed-size morsels of BatchSize rows:
 //
 //   - streaming operators (selection, the probe side of the symbolic hash
 //     join, nested-loop cross products, the per-row condition rewriting of
@@ -31,12 +30,22 @@ import (
 //     order, so the output is identical whatever the worker count;
 //   - on the encoded columns, ground-term equality is a single uint32
 //     compare (interning is injective), so hash joins build and probe on
-//     packed ID keys without rendering values, and predicate evaluation
-//     constant-folds ground comparisons without allocating conditions.
+//     packed ID keys without rendering values, and a predicate that is
+//     ground on a row folds to true or false by ID and value compare
+//     (foldPredIDs), so σ̄ writes the row's condition without building one.
+//
+// There is one dictionary encoding per table version, not one per run:
+// Encode builds a table's own frozen condition.TermInterner and columns, and
+// a model that implements Encoder keeps that Encoding for as long as its rows
+// do. A run adds only a private condition.Overlay over the dictionary of its
+// largest input: that input's columns are used as they are, and the other
+// inputs' distinct terms and the constant relations are interned into the
+// overlay.
 //
 // Every per-row condition is constructed by the same formula, in the same
 // association order, as the row-at-a-time definitions (PredicateCondition,
-// RowEquality) the eager evaluator applies, so with Options.NoHash the
+// RowEquality) the eager evaluator applies; a folded ground selection writes
+// exactly what simplifying that formula gives. So with Options.NoHash the
 // answer is byte-identical to the eager evaluator's
 // (TestCoreMatchesEagerSyntax). Morsel boundaries are fixed (never a
 // function of the worker count) and partial results merge in morsel order,
@@ -157,42 +166,90 @@ func (p *WorkerPool) tryAcquire() bool {
 
 func (p *WorkerPool) release() { <-p.slots }
 
-// maxDictHint caps the term-dictionary pre-size: total term occurrences
-// over-estimate the distinct terms (often wildly, on low-cardinality
-// columns), and the dictionary grows fine on demand past this point.
-const maxDictHint = 1 << 16
+// Encoding is the dictionary encoding of one table version: its own frozen
+// term dictionary, its []TermID columns and its condition column. It depends
+// only on the rows, never on a query, and is read-only once built, so any
+// number of concurrent runs may share it.
+type Encoding struct {
+	dict *condition.TermInterner
+	v    *vec
+}
 
-// bctx is the per-run state of the batch engine. The dictionary is written
-// only during the (sequential) encode phase; execution reads it from many
-// goroutines.
+// Encoder is implemented by models that memoize their Encoding (the result
+// of Encode over their current rows) and drop it whenever their rows change.
+// Run encodes a model without it afresh on every run.
+type Encoder interface {
+	Encoding() *Encoding
+}
+
+// Encode dictionary-encodes m's rows into columnar ID vectors over a new
+// term dictionary. A nil row condition is encoded as true.
+func Encode(m Model) *Encoding {
+	dict := condition.NewTermInterner()
+	n := m.NumRows()
+	v := newVec(m.Arity())
+	v.grow(n)
+	for i := 0; i < n; i++ {
+		r := m.Row(i)
+		for j, t := range r.Terms {
+			v.cols[j] = append(v.cols[j], dict.Intern(t))
+		}
+		cond := r.Cond
+		if cond == nil {
+			cond = condition.True()
+		}
+		v.conds = append(v.conds, cond)
+	}
+	return &Encoding{dict: dict, v: v}
+}
+
+func encodingOf(m Model) *Encoding {
+	if e, ok := m.(Encoder); ok {
+		return e.Encoding()
+	}
+	return Encode(m)
+}
+
+// bctx is the per-run state of the batch engine. The run's dictionary is an
+// overlay over base, the dictionary of its largest input; the overlay is
+// written only while the plan is built (sequentially), and execution reads
+// it from many goroutines.
 type bctx struct {
 	dict    *condition.TermInterner
+	base    *condition.TermInterner
 	opts    Options
 	workers int
 	enc     map[Model]*vec
 }
 
-// newBctx builds the per-run state of the batch engine.
-func newBctx(env Env, opts Options) *bctx {
-	hint := 0
-	for _, m := range env {
-		hint += m.NumRows() * m.Arity()
+// newBctx builds the per-run state of the batch engine for q over env: the
+// largest model q reads (by rows, ties broken by relation name) lends its
+// dictionary as the overlay's parent and its columns unchanged.
+func newBctx(q ra.Query, env Env, opts Options) *bctx {
+	ctx := &bctx{opts: opts, workers: opts.workerCount(), enc: make(map[Model]*vec)}
+	var largest string
+	for name := range ra.InputNames(q) {
+		m, ok := env[name]
+		if !ok {
+			continue
+		}
+		if l, ok := env[largest]; !ok || m.NumRows() > l.NumRows() || m.NumRows() == l.NumRows() && name < largest {
+			largest = name
+		}
 	}
-	if hint > maxDictHint {
-		hint = maxDictHint
+	if m, ok := env[largest]; ok {
+		e := encodingOf(m)
+		ctx.base = e.dict
+		ctx.enc[m] = e.v
 	}
-	return &bctx{
-		dict:    condition.NewTermInternerSize(hint),
-		opts:    opts,
-		workers: opts.workerCount(),
-		enc:     make(map[Model]*vec),
-	}
+	ctx.dict = condition.Overlay(ctx.base)
+	return ctx
 }
 
 // runBatch executes q over env on the batch engine and decodes the answer
 // rows. q must be validated (and already rewritten when opts.Rewrite).
 func runBatch(q ra.Query, env Env, ar ra.ArityEnv, opts Options) ([]Row, error) {
-	ctx := newBctx(env, opts)
+	ctx := newBctx(q, env, opts)
 	p, err := ctx.eval(q, env, ar, nil)
 	if err != nil {
 		return nil, err
@@ -633,29 +690,30 @@ func (ctx *bctx) parallel(n int, f func(task int, st *OpStats) error) error {
 	return nil
 }
 
-// encodeModel dictionary-encodes a base model into columnar ID vectors,
-// once per run (an environment binding the same table under several names
-// shares one encoding).
+// encodeModel returns a base model's columns in the run's dictionary, once
+// per run (an environment binding the same table under several names shares
+// them). A model encoded over the run's base dictionary is used as it is;
+// any other has each of its distinct terms interned into the overlay once
+// and its columns gathered through that translation. Conditions are shared.
 func (ctx *bctx) encodeModel(m Model) *vec {
 	if v, ok := ctx.enc[m]; ok {
 		return v
 	}
-	n := m.NumRows()
-	v := newVec(m.Arity())
-	for j := range v.cols {
-		v.cols[j] = make([]condition.TermID, 0, n)
-	}
-	v.conds = make([]condition.Condition, 0, n)
-	for i := 0; i < n; i++ {
-		r := m.Row(i)
-		for j, t := range r.Terms {
-			v.cols[j] = append(v.cols[j], ctx.dict.Intern(t))
+	e := encodingOf(m)
+	v := e.v
+	if e.dict != ctx.base {
+		trans := make([]condition.TermID, e.dict.Len())
+		for k := range trans {
+			trans[k] = ctx.dict.Intern(e.dict.Resolve(condition.TermID(k)))
 		}
-		cond := r.Cond
-		if cond == nil {
-			cond = condition.True()
+		v = &vec{arity: e.v.arity, cols: make([][]condition.TermID, e.v.arity), conds: e.v.conds}
+		for j, col := range e.v.cols {
+			out := make([]condition.TermID, len(col))
+			for i, id := range col {
+				out[i] = trans[id]
+			}
+			v.cols[j] = out
 		}
-		v.conds = append(v.conds, cond)
 	}
 	ctx.enc[m] = v
 	return v
@@ -785,13 +843,42 @@ func (s *selectBStage) outArity(in int) int { return in }
 func (s *selectBStage) apply(ctx *bctx, _ *OpStats, in *vec) (*vec, error) {
 	out := &vec{arity: in.arity, cols: in.cols, conds: make([]condition.Condition, in.rows())}
 	for i := range out.conds {
-		pc, err := predCondIDs(ctx.dict, s.pred, idTuple{a: in, ai: i})
+		c, err := ctx.selectCond(in.conds[i], s.pred, idTuple{a: in, ai: i})
 		if err != nil {
 			return nil, err
 		}
-		out.conds[i] = ctx.opts.cond(condition.And(in.conds[i], pc))
+		out.conds[i] = c
 	}
 	return out, nil
+}
+
+// selectCond is opts.cond(And(c, pc)) for the condition pc of predicate p on
+// tup. Under Simplify a predicate that folds to a constant (foldPredIDs) is
+// never built: the result is false whatever c is, and c simplified when the
+// predicate holds — byte-identical to simplifying the conjunction, without
+// allocating when c is an atom.
+func (ctx *bctx) selectCond(c condition.Condition, p ra.Predicate, tup idTuple) (condition.Condition, error) {
+	if ctx.opts.Simplify {
+		holds, ground, err := foldPredIDs(ctx.dict, p, tup)
+		if err != nil {
+			return nil, err
+		}
+		if ground {
+			switch {
+			case !holds:
+				return condition.False(), nil
+			case isAtom(c):
+				return simplifyAtom(c), nil
+			default:
+				return condition.Simplify(c), nil
+			}
+		}
+	}
+	pc, err := predCondIDs(ctx.dict, p, tup)
+	if err != nil {
+		return nil, err
+	}
+	return ctx.and2(c, pc), nil
 }
 
 // crossBStage is ×̄ with a materialized right side: every morsel row is
@@ -955,13 +1042,13 @@ func (s *probeBStage) apply(ctx *bctx, st *OpStats, in *vec) (*vec, error) {
 		}
 		for _, ri := range cand {
 			cross := ctx.and2(in.conds[i], right.conds[ri])
-			pc, err := predCondIDs(ctx.dict, s.pred, idTuple{a: in, ai: i, b: right, bi: int(ri), split: s.la})
+			c, err := ctx.selectCond(cross, s.pred, idTuple{a: in, ai: i, b: right, bi: int(ri), split: s.la})
 			if err != nil {
 				return nil, err
 			}
 			st.out(1)
 			appendPair(out, in, i, right, int(ri))
-			out.conds = append(out.conds, ctx.and2(cross, pc))
+			out.conds = append(out.conds, c)
 		}
 	}
 	return out, nil
@@ -1226,17 +1313,82 @@ func predCondIDs(dict *condition.TermInterner, p ra.Predicate, tup idTuple) (con
 	}
 }
 
-// cmpCondIDs translates one comparison. The ground fast paths fold to
-// true/false by ID (or value) compare; variable-involving equalities build
-// the symbolic Cmp with operand sides preserved.
+// cmpCondIDs translates one comparison: a ground one folds to true/false
+// (foldCmpIDs), and a variable-involving equality builds the symbolic Cmp
+// with operand sides preserved.
 func cmpCondIDs(dict *condition.TermInterner, p ra.Cmp, tup idTuple) (condition.Condition, error) {
-	lid, lCol, err := resolveIDTerm(p.Left, tup)
+	holds, ground, err := foldCmpIDs(dict, p, tup)
 	if err != nil {
 		return nil, err
 	}
+	if ground {
+		return boolCond(holds), nil
+	}
+	return condition.Cmp{Left: cmpSide(dict, p.Left, tup), Neq: p.Op == ra.OpNe, Right: cmpSide(dict, p.Right, tup)}, nil
+}
+
+// cmpSide is the term a (validated) comparison side denotes on tup.
+func cmpSide(dict *condition.TermInterner, t ra.Term, tup idTuple) condition.Term {
+	if t.IsCol {
+		return dict.Resolve(tup.id(t.Col))
+	}
+	return condition.Const(t.Const)
+}
+
+// foldPredIDs evaluates p on an encoded row by ID and value compare alone.
+// ground reports whether every comparison folded to a constant, and holds is
+// then p's truth value — the constant the condition predCondIDs builds
+// simplifies to. Sub-predicates are evaluated in order without short
+// circuit, so an error is the one predCondIDs reports; the first symbolic
+// comparison stops the fold, and predCondIDs then builds the condition.
+func foldPredIDs(dict *condition.TermInterner, p ra.Predicate, tup idTuple) (holds, ground bool, err error) {
+	switch p := p.(type) {
+	case ra.TruePred:
+		return true, true, nil
+	case ra.FalsePred:
+		return false, true, nil
+	case ra.Cmp:
+		return foldCmpIDs(dict, p, tup)
+	case ra.And:
+		return foldJunctIDs(dict, p.Preds, true, tup)
+	case ra.Or:
+		return foldJunctIDs(dict, p.Preds, false, tup)
+	case ra.Not:
+		h, g, err := foldPredIDs(dict, p.Pred, tup)
+		return !h, g, err
+	default:
+		return false, false, fmt.Errorf("exec: unsupported predicate %T", p)
+	}
+}
+
+// foldJunctIDs folds a conjunction (isAnd) or disjunction of preds.
+func foldJunctIDs(dict *condition.TermInterner, preds []ra.Predicate, isAnd bool, tup idTuple) (holds, ground bool, err error) {
+	holds = isAnd
+	for _, sub := range preds {
+		h, g, err := foldPredIDs(dict, sub, tup)
+		if err != nil || !g {
+			return false, g, err
+		}
+		if h != isAnd {
+			holds = h
+		}
+	}
+	return holds, true, nil
+}
+
+// foldCmpIDs folds one comparison when it is ground: equal IDs are equal
+// terms, distinct ground IDs distinct ones (interning is injective), and a
+// literal compares by value. An equality involving a variable does not fold
+// (ground false); an ordering comparison requires ground operands, as in
+// PredicateCondition.
+func foldCmpIDs(dict *condition.TermInterner, p ra.Cmp, tup idTuple) (holds, ground bool, err error) {
+	lid, lCol, err := resolveIDTerm(p.Left, tup)
+	if err != nil {
+		return false, false, err
+	}
 	rid, rCol, err := resolveIDTerm(p.Right, tup)
 	if err != nil {
-		return nil, err
+		return false, false, err
 	}
 	switch p.Op {
 	case ra.OpEq, ra.OpNe:
@@ -1244,36 +1396,28 @@ func cmpCondIDs(dict *condition.TermInterner, p ra.Cmp, tup idTuple) (condition.
 		switch {
 		case lCol && rCol:
 			if lid == rid {
-				return boolCond(!neq), nil
+				return !neq, true, nil
 			}
-			if !dict.IsVar(lid) && !dict.IsVar(rid) {
-				return boolCond(neq), nil
+			if dict.IsVar(lid) || dict.IsVar(rid) {
+				return false, false, nil
 			}
-			return condition.Cmp{Left: dict.Resolve(lid), Neq: neq, Right: dict.Resolve(rid)}, nil
+			return neq, true, nil
 		case lCol:
 			lt := dict.Resolve(lid)
-			if !lt.IsVar {
-				return boolCond((lt.Const == p.Right.Const) != neq), nil
-			}
-			return condition.Cmp{Left: lt, Neq: neq, Right: condition.Const(p.Right.Const)}, nil
+			return (lt.Const == p.Right.Const) != neq, !lt.IsVar, nil
 		case rCol:
 			rt := dict.Resolve(rid)
-			if !rt.IsVar {
-				return boolCond((p.Left.Const == rt.Const) != neq), nil
-			}
-			return condition.Cmp{Left: condition.Const(p.Left.Const), Neq: neq, Right: rt}, nil
+			return (p.Left.Const == rt.Const) != neq, !rt.IsVar, nil
 		default:
-			return boolCond((p.Left.Const == p.Right.Const) != neq), nil
+			return (p.Left.Const == p.Right.Const) != neq, true, nil
 		}
 	default:
-		// Ordering comparisons require ground operands, as in
-		// PredicateCondition.
 		lv, lVar := constOf(dict, p.Left, lid, lCol)
 		rv, rVar := constOf(dict, p.Right, rid, rCol)
 		if lVar || rVar {
-			return nil, fmt.Errorf("exec: ordering comparison %s applied to a variable term", p.Op)
+			return false, false, fmt.Errorf("exec: ordering comparison %s applied to a variable term", p.Op)
 		}
-		return boolCond(p.Op.Holds(lv, rv)), nil
+		return p.Op.Holds(lv, rv), true, nil
 	}
 }
 

@@ -6,6 +6,7 @@ import (
 
 	"uncertaindb/internal/condition"
 	"uncertaindb/internal/ctable"
+	"uncertaindb/internal/ctable/eagerref"
 	"uncertaindb/internal/exec"
 	"uncertaindb/internal/ra"
 	"uncertaindb/internal/value"
@@ -89,7 +90,7 @@ func TestBatchErrorParity(t *testing.T) {
 	q := ra.Select(ra.Cmp{Left: ra.Col(0), Op: ra.OpLt, Right: ra.ConstInt(2)}, ra.Rel("T"))
 	env := ctable.Env{"T": tab}
 	_, batchErr := ctable.EvalQueryEnvWithOptions(q, env, ctable.Options{Simplify: true})
-	_, eagerErr := ctable.EvalQueryEnvEager(q, env, ctable.Options{Simplify: true})
+	_, eagerErr := eagerref.EvalQueryEnv(q, env, ctable.Options{Simplify: true})
 	if batchErr == nil || eagerErr == nil {
 		t.Fatalf("expected errors, got batch=%v eager=%v", batchErr, eagerErr)
 	}
@@ -123,7 +124,7 @@ func TestBatchEquiJoinAgainstEager(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		eager, err := ctable.EvalQueryEnvEager(q, env, ctable.Options{Simplify: true})
+		eager, err := eagerref.EvalQueryEnv(q, env, ctable.Options{Simplify: true})
 		if err != nil {
 			t.Fatal(err)
 		}

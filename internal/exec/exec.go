@@ -12,13 +12,14 @@
 // second plan IR would duplicate it. Run validates the query, optionally
 // rewrites it (see Rewrite) and executes it on the vectorized batch engine
 // (batch.go): base tables are dictionary-encoded into columnar
-// interned-term-ID vectors and the operators execute batch-at-a-time over
+// interned-term-ID vectors, once per table version (Encoder), and the
+// operators execute batch-at-a-time over
 // fixed-size morsels on a bounded worker pool (Options.Workers). Selections
 // over cross products with extractable equi-join keys run as a symbolic
 // hash join, and difference and intersection partition their right side by
 // ground tuple (physical.go). Options.NoHash restores the textbook
 // nested-loop/pairwise-scan strategies, which reproduce the frozen eager
-// evaluator (internal/ctable's EvalQueryEnvEager) byte for byte. Answers
+// evaluator (internal/ctable/eagerref) byte for byte. Answers
 // are byte-identical for every worker count.
 package exec
 
@@ -54,6 +55,11 @@ func (r Row) String() string {
 // the operator core. Implementations must be immutable for the duration of a
 // query: operators never mutate the rows they are handed, but they do retain
 // and share the term slices.
+//
+// A Model may also implement Encoder to keep one Encoding per table version
+// instead of one per run: it returns Encode's result over its current rows,
+// built once, and must drop it whenever its rows change (a *ctable.CTable
+// drops it on AddRow, AdoptRow and AddConstRow).
 type Model interface {
 	// Arity is the number of columns.
 	Arity() int

@@ -7,6 +7,7 @@ import (
 
 	"uncertaindb/internal/condition"
 	"uncertaindb/internal/ctable"
+	"uncertaindb/internal/ctable/eagerref"
 	"uncertaindb/internal/exec"
 	"uncertaindb/internal/ra"
 	"uncertaindb/internal/value"
@@ -122,7 +123,7 @@ func TestCoreMatchesEagerSyntax(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: core: %v", label, err)
 		}
-		want, err := ctable.EvalQueryEnvEager(q, env, opts)
+		want, err := eagerref.EvalQueryEnv(q, env, opts)
 		if err != nil {
 			t.Fatalf("%s: eager: %v", label, err)
 		}
@@ -173,7 +174,7 @@ func TestRewritePreservesMod(t *testing.T) {
 		if err != nil {
 			t.Fatalf("trial %d: rewritten: %v", trial, err)
 		}
-		eager, err := ctable.EvalQueryEnvEager(q, env, ctable.Options{Simplify: true})
+		eager, err := eagerref.EvalQueryEnv(q, env, ctable.Options{Simplify: true})
 		if err != nil {
 			t.Fatalf("trial %d: eager: %v", trial, err)
 		}

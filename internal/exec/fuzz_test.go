@@ -1,19 +1,24 @@
 package exec_test
 
 import (
+	"math/rand"
+	"strings"
 	"testing"
 
 	"uncertaindb/internal/condition"
+	"uncertaindb/internal/ctable"
+	"uncertaindb/internal/ctable/eagerref"
 	"uncertaindb/internal/exec"
 	"uncertaindb/internal/ra"
 	"uncertaindb/internal/value"
 )
 
 // decodePredicate derives a selection predicate over cols columns from a
-// fuzz byte stream: a tiny stack-free recursive decoder emitting only the
-// atoms the symbolic algebra supports on variable terms (=, ≠, boolean
-// combinators, constants).
-func decodePredicate(data []byte, cols int) ra.Predicate {
+// fuzz byte stream: a tiny stack-free recursive decoder emitting the atoms
+// the symbolic algebra supports on variable terms (=, ≠, constants) and the
+// boolean combinators; with ordering it also emits < and ≥ atoms, which are
+// an error on a variable term.
+func decodePredicate(data []byte, cols int, ordering bool) ra.Predicate {
 	pos := 0
 	next := func() byte {
 		if pos >= len(data) {
@@ -30,24 +35,32 @@ func decodePredicate(data []byte, cols int) ra.Predicate {
 		}
 		return ra.ConstInt(int64(b % 3))
 	}
+	atoms := 4
+	if ordering {
+		atoms = 6
+	}
 	var rec func(depth int) ra.Predicate
 	rec = func(depth int) ra.Predicate {
-		op := next()
+		op := int(next())
 		if depth <= 0 {
-			op %= 4 // atoms only at the leaves
+			op %= atoms // atoms only at the leaves
 		}
-		switch op % 7 {
-		case 0:
+		switch k := op % (atoms + 3); {
+		case k == 0:
 			return ra.Eq(term(), term())
-		case 1:
+		case k == 1:
 			return ra.Ne(term(), term())
-		case 2:
+		case k == 2:
 			return ra.True()
-		case 3:
+		case k == 3:
 			return ra.False()
-		case 4:
+		case k == 4 && ordering:
+			return ra.Cmp{Left: term(), Op: ra.OpLt, Right: term()}
+		case k == 5 && ordering:
+			return ra.Cmp{Left: term(), Op: ra.OpGe, Right: term()}
+		case k == atoms:
 			return ra.AndOf(rec(depth-1), rec(depth-1))
-		case 5:
+		case k == atoms+1:
 			return ra.OrOf(rec(depth-1), rec(depth-1))
 		default:
 			return ra.NotOf(rec(depth - 1))
@@ -85,7 +98,7 @@ func FuzzRewriteJoinKeys(f *testing.F) {
 		la := int(laRaw)%3 + 1
 		raCols := int(raRaw)%3 + 1
 		cols := la + raCols
-		pred := decodePredicate(data, cols)
+		pred := decodePredicate(data, cols, false)
 
 		keys, residual := exec.SplitJoinPredicate(pred, la)
 		for _, k := range keys {
@@ -133,5 +146,82 @@ func FuzzRewriteJoinKeys(f *testing.F) {
 		if !agree {
 			t.Fatalf("split changed the predicate %s (la=%d): keys %v residual %v", pred, la, keys, residual)
 		}
+	})
+}
+
+// FuzzSelectFold: σ̄ folds a predicate that is ground on a row without
+// building its condition, and must still agree with the eager evaluator
+// (Simplify on, hash path off) row for row, and raise the same error — an
+// ordering comparison on a variable cell. Tables mix ground and variable
+// cells under row conditions that are true, atoms, conjunctions and
+// negated disjunctions. A join of two small tables on the same predicate
+// plus a key checks the hash-join probe, which folds the same way, against
+// the eager answer's rows that are not false.
+func FuzzSelectFold(f *testing.F) {
+	// TestBatchErrorParity's shape: $1 < 2 over a column holding a variable.
+	f.Add([]byte{4, 0, 5}, int64(1), uint8(0))
+	f.Add([]byte{0, 0, 5}, int64(2), uint8(1))
+	f.Add([]byte{6, 5, 0, 3, 1, 2, 4}, int64(3), uint8(2))
+	f.Add([]byte{7, 8, 0, 1, 1, 2, 3}, int64(4), uint8(1))
+	f.Add([]byte{8, 2, 1, 2, 1, 4, 2, 0}, int64(5), uint8(2))
+	f.Fuzz(func(t *testing.T, data []byte, seed int64, colsRaw uint8) {
+		cols := int(colsRaw)%3 + 1
+		rng := rand.New(rand.NewSource(seed))
+		pred := decodePredicate(data, cols, true)
+		opts := ctable.Options{Simplify: true, NoHash: true}
+		sameAnswer := func(label string, q ra.Query, env ctable.Env, opts ctable.Options, dropFalse bool) {
+			t.Helper()
+			got, gotErr := ctable.EvalQueryEnvWithOptions(q, env, opts)
+			want, wantErr := eagerref.EvalQueryEnv(q, env, ctable.Options{Simplify: true})
+			if dropFalse && wantErr != nil {
+				// The probe never evaluates the predicate on a pair whose
+				// ground keys differ, so it may miss the error the eager
+				// evaluator raises first, or every error.
+				if gotErr == nil || strings.Contains(gotErr.Error(), "ordering comparison") {
+					return
+				}
+			}
+			if (gotErr == nil) != (wantErr == nil) || gotErr != nil && gotErr.Error() != wantErr.Error() {
+				t.Fatalf("%s: errors differ for %s: batch %v, eager %v", label, q, gotErr, wantErr)
+			}
+			if gotErr != nil {
+				return
+			}
+			var wantRows []string
+			for _, r := range want.Rows() {
+				if _, isFalse := r.Cond.(condition.FalseCond); !dropFalse || !isFalse {
+					wantRows = append(wantRows, r.String())
+				}
+			}
+			gotRows := got.Rows()
+			if dropFalse {
+				gotRows = gotRows[:0:0]
+				for _, r := range got.Rows() {
+					if _, isFalse := r.Cond.(condition.FalseCond); !isFalse {
+						gotRows = append(gotRows, r)
+					}
+				}
+			}
+			if len(gotRows) != len(wantRows) {
+				t.Fatalf("%s: %d rows, eager %d, for %s", label, len(gotRows), len(wantRows), q)
+			}
+			for i, r := range gotRows {
+				if r.String() != wantRows[i] {
+					t.Fatalf("%s: row %d of %s:\nbatch %s\neager %s", label, i, q, r, wantRows[i])
+				}
+			}
+		}
+
+		tab := randomCTable(rng, cols, 1+rng.Intn(2*exec.BatchSize), []string{"x", "y"})
+		sameAnswer("select", ra.Select(pred, ra.Rel("T")), ctable.Env{"T": tab}, opts, false)
+
+		l := randomCTable(rng, cols, 1+rng.Intn(12), []string{"x", "y"})
+		r := randomCTable(rng, cols, 1+rng.Intn(12), []string{"y", "z"})
+		joinPred := ra.AndOf(ra.Eq(ra.Col(0), ra.Col(cols)), decodePredicate(data, 2*cols, true))
+		join := ra.Join(ra.Rel("L"), ra.Rel("R"), joinPred)
+		env := ctable.Env{"L": l, "R": r}
+		sameAnswer("nested-loop join", join, env, opts, false)
+		opts.NoHash = false
+		sameAnswer("hash join", join, env, opts, true)
 	})
 }

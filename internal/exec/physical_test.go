@@ -7,6 +7,7 @@ import (
 
 	"uncertaindb/internal/condition"
 	"uncertaindb/internal/ctable"
+	"uncertaindb/internal/ctable/eagerref"
 	"uncertaindb/internal/exec"
 	"uncertaindb/internal/ra"
 	"uncertaindb/internal/value"
@@ -87,7 +88,7 @@ func TestHashPathPreservesMod(t *testing.T) {
 			"B": randomCTable(rng, 2, 2, []string{"y", "z"}),
 		}
 		q := randomQuery(rng, 2, 3)
-		eager, err := ctable.EvalQueryEnvEager(q, env, ctable.Options{Simplify: true})
+		eager, err := eagerref.EvalQueryEnv(q, env, ctable.Options{Simplify: true})
 		if err != nil {
 			t.Fatalf("trial %d: eager: %v", trial, err)
 		}

@@ -47,6 +47,10 @@ func (t *PCTable) NumRows() int { return t.table.NumRows() }
 // shared operator core scans pc-tables directly.
 func (t *PCTable) Row(i int) exec.Row { return t.table.Row(i) }
 
+// Encoding implements exec.Encoder by delegating to the underlying c-table,
+// so what-if views (WithDists) share their table's encoding.
+func (t *PCTable) Encoding() *exec.Encoding { return t.table.Encoding() }
+
 // EachDomain visits the declared finite variable domains (exec.Model).
 func (t *PCTable) EachDomain(f func(condition.Variable, *value.Domain)) { t.table.EachDomain(f) }
 
